@@ -108,13 +108,6 @@ def parse_config(text: str) -> ExperimentConfig:
         sysb = cp["system"]
         lam = _floats(sysb["lambda"])
         m = len(lam)
-        system = make_system(
-            lam, _floats(sysb["mu"]),
-            gamma=_floats(sysb["gamma"]) if "gamma" in sysb else None,
-            hat_lambda=_floats(sysb["hat_lambda"]) if "hat_lambda" in sysb else None,
-            hat_mu=_floats(sysb["hat_mu"]) if "hat_mu" in sysb else None,
-            scv=_floats(sysb["scv"]) if "scv" in sysb else None,
-        )
         n_list = _ints(cp["prelimit"]["n"]) if cp.has_section("prelimit") else ()
         arr_kind = cp["arrivals"].get("kind", "poisson") if cp.has_section("arrivals") else "poisson"
         dists = ()
@@ -124,6 +117,21 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError("need one interarrival family per class")
         elif arr_kind != "poisson":
             raise ConfigError(f"unknown arrival kind {arr_kind!r}")
+        # the diffusion's covariance comes from the interarrival laws the
+        # queue simulator runs; an explicit [system] scv must agree with them
+        law_scv = (qs.ArrivalSpec.renewal(map(_parse_dist, dists)) if dists
+                   else qs.ArrivalSpec.poisson(m)).scv
+        system = make_system(
+            lam, _floats(sysb["mu"]),
+            gamma=_floats(sysb["gamma"]) if "gamma" in sysb else None,
+            hat_lambda=_floats(sysb["hat_lambda"]) if "hat_lambda" in sysb else None,
+            hat_mu=_floats(sysb["hat_mu"]) if "hat_mu" in sysb else None,
+            scv=_floats(sysb["scv"]) if "scv" in sysb else law_scv,
+        )
+        if not np.allclose(system.scv, law_scv):
+            raise ConfigError(f"[system] scv {system.scv.tolist()} does not match the SCVs "
+                              f"{law_scv.tolist()} of the [arrivals] interarrival laws")
+        diffusion_spec(system)             # sum_i lambda_i (1 + scv_i) / (2 mu_i) = 1
         policies = []
         for sect in cp.sections():
             if not sect.startswith("policy."):
@@ -516,8 +524,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="experiment config file (INI)")
     parser.add_argument("--seed-override", type=int, default=None)
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; execution is serial for reproducibility")
     parser.add_argument("--overwrite", action="store_true")
     args = parser.parse_args(argv)
     try:
@@ -526,8 +532,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed_override
         if args.out is not None:
             cfg.out_dir = args.out
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         return COMMANDS[args.command](cfg, args.overwrite)
     except (ConfigError, ver.PreconditionError, lyap.InfeasibleGoal, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)

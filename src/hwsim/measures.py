@@ -43,7 +43,8 @@ class EmpiricalMeasure:
 
     def normalized_weights(self) -> np.ndarray:
         w = self.weights / self.weights.sum()
-        assert abs(w.sum() - 1.0) <= NORMALIZATION_TOL
+        if not abs(w.sum() - 1.0) <= NORMALIZATION_TOL:
+            raise ValueError(f"weights do not normalize: total weight {self.weights.sum()}")
         return w
 
     def moment(self, name: str) -> tuple[float, float]:

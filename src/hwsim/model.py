@@ -231,7 +231,7 @@ class DiffusionSpec:
     def validate(self, tol: float = 1e-8) -> None:
         s = float(np.sum(self.lambda_tilde / self.mu))
         if abs(s - 1.0) > tol:
-            raise ValueError(f"sum lambda~_i/mu_i must be 1, got {s}")
+            raise ValueError(f"sum lambda~_i/mu_i is {s}, not 1")
 
 
 def diffusion_spec(params: SystemParams, varrho: float | None = None) -> DiffusionSpec:

@@ -3,15 +3,19 @@
 Poisson-input systems evolve as a CTMC with competing exponential clocks;
 renewal-input systems schedule the next arrival of each class from its
 interarrival distribution while service/abandonment clocks stay exponential
-(re-drawn after every event, which is exact by memorylessness).  The same
-module evaluates the exact finite-difference generators on Lyapunov
-functions, builds the age-augmented renewal Lyapunov function, and certifies
-the prelimit Foster-Lyapunov bounds over sampled states and all (or extreme)
-work-conserving allocations.
+(re-drawn after every event, which is exact by memorylessness).  One event
+loop serves both and draws its variates in blocks from each replica's
+generator, so a seed gives other paths than the earlier loop that drew one
+variate per numpy call.  The same module evaluates the exact finite-difference
+generators on Lyapunov functions, builds the age-augmented renewal Lyapunov
+function, and certifies the prelimit Foster-Lyapunov bounds over sampled
+states and all (or extreme) work-conserving allocations.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -317,8 +321,8 @@ def apportion_queue(x: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
 class SchedulingPolicy:
     """Base: a stationary Markov map (x, n) -> z in Z^n(x).
 
-    allocate_list is the event-loop fast path operating on plain int lists;
-    allocate is the array API.
+    allocate_list is the fast path on int sequences (the event loop passes
+    lists); allocate is the array API.
     """
 
     def allocate_list(self, x: list, n: int, rng=None) -> list:
@@ -326,6 +330,12 @@ class SchedulingPolicy:
 
     def allocate(self, x, n, rng=None):
         return np.asarray(self.allocate_list([int(v) for v in x], n, rng), dtype=np.int64)
+
+    def allocator(self, m: int, n: int, rng):
+        """The map x -> z of one replica's event loop, drawing any
+        randomness from that replica's rng."""
+        allocate_list = self.allocate_list
+        return lambda x: allocate_list(x, n, rng)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -363,6 +373,10 @@ class RandomWorkConservingPolicy(SchedulingPolicy):
             raise ValueError("random policy needs the replica RNG")
         return _greedy_list(x, n, rng.permutation(len(x)))
 
+    def allocator(self, m, n, rng):
+        orders = _blocks(lambda k: np.argsort(rng.random((k, m)), axis=1))
+        return lambda x: _greedy_list(x, n, next(orders))
+
     def describe(self):
         return "random_work_conserving"
 
@@ -398,17 +412,14 @@ class FunctionPolicy(SchedulingPolicy):
         return f"user[{self.name}]"
 
 
-@dataclass
-class QueueState:
-    x: np.ndarray
-    s: np.ndarray | None
-    z: np.ndarray
-    q: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # event-driven simulation
 # ---------------------------------------------------------------------------
+
+# Variates per numpy call in the event loop (clock draws, renewal interarrival
+# times, random priority orders), drawn from each replica's own generator.
+_BLOCK = 256
+
 
 @dataclass
 class QueueRun:
@@ -437,181 +448,155 @@ class QueueRun:
         return est, se
 
 
-def _queue_x0(cfg, p: PrelimitParams) -> np.ndarray:
-    x0 = np.asarray(cfg.x0, dtype=float) * np.ones(p.m)
-    raw = np.rint(unscale_state(x0, p)).astype(np.int64)
-    return np.maximum(raw, 0)
+def _blocks(draw):
+    """Endless rows of draw(_BLOCK): one numpy call per _BLOCK variates."""
+    while True:
+        yield from draw(_BLOCK).tolist()
 
 
 def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
-    """One replica of the event loop; renewal and Poisson share this path.
+    """One replica of the event loop; renewal and Poisson input share it.
 
-    The loop works on plain Python scalars: at a few classes the per-event
-    cost of small numpy arrays dominates the simulation otherwise.
+    Plain Python floats and ints, with variates drawn in blocks: at a few
+    classes numpy's per-call cost would dominate.  An event rescales only the
+    coordinate it changed; the l1 norm and sum of xhat follow from its old and
+    new values (an O(1) blow-up guard) and its integral is settled then.
     """
-    m = p.m
-    n = p.n
-    lam = [float(v) for v in p.lambda_n]
-    mu_n = [float(v) for v in p.mu_n]
-    gamma_n = [float(v) for v in p.gamma_n]
-    center = [float(v) for v in p.fluid_center]
-    inv_rt = 1.0 / math.sqrt(n)
-    shift = p.varrho_n / m
-    renewal = arr.kind == "renewal"
-    lam_sum = sum(lam)
-    rng_exp = rng.exponential
-    rng_unif = rng.random
-
-    T, T0, thin = cfg.horizon, cfg.burn_in, cfg.thin
-    x = [int(v) for v in _queue_x0(cfg, p)]
-    t = 0.0
-    next_thin = T0
-    exp_keys = [(f"exp:{d:g}", d) for d in cfg.exp_deltas]
-    expsq_keys = [(f"expsq:{d:g}", d) for d in cfg.expsq_deltas]
-    integ = {k: 0.0 for k in
-             ["l1", "neg_sum", "sum"] + [f"coord{i}" for i in range(m)]
-             + [k for k, _ in exp_keys] + [k for k, _ in expsq_keys]}
-    coord_keys = [f"coord{i}" for i in range(m)]
-    live = 0.0
-    samples = []
-    ages_out = [] if renewal else None
-    hist = {} if exact_histogram else None
-    counts = np.zeros((3, m))
-    tripped = False
-    trip_at = math.nan
-
-    if renewal:
-        next_arr = [arr.dists[i].sample(rng) / lam[i] for i in range(m)]
-        last_arr = [0.0] * m
-
-    z = pol.allocate_list(x, n, rng)
-    if cfg.debug_checks:
-        validate_allocation(np.asarray(x), np.asarray(z), n)
+    m, n = p.m, p.n
+    lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
+    center, inv_rt, shift = p.fluid_center.tolist(), 1.0 / math.sqrt(n), p.varrho_n / m
+    T, T0, thin, blowup = cfg.horizon, cfg.burn_in, cfg.thin, cfg.blowup
+    tilts = ([(f"exp:{d:g}", d, 1) for d in cfg.exp_deltas]
+             + [(f"expsq:{d:g}", d, 2) for d in cfg.expsq_deltas])
+    allocate, debug = pol.allocator(m, n, rng), cfg.debug_checks
+    poisson = arr.kind == "poisson"
+    lam_cum = list(itertools.accumulate(lam))
+    lam_sum = lam_cum[-1]                      # one total: r < lam_sum keeps bisect < m
+    gaps = [] if poisson else [_blocks(functools.partial(d.sample, rng)) for d in arr.dists]
+    next_arr = [next(g) / rate for g, rate in zip(gaps, lam)]
+    last_arr = [0.0] * m
+    x0 = unscale_state(np.asarray(cfg.x0, dtype=float) * np.ones(m), p)
+    x = np.maximum(np.rint(x0), 0).astype(np.int64).tolist()
     xhat = [(x[i] - center[i]) * inv_rt - shift for i in range(m)]
+    l1, ssum = sum(abs(v) for v in xhat), sum(xhat)
+    # time integrals past burn-in; coordinate i is integrated up to settled[i]
+    int_l1 = int_neg = int_sum = 0.0
+    int_coord, settled, int_tilt = [0.0] * m, [T0] * m, [0.0] * len(tilts)
+    counts = [[0] * m for _ in range(3)]       # arrivals, services, abandonments
+    samples, ages = [], []
+    hist = {} if exact_histogram else None
+    t, next_thin, stop = 0.0, T0, T            # stop < T: the blow-up guard tripped
 
-    while t < T:
-        death = [mu_n[i] * z[i] + gamma_n[i] * (x[i] - z[i]) for i in range(m)]
+    clock = _blocks(lambda k: np.stack((rng.standard_exponential(k), rng.random(k)), axis=1))
+    for e, u in clock:
+        z = allocate(x)
+        if debug:
+            validate_allocation(np.asarray(x), np.asarray(z), n)
+        death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
         death_sum = sum(death)
-        if renewal:
-            t_death = t + rng_exp(1.0 / death_sum) if death_sum > 0 else math.inf
-            t_arr = min(next_arr)
-            t_event = t_death if t_death < t_arr else t_arr
-        else:
+        if poisson:
             total = lam_sum + death_sum
-            t_event = t + rng_exp(1.0 / total)
-        seg_end = t_event if t_event < T else T
+            t_event = t + e / total
+            r = u * total
+            arrival = r < lam_sum
+        else:
+            t_arr = min(next_arr)
+            t_event = t + e / death_sum if death_sum > 0.0 else math.inf
+            arrival = t_arr <= t_event
+            if arrival:
+                t_event = t_arr
         # accumulate the constant segment [t, seg_end] past burn-in
-        lo = t if t > T0 else T0
-        if seg_end > lo:
-            w = seg_end - lo
-            l1 = 0.0
-            ssum = 0.0
-            for i in range(m):
-                v = xhat[i]
-                ssum += v
-                l1 += v if v >= 0 else -v
-                integ[coord_keys[i]] += w * v
-            integ["l1"] += w * l1
-            integ["neg_sum"] += w * (-ssum if ssum < 0 else 0.0)
-            integ["sum"] += w * ssum
-            for k, d in exp_keys:
-                integ[k] += w * math.exp(min(d * l1, 700.0))
-            for k, d in expsq_keys:
-                integ[k] += w * math.exp(min(d * l1 * l1, 700.0))
-            live += w
+        seg_end = t_event if t_event < T else T
+        if seg_end > T0:
+            w = seg_end - (t if t > T0 else T0)
+            int_l1 += w * l1
+            int_sum += w * ssum
+            if ssum < 0.0:
+                int_neg -= w * ssum
+            if tilts:
+                for k, (_, d, power) in enumerate(tilts):
+                    int_tilt[k] += w * math.exp(min(d * l1**power, 700.0))
             if hist is not None:
                 key = tuple(x)
                 hist[key] = hist.get(key, 0.0) + w
             while next_thin <= seg_end:
-                if next_thin >= t:
-                    samples.append(list(xhat))
-                    if renewal:
-                        ages_out.append([next_thin - la for la in last_arr])
+                samples.append(xhat.copy())
+                if not poisson:
+                    ages.append([next_thin - a for a in last_arr])
                 next_thin += thin
         if t_event >= T:
             break
         # resolve the event
-        if renewal and t_arr <= t_death:
-            i = next_arr.index(t_arr)
-            x[i] += 1
-            counts[0, i] += 1
-            last_arr[i] = t_event
-            next_arr[i] = t_event + arr.dists[i].sample(rng) / lam[i]
-        else:
-            if renewal:
-                r = rng_unif() * death_sum
+        if arrival:
+            if poisson:
+                i = bisect.bisect_right(lam_cum, r)
             else:
-                r = rng_unif() * total
-                if r < lam_sum:
-                    acc = 0.0
-                    i = m - 1
-                    for j in range(m):
-                        acc += lam[j]
-                        if r < acc:
-                            i = j
-                            break
-                    x[i] += 1
-                    counts[0, i] += 1
-                    r = -1.0  # arrival handled
-                else:
-                    r -= lam_sum
-            if r >= 0.0:
-                acc = 0.0
-                i = m - 1
-                kind = 1 if z[i] > 0 else 2
-                for j in range(m):
-                    acc += death[j]
-                    if r < acc:
-                        i = j
-                        # within class: service completion first, then abandonment
-                        kind = 1 if r - (acc - death[j]) < mu_n[j] * z[j] else 2
-                        break
-                x[i] -= 1
-                counts[kind, i] += 1
+                i = next_arr.index(t_arr)
+                last_arr[i] = t_event
+                next_arr[i] = t_event + next(gaps[i]) / lam[i]
+            x[i] += 1
+            counts[0][i] += 1
+        else:
+            r = r - lam_sum if poisson else u * death_sum
+            for i in range(m):
+                if r < death[i]:
+                    break
+                r -= death[i]
+            else:  # rounding carried r past the last rate
+                i = max(k for k in range(m) if death[k] > 0.0)
+                r = 0.0
+            # within a class: service completion first, then abandonment
+            counts[1 if r < mu[i] * z[i] else 2][i] += 1
+            x[i] -= 1
         t = t_event
-        xhat = [(x[i] - center[i]) * inv_rt - shift for i in range(m)]
-        if sum(abs(v) for v in xhat) > cfg.blowup:
-            tripped = True
-            trip_at = t
+        old = xhat[i]
+        if t > T0:
+            int_coord[i] += (t - settled[i]) * old
+            settled[i] = t
+        xhat[i] = new = (x[i] - center[i]) * inv_rt - shift
+        ssum += new - old
+        l1 += abs(new) - abs(old)
+        if l1 > blowup:
+            stop = t
             break
-        z = pol.allocate_list(x, n, rng)
-        if cfg.debug_checks:
-            validate_allocation(np.asarray(x), np.asarray(z), n)
 
-    return {
-        "integrals": integ, "live": live, "samples": samples, "ages": ages_out,
-        "hist": hist, "counts": counts, "tripped": tripped, "trip_at": trip_at,
-        "terminal": np.asarray(x, dtype=np.int64),
-    }
+    for k in range(m):
+        int_coord[k] += max(stop - settled[k], 0.0) * xhat[k]
+    integrals = {"l1": int_l1, "neg_sum": int_neg, "sum": int_sum}
+    integrals.update((f"coord{i}", v) for i, v in enumerate(int_coord))
+    integrals.update((name, v) for (name, _, _), v in zip(tilts, int_tilt))
+    return {"integrals": integrals, "live": max(stop - T0, 0.0), "samples": samples,
+            "ages": ages, "hist": hist, "counts": counts, "tripped": stop < T,
+            "trip_at": stop if stop < T else math.nan, "terminal": x}
 
 
 def _simulate_queue(p, arr, pol, cfg, exact_histogram):
-    R = cfg.replicas
-    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(R)]
+    gens = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)]
     reps = [_run_queue_replica(p, arr, pol, cfg, g, exact_histogram) for g in gens]
-    m = p.m
-    keys = reps[0]["integrals"].keys()
-    integrals = {k: np.array([r["integrals"][k] for r in reps]) for k in keys}
-    rows = [np.array(r["samples"]).reshape(-1, m) for r in reps]
-    samples = np.concatenate(rows, axis=0) if rows else np.empty((0, m))
+
+    def stack(key):
+        return np.array([r[key] for r in reps])
+
+    def rows(key):
+        return np.array([row for r in reps for row in r[key]], dtype=float).reshape(-1, p.m)
+
+    samples = rows("samples")
     measure = EmpiricalMeasure(
         samples=samples,
         weights=np.full(samples.shape[0], cfg.thin),
-        replica_time=np.array([r["live"] for r in reps]),
-        replica_integrals=integrals,
+        replica_time=stack("live"),
+        replica_integrals={k: np.array([r["integrals"][k] for r in reps])
+                           for k in reps[0]["integrals"]},
     )
-    joint = None
-    if arr.kind == "renewal":
-        age_rows = [np.array(r["ages"]).reshape(-1, m) for r in reps]
-        joint = (samples, np.concatenate(age_rows, axis=0) if age_rows else np.empty((0, m)))
     return QueueRun(
         measure=measure,
-        tripped=np.array([r["tripped"] for r in reps]),
-        trip_time=np.array([r["trip_at"] for r in reps]),
-        terminal=np.stack([r["terminal"] for r in reps]),
-        event_counts=np.stack([r["counts"] for r in reps]),
+        tripped=stack("tripped"),
+        trip_time=stack("trip_at"),
+        terminal=stack("terminal").astype(np.int64),
+        event_counts=stack("counts").astype(float),
         state_histograms=[r["hist"] for r in reps] if exact_histogram else [],
-        joint_samples=joint,
+        joint_samples=(samples, rows("ages")) if arr.kind == "renewal" else None,
     )
 
 

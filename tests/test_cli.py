@@ -1,0 +1,85 @@
+import json
+
+import numpy as np
+import pytest
+
+from hwsim import cli
+
+CONFIG = """\
+[scenario]
+id = tiny
+seed = 3
+
+[system]
+lambda = 0.5, 0.5
+mu = 1.0, 1.0
+hat_lambda = -0.5, -0.5
+{scv}
+
+[prelimit]
+n = 20
+
+[arrivals]
+{arrivals}
+
+[policy.pri01]
+kind = static_priority
+order = 0, 1
+
+[sim]
+horizon = 4
+burn_in = 1
+replicas = 2
+thin = 0.5
+"""
+
+POISSON = "kind = poisson"
+RENEWAL = "kind = renewal\ndist = erlang:2, hyperexp2:1.5"
+
+
+# lognormal:sigma has SCV expm1(sigma^2); this sigma gives 1 to within 1e-8
+LOGNORMAL = "kind = renewal\ndist = lognormal:0.83255461, exponential"
+
+
+def _config(scv, arrivals):
+    return CONFIG.format(scv="" if scv is None else f"scv = {scv}", arrivals=arrivals)
+
+
+def _run(tmp_path, scv, arrivals, command="sim-queue"):
+    path = tmp_path / "exp.ini"
+    path.write_text(_config(scv, arrivals))
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("scv, arrivals", [
+    ("1.0, 1.0", POISSON), ("0.5, 1.5", RENEWAL), (None, POISSON), (None, RENEWAL),
+    (None, LOGNORMAL), ("1.0, 1.0", LOGNORMAL),
+])
+def test_valid_config_exits_0(tmp_path, scv, arrivals):
+    assert _run(tmp_path, scv, arrivals) == 0
+    summary = json.loads((tmp_path / "out" / "tiny_queue_summary.json").read_text())
+    assert summary["runs"]["n20.pri01"]["events"] > 0
+
+
+@pytest.mark.parametrize("scv, arrivals, message", [
+    ("0.5, 2.0", "kind = renewal\ndist = erlang:2, hyperexp2:2.0", "not 1"),
+    ("0.5, 1.5", "kind = renewal\ndist = hyperexp2:1.5, erlang:2", "does not match"),
+    ("0.5, 1.5", POISSON, "does not match"),
+    ("0.25, 1.75", LOGNORMAL, "does not match"),
+    (None, "kind = renewal\ndist = erlang:2, hyperexp2:2.0", "not 1"),
+])
+@pytest.mark.parametrize("command", ["sim-queue", "sim-diffusion"])
+def test_scv_config_error_exits_2(tmp_path, capsys, scv, arrivals, message, command):
+    assert _run(tmp_path, scv, arrivals, command) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_parse_config_raises_config_error():
+    with pytest.raises(cli.ConfigError, match="not 1"):
+        cli.parse_config(_config("0.5, 2.0", "kind = renewal\ndist = erlang:2, hyperexp2:2.0"))
+
+
+@pytest.mark.parametrize("arrivals", [POISSON, RENEWAL, LOGNORMAL])
+def test_omitted_scv_comes_from_the_interarrival_laws(arrivals):
+    cfg = cli.parse_config(_config(None, arrivals))
+    assert np.array_equal(cfg.system.scv, cfg.arrival_spec(cfg.system.m).scv)

@@ -104,6 +104,11 @@ class TestMeasure:
         w = run.measure.normalized_weights()
         assert abs(w.sum() - 1.0) <= 1e-12
 
+    def test_normalization_failure_raises(self):
+        m = measures.EmpiricalMeasure(np.zeros((2, 2)), np.zeros(2), np.ones(1))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="normalize"):
+            m.normalized_weights()
+
     def test_merge_is_order_insensitive_in_content(self):
         a = measures.from_samples(np.zeros((3, 2)))
         b = measures.from_samples(np.ones((2, 2)))
