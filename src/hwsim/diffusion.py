@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import measures
 from .measures import EmpiricalMeasure, TailFit, fit_tail, tv_distance
 from .model import DiffusionSpec, project_simplex
 

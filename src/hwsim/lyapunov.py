@@ -383,10 +383,3 @@ def select_parameters(goal: Goal, params: SystemParams, eta: float = 1.0,
         return LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=eps, theta=theta)
 
     raise ValueError(f"unknown goal {goal}")
-
-
-def power_spec(params: SystemParams, p: float = 2.0) -> LyapunovSpec:
-    """Polynomial family sharing the exp-linear eps/theta selection."""
-    base = select_parameters(Goal.EXP_ERGODIC, params)
-    return LyapunovSpec(Family.POWER, params.mu, epsilon=base.epsilon,
-                        theta=base.theta, p=p)

@@ -61,10 +61,6 @@ class EmpiricalMeasure:
         se = float(per_rep.std(ddof=1) / np.sqrt(r)) if r > 1 else float("inf")
         return est, se
 
-    def sample_mean(self, fn) -> float:
-        w = self.normalized_weights()
-        return float(np.sum(w * fn(self.samples)))
-
     def tail_values(self, direction) -> np.ndarray:
         """Scalar functional of each snapshot for tail estimation.
 

@@ -54,14 +54,6 @@ def project_simplex(u, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return u / u.sum(axis=-1, keepdims=True)
 
 
-def simplex_vertices(m: int) -> np.ndarray:
-    return np.eye(m)
-
-
-def simplex_barycenter(m: int) -> np.ndarray:
-    return np.full(m, 1.0 / m)
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Fluid-scale rates and their second-order Halfin-Whitt perturbations.

@@ -9,7 +9,8 @@ generator, so a seed gives other paths than the earlier loop that drew one
 variate per numpy call.  The same module evaluates the exact finite-difference
 generators on Lyapunov functions, builds the age-augmented renewal Lyapunov
 function, and certifies the prelimit Foster-Lyapunov bounds over sampled
-states and all (or extreme) work-conserving allocations.
+states and all (or extreme) work-conserving allocations; on Poisson input
+that check runs in numpy passes over all states, chunked by pair count.
 """
 
 from __future__ import annotations
@@ -772,54 +773,58 @@ def renewal_lyapunov(p: PrelimitParams, arr: ArrivalSpec,
 # allocation enumeration
 # ---------------------------------------------------------------------------
 
-def count_allocations(x: np.ndarray, n: int) -> int:
-    """|Z^n(x)| by inclusion-exclusion over the box constraints z_i <= x_i."""
-    m = len(x)
-    k = min(n, int(x.sum()))
-    total = 0
+def count_allocations(x: np.ndarray, n: int) -> np.ndarray:
+    """|Z^n(x)| for a state x, or for each row of a stack of states, by
+    inclusion-exclusion over the box constraints z_i <= x_i in exact integers
+    (Python integers once a term could pass int64)."""
+    x = np.asarray(x, dtype=np.int64)
+    m = x.shape[-1]
+    r = m - 1
+    dtype = np.int64 if (m << m) * math.comb(n + r, r) < 2**63 else object
+    rows = x.reshape(-1, m).astype(dtype)
+    k = np.minimum(n, rows.sum(axis=1))
+    total = np.zeros(len(rows), dtype=dtype)
     for mask in range(1 << m):
-        shift = k
-        bits = 0
-        for i in range(m):
-            if mask >> i & 1:
-                shift -= int(x[i]) + 1
-                bits += 1
-        if shift < 0:
-            continue
-        total += (-1) ** bits * math.comb(shift + m - 1, m - 1)
-    return total
+        idx = [i for i in range(m) if mask >> i & 1]
+        shift = k - (rows[:, idx] + 1).sum(axis=1)
+        c = (shift >= 0).astype(dtype)              # C(shift + j, j), 0 if shift < 0
+        for j in range(1, r + 1):
+            c = c * (shift + j) // j
+        total += (-1) ** len(idx) * c
+    return total.reshape(x.shape[:-1])
+
+
+def _allocation_block(states: np.ndarray, n: int) -> np.ndarray:
+    """Z^n(x) of every row x of ``states``, stacked in state order, each in
+    lexicographic order.  Pass i repeats every partial allocation once per
+    value of z_i that the classes after i can still complete."""
+    m = states.shape[1]
+    tail = np.cumsum(states[:, ::-1], axis=1)[:, ::-1]     # sum_{j >= i} x_j
+    owner = np.arange(len(states))
+    rem = np.minimum(n, tail[:, 0])
+    cols: list[np.ndarray] = []
+    for i in range(m - 1):
+        lo = np.maximum(0, rem - tail[owner, i + 1])
+        width = np.minimum(states[owner, i], rem) - lo + 1
+        rep = np.repeat(np.arange(len(owner)), width)
+        offset = np.arange(len(rep)) - np.repeat(np.cumsum(width) - width, width)
+        zi = lo[rep] + offset
+        cols = [c[rep] for c in cols] + [zi]
+        owner = owner[rep]
+        rem = rem[rep] - zi
+    return np.stack(cols + [rem], axis=1)
 
 
 def enumerate_allocations(x: np.ndarray, n: int, cutoff: int = 10_000,
                           rng: np.random.Generator | None = None,
                           n_random: int = 1000) -> np.ndarray:
-    """All of Z^n(x) when small, else priority-greedy vertices plus random
-    feasible points."""
+    """All of Z^n(x) in lexicographic order when there are at most
+    ``cutoff``, else priority-greedy vertices plus random feasible points."""
+    x = np.asarray(x, dtype=np.int64)
     m = len(x)
     k = min(n, int(x.sum()))
     if count_allocations(x, n) <= cutoff:
-        if m == 1:
-            return np.array([[k]], dtype=np.int64)
-        if m == 2:
-            lo = max(0, k - int(x[1]))
-            hi = min(int(x[0]), k)
-            z0 = np.arange(lo, hi + 1, dtype=np.int64)
-            return np.stack([z0, k - z0], axis=1)
-        out = []
-
-        def rec(i, rem, acc):
-            if i == m - 1:
-                if rem <= x[i]:
-                    out.append(acc + [rem])
-                return
-            tail_cap = int(x[i + 1:].sum())
-            lo = max(0, rem - tail_cap)
-            hi = min(int(x[i]), rem)
-            for zi in range(lo, hi + 1):
-                rec(i + 1, rem - zi, acc + [zi])
-
-        rec(0, k, [])
-        return np.asarray(out, dtype=np.int64)
+        return _allocation_block(x[None, :], n)
     xl = [int(v) for v in x]
     vertices = {tuple(_greedy_list(xl, n, perm)) for perm in itertools.permutations(range(m))}
     rng = np.random.default_rng(0) if rng is None else rng
@@ -880,17 +885,18 @@ def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, radius: float,
     logv = _log_v(spec, p)
     base = logv(x)
     eye = np.eye(m)
+    # V(x + shift) / V(x), evaluated once per distinct shift
+    ratio = functools.cache(lambda *shift: np.exp(logv(x + shift) - base))
     worst = 0.0
     for i in range(m):
         for j in range(m):
             for si in (1.0, -1.0):
                 for sj in (1.0, -1.0):
-                    d = (np.exp(logv(x + sj * eye[j] + si * eye[i]) - base)
-                         - np.exp(logv(x + sj * eye[j]) - base)
-                         - np.exp(logv(x + si * eye[i]) - base) + 1.0)
+                    d = (ratio(*(sj * eye[j] + si * eye[i])) - ratio(*(sj * eye[j]))
+                         - ratio(*(si * eye[i])) + 1.0)
                     worst = max(worst, float(np.max(np.abs(d))))
     for i in range(m):
-        d = np.exp(logv(x + eye[i]) - base) + np.exp(logv(x - eye[i]) - base) - 2.0
+        d = ratio(*eye[i]) + ratio(*-eye[i]) - 2.0
         worst = max(worst, float(np.max(np.abs(d))))
     return p.n * worst / (spec.epsilon * (spec.epsilon + spec.theta))
 
@@ -961,6 +967,49 @@ def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerC
     return np.unique(x, axis=0)
 
 
+# (state, allocation) pairs enumerated at once by the Poisson prelimit check;
+# its memory peaks in a chunk's allocation block
+_CHUNK_PAIRS = 4096
+
+
+def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarray,
+                   z_cutoff: int, rng: np.random.Generator):
+    """(A^n_z V / V, log V, ||xhat||_1) over every (state, allocation) pair.
+
+    States with more than ``z_cutoff`` allocations draw random ones from
+    ``rng`` in state order.  The generator keeps one matmul per state:
+    summing rates * dn over all pairs at once rounds differently.
+    """
+    logv = _log_v(spec, p)
+    eye = np.eye(p.m, dtype=np.int64)
+    base = logv(states)
+    up = np.exp(logv(states[:, None, :] + eye) - base[:, None]) - 1.0
+    dn = np.exp(logv(states[:, None, :] - eye) - base[:, None]) - 1.0
+    arrivals = np.sum(p.lambda_n * up, axis=1)
+    r1 = np.abs(scale_state(states.astype(float), p)).sum(axis=1)
+
+    counts = count_allocations(states, p.n)
+    exhaustive = counts <= z_cutoff
+    sizes = np.where(exhaustive, counts, 0).astype(np.int64)
+    # a chunk is the states whose first pair starts in the same
+    # _CHUNK_PAIRS-wide window of the exhaustive pairs
+    window = (np.cumsum(sizes) - sizes) // _CHUNK_PAIRS
+    bounds = [0, *(np.flatnonzero(np.diff(window)) + 1), len(states)]
+    gens = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        z = _allocation_block(states[a:b][exhaustive[a:b]], p.n)
+        x = np.repeat(states[a:b], sizes[a:b], axis=0)
+        # one piece per state, empty for a state on the random path
+        pieces = np.split(p.mu_n * z + p.gamma_n * (x - z), np.cumsum(sizes[a:b])[:-1])
+        for s, rates in zip(range(a, b), pieces):
+            if not exhaustive[s]:
+                allocs = enumerate_allocations(states[s], p.n, cutoff=z_cutoff, rng=rng)
+                rates = p.mu_n * allocs + p.gamma_n * (states[s] - allocs)
+            gens.append(float(arrivals[s]) + rates @ dn[s])
+    pairs = np.array([len(g) for g in gens])
+    return np.concatenate(gens), np.repeat(base, pairs), np.repeat(r1, pairs)
+
+
 def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec,
                            spec: lyap.LyapunovSpec | None, region: Region,
                            sampler: SamplerConfig, target: str = "exp_linear",
@@ -973,6 +1022,8 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec,
     eps varrho^n/2m; renewal input checks the age-augmented function with
     constant eps varrho^n/3m (bounded hazard required).  target "abandon":
     Poisson input, all gamma^n_i > 0, linear-in-||xhat||_1 decay.
+    Poisson input is evaluated over all states at once (``_poisson_pairs``),
+    renewal input per (state, ages, allocation).
     """
     rng = np.random.default_rng(sampler.seed)
     m = p.m
@@ -1004,27 +1055,15 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec,
                        "decay": decay_coeff})
 
     states = _sample_prelimit_states(p, region, sampler, rng)
-    lifted = RenewalLyapunov(p, arr, spec, check=False) if arr.kind == "renewal" else None
-
-    ts, r1s, log_vs = [], [], []
-    eye = np.eye(m, dtype=np.int64)
-    logv = _log_v(spec, p)
-    for x in states:
-        base = float(logv(x))
-        xhat = scale_state(x.astype(float), p)
-        r1 = float(np.abs(xhat).sum())
-        if arr.kind == "poisson":
-            allocs = enumerate_allocations(x, p.n, cutoff=z_cutoff, rng=rng)
-            up = np.exp(logv(x[None, :] + eye) - base) - 1.0
-            dn = np.exp(logv(x[None, :] - eye) - base) - 1.0
-            q = x[None, :] - allocs
-            rates = p.mu_n * allocs + p.gamma_n * q
-            gen = float(np.sum(p.lambda_n * up)) + rates @ dn
-            t_vals = gen if target == "abandon" else gen + decay_coeff
-            ts.append(t_vals)
-            r1s.append(np.full(len(allocs), r1))
-            log_vs.append(np.full(len(allocs), base))
-        else:
+    if arr.kind == "poisson":
+        t, log_v, r1 = _poisson_pairs(p, spec, states, z_cutoff, rng)
+        if target != "abandon":
+            t = t + decay_coeff
+    else:
+        lifted = RenewalLyapunov(p, arr, spec, check=False)
+        rows = []
+        for x in states:
+            r1 = float(np.abs(scale_state(x.astype(float), p)).sum())
             # allocation sweep kept small: the generator evaluation is exact
             # but per-(x, s, z) scalar work
             allocs = enumerate_allocations(x, p.n, cutoff=24, rng=rng, n_random=8)
@@ -1032,12 +1071,8 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec,
             val = lifted.value(x, ages)
             for z in allocs:
                 gen = prelimit_generator_apply(lifted, x, ages, z, p, arr)
-                ts.append(np.array([gen / val + decay_coeff]))
-                r1s.append(np.array([r1]))
-                log_vs.append(np.array([math.log(val)]))
-    t = np.concatenate(ts)
-    r1 = np.concatenate(r1s)
-    log_v = np.concatenate(log_vs)
+                rows.append((gen / val + decay_coeff, math.log(val), r1))
+        t, log_v, r1 = np.array(rows).T
 
     if target == "abandon":
         far = r1 >= 0.5 * region.radius

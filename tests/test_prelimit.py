@@ -1,0 +1,213 @@
+"""Oracles for the prelimit Foster check: the allocation enumerator against
+brute force, every (state, allocation) pair recomputed from the exact
+generator, pinned reports, and the exact generators against each other."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hwsim
+from hwsim import lyapunov as lyap
+from hwsim import queues as qs
+from hwsim import verify as ver
+from hwsim.model import prelimit_params, scale_state
+
+POISSON = qs.ArrivalSpec.poisson(3)
+REGION = ver.Region.ball(40.0)
+SAMPLER = ver.SamplerConfig(n_samples=500, seed=3)
+
+
+# the certify benchmark's 3-class system with abandonment
+CERTIFY = hwsim.make_system([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 1.2],
+                            hat_lambda=[-0.5, -0.3, -0.2])
+
+
+@pytest.fixture(scope="module")
+def certify_n10():
+    return prelimit_params(CERTIFY, 10)
+
+
+@pytest.fixture(scope="module")
+def reports(certify_n10):
+    return {target: qs.verify_prelimit_foster(certify_n10, POISSON, None, REGION, SAMPLER,
+                                              target=target)
+            for target in ("exp_linear", "abandon")}
+
+
+def _brute_force(x, n):
+    k = min(n, sum(x))
+    return [z for z in itertools.product(*(range(v + 1) for v in x)) if sum(z) == k]
+
+
+small_states = st.lists(st.integers(0, 5), min_size=1, max_size=4)
+
+
+class TestEnumeration:
+    @given(small_states, st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_exhaustive_branch_is_the_feasible_set_in_order(self, x, n):
+        got = qs.enumerate_allocations(np.array(x), n)
+        assert [tuple(z) for z in got] == _brute_force(x, n)
+        assert len(got) == qs.count_allocations(np.array(x), n)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(st.integers(0, 5), min_size=m, max_size=m),
+                           min_size=1, max_size=6)), st.integers(0, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_stacked_states_concatenate_per_state_enumerations(self, states, n):
+        states = np.array(states)
+        block = qs._allocation_block(states, n)
+        assert [tuple(z) for z in block] == [z for x in states.tolist()
+                                             for z in _brute_force(x, n)]
+        assert qs.count_allocations(states, n).tolist() == [
+            len(_brute_force(x, n)) for x in states.tolist()]
+
+    def test_counts_past_int64_are_exact(self):
+        # no box binds when every x_i >= n: |Z| = C(n + m - 1, m - 1)
+        assert qs.count_allocations(np.full(8, 20_000), 10_000) == math.comb(10_007, 7)
+
+
+def _independent_report(p, spec, target, states, decay):
+    """The check's report from ctmc_generator_ratio over every pair."""
+    ts, log_vs, r1s = [], [], []
+    for x in states:
+        z = qs.enumerate_allocations(x, p.n)
+        xs = np.broadcast_to(x, z.shape)
+        ts.append(qs.ctmc_generator_ratio(spec, xs, z, p) + decay)
+        xhat = scale_state(xs.astype(float), p)
+        log_vs.append(lyap.log_value(spec, xhat))
+        r1s.append(np.abs(xhat).sum(axis=1))
+    t, log_v, r1 = map(np.concatenate, (ts, log_vs, r1s))
+    if target == "abandon":
+        far = r1 >= 0.5 * REGION.radius
+        t = t + 0.9 * float(np.min(-t[far] / r1[far])) * r1
+    return ver._decay_report(target, t, log_v, r1, REGION.radius, SAMPLER.seed, {})
+
+
+class TestPrelimitCheck:
+    @pytest.mark.parametrize("target", ["exp_linear", "abandon"])
+    def test_every_pair_matches_the_exact_generator(self, certify_n10, reports, target):
+        p, rep = certify_n10, reports[target]
+        if target == "abandon":
+            beta = p.beta_n
+            theta = min(1.0, max(1.0 - float(beta.min()), 0.5) / float(beta.max()))
+            spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, p.mu_n, eta=1.0, theta=theta)
+            decay = 0.0
+        else:
+            c = qs.estimate_prelimit_constants(p, POISSON)
+            spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
+                                     epsilon=0.5 * min(c.theta0, c.eps_tilde), theta=c.theta0)
+            decay = spec.epsilon * p.varrho_n / (2.0 * p.m)
+            assert rep.constants["decay"] == decay
+        assert rep.constants["theta"] == spec.theta
+        states = qs._sample_prelimit_states(p, REGION, SAMPLER,
+                                            np.random.default_rng(SAMPLER.seed))
+        assert len(states) < rep.n_samples
+        ref = _independent_report(p, spec, target, states, decay)
+        assert rep.n_samples == ref.n_samples
+        assert rep.violations == ref.violations
+        assert rep.worst_margin == pytest.approx(ref.worst_margin, rel=1e-12)
+        assert rep.constants["kappa_estimate"] == pytest.approx(
+            ref.constants["kappa_estimate"], rel=1e-12)
+
+    # reports recorded from a per-state evaluation of the check; batching
+    # the pairs must keep every field bit for bit
+    def test_exp_linear_report_is_pinned(self, reports):
+        assert reports["exp_linear"].to_dict() == {
+            "inequality": "prelimit_exp_linear_foster", "samples": 2662, "violations": 0,
+            "worst_margin": 0.005514974914714322, "seed": 3, "passed": True,
+            "constants": {"attainment_radius": 3.5280665255353885,
+                          "decay": 4.42877433878802e-05,
+                          "epsilon": 0.00026572646032728116,
+                          "kappa_estimate": 0.0006180614584461902,
+                          "theta": 0.0005314529206545623},
+            "notes": ""}
+
+    def test_abandon_report_is_pinned(self, reports):
+        assert reports["abandon"].to_dict() == {
+            "inequality": "prelimit_abandon_foster", "samples": 2662, "violations": 0,
+            "worst_margin": 1.8292509922490066, "seed": 3, "passed": True,
+            "constants": {"attainment_radius": 3.1622776601683795, "eta": 1.0,
+                          "kappa1_estimate": 0.37973707573220095,
+                          "kappa_estimate": 1.4560805028053958,
+                          "theta": 0.4166666666666667},
+            "notes": ""}
+
+    @pytest.mark.parametrize("chunk", [1, 97])
+    def test_chunk_size_leaves_the_report_unchanged(self, certify_n10, reports, monkeypatch,
+                                                    chunk):
+        monkeypatch.setattr(qs, "_CHUNK_PAIRS", chunk)
+        rep = qs.verify_prelimit_foster(certify_n10, POISSON, None, REGION, SAMPLER,
+                                        target="abandon")
+        assert rep.to_dict() == reports["abandon"].to_dict()
+
+    def test_random_allocations_keep_their_stream(self):
+        # z_cutoff = 300 sends 4 of the 7 sampled states, with up to 1078
+        # allocations, to the random path: its 1000 draws per state from the
+        # check's generator, in state order, set the number of pairs
+        rep = qs.verify_prelimit_foster(prelimit_params(CERTIFY, 100), POISSON, None, REGION,
+                                        ver.SamplerConfig(n_samples=8, seed=5),
+                                        target="abandon", z_cutoff=300)
+        assert rep.to_dict() == {
+            "inequality": "prelimit_abandon_foster", "samples": 2301, "violations": 0,
+            "worst_margin": 1.948836318790427, "seed": 5, "passed": True,
+            "constants": {"attainment_radius": 4.9, "eta": 1.0,
+                          "kappa1_estimate": 0.4257561798198021,
+                          "kappa_estimate": 0.7504118856078772,
+                          "theta": 0.4166666666666667},
+            "notes": ""}
+
+    def test_renewal_report_is_pinned(self, certify_n10):
+        arr = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5),
+                                      qs.Exponential()])
+        rep = qs.verify_prelimit_foster(certify_n10, arr, None, REGION,
+                                        ver.SamplerConfig(n_samples=20, seed=7))
+        assert rep.to_dict() == {
+            "inequality": "prelimit_renewal_foster", "samples": 112, "violations": 0,
+            "worst_margin": 0.0037479052740441695, "seed": 7, "passed": True,
+            "constants": {"attainment_radius": 1.5811388300841898,
+                          "decay": 2.0010918705608607e-05,
+                          "epsilon": 0.00018009826835047743,
+                          "kappa_estimate": 0.00012462090103801304,
+                          "theta": 0.00036019653670095486},
+            "notes": ""}
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("family", [lyap.Family.EXP_LINEAR, lyap.Family.ABANDON_EXP])
+    def test_ratio_times_value_is_the_poisson_generator(self, certify_n10, family):
+        p = certify_n10
+        spec = lyap.LyapunovSpec(family, p.mu_n, epsilon=0.2, theta=0.5, eta=0.5)
+        log_v = qs._log_v(spec, p)
+
+        def v(x):
+            return float(np.exp(log_v(x)))
+
+        rng = np.random.default_rng(4)
+        for x in rng.integers(0, 25, size=(10, 3)):
+            allocs = qs.enumerate_allocations(x, p.n)
+            for z in allocs[rng.choice(len(allocs), size=min(5, len(allocs)), replace=False)]:
+                ratio = float(qs.ctmc_generator_ratio(spec, x, z, p))
+                direct = qs.prelimit_generator_apply(v, x, None, z, p, POISSON)
+                # relative to V(x) times the total event rate, the size of
+                # each term of the generator
+                scale = v(x) * float(np.sum(p.lambda_n + p.mu_n * z + p.gamma_n * (x - z)))
+                assert abs(ratio * v(x) - direct) <= 1e-10 * scale
+
+    def test_age_derivative_matches_a_central_difference(self, certify_n10):
+        p = certify_n10
+        arr = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5),
+                                      qs.Erlang(3)])
+        spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=0.1, theta=0.25)
+        lifted = qs.RenewalLyapunov(p, arr, spec)
+        rng = np.random.default_rng(8)
+        h = 1e-6
+        for x in rng.integers(0, 25, size=(10, 3)):
+            s = rng.exponential(1.0, size=3) / p.lambda_n
+            fd = sum((lifted.value(x, s + h * e) - lifted.value(x, s - h * e)) / (2 * h)
+                     for e in np.eye(3))
+            assert lifted.ds_sum(x, s) == pytest.approx(fd, rel=1e-6, abs=1e-9 * lifted.value(x, s))
