@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import math
 import sys
@@ -158,42 +157,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("at least one [policy.<name>] block is required")
     return ExperimentConfig(scenario, seed, system, n_list, arr_kind, dists,
                             policies, ly, sim, vf, out_dir)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp["scenario"] = {"id": cfg.scenario, "seed": str(cfg.seed)}
-    s = cfg.system
-    cp["system"] = {
-        "lambda": ", ".join(repr(v) for v in s.lambda_),
-        "mu": ", ".join(repr(v) for v in s.mu),
-        "gamma": ", ".join(repr(v) for v in s.gamma),
-        "hat_lambda": ", ".join(repr(v) for v in s.hat_lambda),
-        "hat_mu": ", ".join(repr(v) for v in s.hat_mu),
-        "scv": ", ".join(repr(v) for v in s.scv),
-    }
-    if cfg.n_list:
-        cp["prelimit"] = {"n": ", ".join(map(str, cfg.n_list))}
-    cp["arrivals"] = {"kind": cfg.arrival_kind}
-    if cfg.arrival_dists:
-        cp["arrivals"]["dist"] = ", ".join(cfg.arrival_dists)
-    for pol in cfg.policies:
-        sect = f"policy.{pol.name}"
-        cp[sect] = {"kind": pol.kind}
-        if pol.u is not None:
-            cp[sect]["u"] = ", ".join(repr(v) for v in pol.u)
-        if pol.order is not None:
-            cp[sect]["order"] = ", ".join(map(str, pol.order))
-    if cfg.lyapunov:
-        cp["lyapunov"] = {k: str(v) for k, v in cfg.lyapunov.items()}
-    if cfg.sim:
-        cp["sim"] = {k: str(v) for k, v in cfg.sim.items()}
-    if cfg.verify:
-        cp["verify"] = {k: str(v) for k, v in cfg.verify.items()}
-    cp["output"] = {"dir": cfg.out_dir}
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def _sim_config(cfg: ExperimentConfig, seed: int) -> dif.SimConfig:

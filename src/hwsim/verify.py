@@ -39,7 +39,6 @@ class PreconditionError(ValueError):
 
 class RegionKind(str, Enum):
     BALL = "ball"                     # ||x||_1 <= R
-    CUBE = "cube"                     # ||x||_1 <= r (paper-style cube K_r)
     CONE = "cone"                     # K_delta^{+/-} intersected with ||x||_1 <= R
     CONE_MINUS_CUBE = "cone_minus_cube"
 
@@ -61,10 +60,6 @@ class Region:
     @classmethod
     def ball(cls, radius: float) -> "Region":
         return cls(RegionKind.BALL, radius)
-
-    @classmethod
-    def cube(cls, r: float) -> "Region":
-        return cls(RegionKind.CUBE, r)
 
     @classmethod
     def cone(cls, sign: int, delta: float, radius: float) -> "Region":

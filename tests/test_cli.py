@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,3 +84,22 @@ def test_parse_config_raises_config_error():
 def test_omitted_scv_comes_from_the_interarrival_laws(arrivals):
     cfg = cli.parse_config(_config(None, arrivals))
     assert np.array_equal(cfg.system.scv, cfg.arrival_spec(cfg.system.m).scv)
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+
+
+def test_failed_verification_exits_1(tmp_path, capsys):
+    # the demo's prelimit certificate fails at n = 1600: the empty state's
+    # scaled norm sqrt(n) = 40 reaches the edge of the default radius-40 ball
+    text = EXAMPLE.read_text()
+    assert "\nn = 100, 400\n" in text and "\nsamples = 50000\n" in text
+    text = text.replace("n = 100, 400", "n = 1600").replace("samples = 50000", "samples = 3000")
+    path = tmp_path / "fail.ini"
+    path.write_text(text)
+    code = cli.main(["verify-drift", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL prelimit_exp_linear_foster violations=")
+               for line in lines)
+    assert sum(line.startswith("FAIL") for line in lines) == 1

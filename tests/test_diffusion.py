@@ -97,6 +97,166 @@ class TestSimulate:
         assert np.allclose(run.measure.replica_time, 8.0)
 
 
+# ---------------------------------------------------------------------------
+# reference loop: simulate with 8192-step noise chunks and one += per moment
+# per step; simulate must match it bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_accumulate(integrals, x, alive, h, cfg):
+    l1 = np.abs(x).sum(axis=1)
+    s = x.sum(axis=1)
+    w = alive * h
+    integrals["l1"] += w * l1
+    integrals["neg_sum"] += w * np.maximum(-s, 0.0)
+    integrals["sum"] += w * s
+    for i in range(x.shape[1]):
+        integrals[f"coord{i}"] += w * x[:, i]
+    for d in cfg.exp_deltas:
+        integrals[f"exp:{d:g}"] += w * np.exp(np.minimum(d * l1, 700.0))
+    for d in cfg.expsq_deltas:
+        integrals[f"expsq:{d:g}"] += w * np.exp(np.minimum(d * l1 * l1, 700.0))
+
+
+def _reference_simulate(dspec, policy, cfg, keep_snapshots=False):
+    m = dspec.m
+    h = cfg.step
+    n_steps = int(round(cfg.horizon / h))
+    burn_step = int(round(cfg.burn_in / h))
+    thin_every = max(1, int(round(cfg.thin / h)))
+    R = cfg.replicas
+
+    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(R)]
+    x0 = np.asarray(cfg.x0, dtype=float) * np.ones(m)
+    X = np.tile(x0, (R, 1))
+    alive = np.ones(R, dtype=bool)
+    trip_time = np.full(R, np.nan)
+
+    base = -(dspec.varrho / m) * dspec.mu
+    sqh_sigma = math.sqrt(h) * dspec.sigma_diag
+    integrals = {k: np.zeros(R) for k in dif._moment_names(m, cfg)}
+    live_time = np.zeros(R)
+    sample_rows = []
+    snaps = [] if keep_snapshots else None
+    snap_times = [] if keep_snapshots else None
+
+    chunk = 8192
+    k = 0
+    while k < n_steps:
+        ksz = min(chunk, n_steps - k)
+        noise = np.stack([g.standard_normal((ksz, m)) for g in gens], axis=0)  # (R, ksz, m)
+        for j in range(ksz):
+            u = policy.controls(X)
+            pos = np.maximum(X.sum(axis=1, keepdims=True), 0.0)
+            b = base - dspec.mu * (X - pos * u) - pos * dspec.gamma * u
+            Xn = X + b * h + sqh_sigma * noise[:, j, :]
+            X = np.where(alive[:, None], Xn, X)
+            step_idx = k + j + 1
+            newly = alive & (np.abs(X).sum(axis=1) > cfg.blowup)
+            if newly.any():
+                trip_time[newly] = step_idx * h
+                alive = alive & ~newly
+            if step_idx > burn_step:
+                _reference_accumulate(integrals, X, alive.astype(float), h, cfg)
+                live_time += alive * h
+                if step_idx % thin_every == 0 and alive.any():
+                    sample_rows.append(X[alive].copy())
+            if keep_snapshots and step_idx % thin_every == 0:
+                snaps.append(X.copy())
+                snap_times.append(step_idx * h)
+        k += ksz
+
+    if sample_rows:
+        samples = np.concatenate(sample_rows, axis=0)
+    else:
+        samples = np.empty((0, m))
+    measure = measures.EmpiricalMeasure(
+        samples=samples,
+        weights=np.full(samples.shape[0], cfg.thin),
+        replica_time=live_time,
+        replica_integrals=integrals,
+    )
+    return dif.DiffusionRun(
+        measure=measure,
+        tripped=~alive,
+        trip_time=trip_time,
+        terminal=X,
+        snapshot_times=np.asarray(snap_times) if keep_snapshots else None,
+        snapshots=np.stack(snaps, axis=0) if keep_snapshots and snaps else None,
+    )
+
+
+def _outputs(run):
+    mea = run.measure
+    fields = {"samples": mea.samples, "weights": mea.weights,
+              "replica_time": mea.replica_time, "tripped": run.tripped,
+              "trip_time": run.trip_time, "terminal": run.terminal,
+              "snapshot_times": run.snapshot_times, "snapshots": run.snapshots}
+    fields.update({f"integral {k}": v for k, v in mea.replica_integrals.items()})
+    return fields
+
+
+_TRANSIENT = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+_THREE = hwsim.DiffusionSpec(0.5, [1.0, 2.0, 0.5], [0.3, 0.0, 1.0], [1.0, 2.0, 0.5])
+_TABLE = dif.StateTableControl(
+    [np.linspace(-2.0, 2.0, 5), np.linspace(-2.0, 2.0, 5)],
+    np.random.default_rng(5).dirichlet(np.ones(2), size=(4, 4)))
+_SOFTMAX = dif.FunctionControl(lambda x: np.exp(x) / np.exp(x).sum(axis=1, keepdims=True),
+                               "softmax")
+
+
+_CASES = {
+    # m = 2, 1000 steps (not a multiple of the block), both moment families
+    "constant": (None, dif.ConstantControl([0.3, 0.7]),
+                 dict(horizon=10.0, step=0.01, burn_in=1.37, replicas=5, thin=0.05,
+                      exp_deltas=(0.1, 0.5), expsq_deltas=(0.05,)), True),
+    "table": (None, _TABLE,
+              dict(horizon=7.77, step=0.01, replicas=4, thin=0.3, x0=(1.0, -1.0)), True),
+    # m = 3 with abandonment, 8300 steps: past the reference's 8192-step noise chunk
+    "priority_m3": (_THREE, dif.StaticPriorityControl((2, 0, 1)),
+                    dict(horizon=16.6, step=0.002, replicas=1, thin=0.25,
+                         exp_deltas=(0.2,)), False),
+    "function_m3": (_THREE, _SOFTMAX,
+                    dict(horizon=3.0, step=0.005, replicas=3, thin=0.1,
+                         expsq_deltas=(0.01,)), True),
+    # some replicas trip before the horizon (4 of 6 at seed 0, 2 at seed 7)
+    "some_trip": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
+                  dict(horizon=30.0, step=0.02, replicas=6, thin=0.5, blowup=33.0,
+                       exp_deltas=(0.3,), expsq_deltas=(0.02,)), True),
+    # every replica trips, some of them during burn-in
+    "all_trip": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
+                 dict(horizon=60.0, step=0.02, burn_in=5.0, replicas=5, thin=0.7,
+                      blowup=8.0, exp_deltas=(0.3,)), True),
+}
+
+
+class TestReferenceLoop:
+    """simulate equals the per-step reference loop bit for bit."""
+
+    @pytest.mark.parametrize("name, seed", [
+        ("constant", 0), ("constant", 7), ("table", 0), ("table", 7),
+        ("priority_m3", 0), ("function_m3", 0), ("function_m3", 7),
+        ("some_trip", 0), ("some_trip", 7), ("all_trip", 0), ("all_trip", 7),
+    ])
+    def test_outputs_equal_reference(self, dspec, name, seed):
+        ds, pol, kw, snaps = _CASES[name]
+        ds = dspec if ds is None else ds
+        cfg = dif.SimConfig(seed=seed, **kw)
+        ref = _reference_simulate(ds, pol, cfg, keep_snapshots=snaps)
+        got = dif.simulate(ds, pol, cfg, keep_snapshots=snaps)
+        want, have = _outputs(ref), _outputs(got)
+        assert have.keys() == want.keys()
+        for field, value in want.items():
+            if value is None:
+                assert have[field] is None, field
+            else:
+                assert np.array_equal(have[field], value, equal_nan=True), field
+        if name == "some_trip":
+            assert 0 < got.tripped.sum() < cfg.replicas
+        if name == "all_trip":
+            assert got.tripped.all()
+            assert np.nanmin(got.trip_time) <= cfg.burn_in < np.nanmax(got.trip_time)
+
+
 class TestMeasure:
     def test_normalization(self, dspec):
         cfg = dif.SimConfig(horizon=20.0, step=0.01, replicas=4, seed=2)
