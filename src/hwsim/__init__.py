@@ -40,7 +40,6 @@ from .verify import (
     Region,
     SamplerConfig,
     VerificationReport,
-    estimate_kappa0,
     verify_abandonment_foster,
     verify_exp_linear_drift,
     verify_exp_linear_foster,
@@ -76,7 +75,6 @@ from .queues import (
     estimate_prelimit_constants,
     generator_consistency_errors,
     prelimit_generator_apply,
-    renewal_lyapunov,
     simulate_ctmc,
     simulate_renewal,
     verify_prelimit_foster,

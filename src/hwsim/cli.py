@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -288,9 +288,9 @@ def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
             seed=sampler.seed)
         pre_region = ver.Region.ball(float(cfg.verify.get("prelimit_radius", 40.0)))
         if p.varrho_n > 0 and (arr.kind == "poisson" or arr.bounded_hazard()):
-            reports.append(qs.verify_prelimit_foster(p, arr, None, pre_region, pre_sampler))
+            reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler))
         if arr.kind == "poisson" and float(p.gamma_n.min()) > 0:
-            reports.append(qs.verify_prelimit_foster(p, arr, None, pre_region, pre_sampler,
+            reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler,
                                                      target="abandon", eta=eta))
     report_path = out / f"{cfg.scenario}_verify_report.csv"
     with report_path.open("w") as fh:

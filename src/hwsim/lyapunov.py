@@ -15,7 +15,7 @@ log-scale accessors so generator computations never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -346,8 +346,7 @@ def sub_gaussian_eps0(theta: float, beta_min: float, c_bar: float,
             * (min(1.0, theta) * mu_min) / (max(1.0, theta) ** 2 * mu_max))
 
 
-def select_parameters(goal: Goal, params: SystemParams, eta: float = 1.0,
-                      p: float = 2.0) -> LyapunovSpec:
+def select_parameters(goal: Goal, params: SystemParams, eta: float = 1.0) -> LyapunovSpec:
     """Admissible family parameters for a certification goal.
 
     theta is set to the largest admissible value and eps to half its

@@ -240,19 +240,13 @@ def diffusion_spec(params: SystemParams, varrho: float | None = None) -> Diffusi
 def drift(x, u, spec: DiffusionSpec, check: bool = True) -> np.ndarray:
     """Controlled drift b(x, u); on {<e,x> <= 0} it reduces to the
     u-independent affine branch -(rho/m) M e - M x."""
-    x = _as_array(x, spec.m)
-    if check:
-        u = project_simplex(u)
-    else:
-        u = _as_array(u)
-    pos = np.maximum(x.sum(axis=-1, keepdims=True), 0.0)
-    return -(spec.varrho / spec.m) * spec.mu - spec.mu * (x - pos * u) - pos * spec.gamma * u
+    return drift_truncated(x, u, spec, math.inf, check)
 
 
 def drift_truncated(x, u, spec: DiffusionSpec, c: float, check: bool = True) -> np.ndarray:
     """Drift with the abandonment term of class i dropped on {x_i > c}.
 
-    c = inf reproduces ``drift`` exactly; c must be >= 1.
+    ``drift`` is the case c = inf (every keep factor is 1.0); c must be >= 1.
     """
     if not c >= 1.0:
         raise ValueError(f"truncation level must satisfy c >= 1, got {c}")

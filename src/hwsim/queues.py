@@ -10,7 +10,9 @@ variate per numpy call.  The same module evaluates the exact finite-difference
 generators on Lyapunov functions, builds the age-augmented renewal Lyapunov
 function, and certifies the prelimit Foster-Lyapunov bounds over sampled
 states and all (or extreme) work-conserving allocations; on Poisson input
-that check runs in numpy passes over all states, chunked by pair count.
+that check runs in numpy passes over all states, chunked by pair count.  Its
+reports, and the fit of the abandonment check's decay slope, come from the
+Foster-check path in ``verify``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln, log_ndtr, ndtr
+from scipy.special import gammaln, log_ndtr
 
 from . import lyapunov as lyap
 from .measures import EmpiricalMeasure
 from .model import (DiffusionSpec, PrelimitParams, allocation_to_control,
                     prelimit_params, scale_state, unscale_state)
-from .verify import (ATTAIN_FRACTION, PreconditionError, Region, SamplerConfig,
-                     VerificationReport, _decay_report, sample_states)
+from .verify import (PreconditionError, Region, SamplerConfig, VerificationReport,
+                     decay_report, fitted_slope, sample_states, slope_report)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +42,6 @@ class Exponential:
     kind = "exponential"
     scv = 1.0
     bounded_hazard = True
-    bounded_mrl = True
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0, size=size)
@@ -50,9 +51,6 @@ class Exponential:
 
     def mrl(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
-
-    def cdf(self, t):
-        return -np.expm1(-np.asarray(t, dtype=float))
 
     def sup_hazard(self):
         return 1.0
@@ -66,7 +64,6 @@ class HyperExp2:
 
     kind = "hyperexp2"
     bounded_hazard = True
-    bounded_mrl = True
 
     def __init__(self, p: float, r1: float, r2: float):
         if not (0 < p < 1 and r1 > 0 and r2 > 0):
@@ -96,9 +93,6 @@ class HyperExp2:
         return np.logaddexp(math.log(self.p) - self.r1 * t,
                             math.log(1 - self.p) - self.r2 * t)
 
-    def cdf(self, t):
-        return 1.0 - np.exp(self._log_surv(t))
-
     def hazard(self, t):
         t = np.asarray(t, dtype=float)
         log_f = np.logaddexp(math.log(self.p * self.r1) - self.r1 * t,
@@ -123,7 +117,6 @@ class Erlang:
 
     kind = "erlang"
     bounded_hazard = True
-    bounded_mrl = True
 
     def __init__(self, k: int):
         if k < 1:
@@ -143,10 +136,6 @@ class Erlang:
         logp -= logp.max(axis=-1, keepdims=True)
         p = np.exp(logp)
         return p / p.sum(axis=-1, keepdims=True)
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return gammainc(self.k, self.k * t)
 
     def hazard(self, t):
         w = self._stage_weights(t)
@@ -172,7 +161,6 @@ class LogNormal:
 
     kind = "lognormal"
     bounded_hazard = False
-    bounded_mrl = False
 
     def __init__(self, sigma: float):
         if sigma <= 0:
@@ -183,13 +171,6 @@ class LogNormal:
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu_ln, self.sigma, size=size)
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = ndtr((np.log(t[pos]) - self.mu_ln) / self.sigma)
-        return out
 
     def hazard(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -320,17 +301,11 @@ def apportion_queue(x: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
 
 
 class SchedulingPolicy:
-    """Base: a stationary Markov map (x, n) -> z in Z^n(x).
-
-    allocate_list is the fast path on int sequences (the event loop passes
-    lists); allocate is the array API.
-    """
+    """Base: a stationary Markov map (x, n) -> z in Z^n(x), on int lists
+    (the event loop's state)."""
 
     def allocate_list(self, x: list, n: int, rng=None) -> list:
-        return [int(v) for v in self.allocate(np.asarray(x, dtype=np.int64), n, rng)]
-
-    def allocate(self, x, n, rng=None):
-        return np.asarray(self.allocate_list([int(v) for v in x], n, rng), dtype=np.int64)
+        raise NotImplementedError
 
     def allocator(self, m: int, n: int, rng):
         """The map x -> z of one replica's event loop, drawing any
@@ -402,9 +377,6 @@ class FunctionPolicy(SchedulingPolicy):
     def __init__(self, fn, name="user"):
         self.fn = fn
         self.name = name
-
-    def allocate(self, x, n, rng=None):
-        return np.asarray(self.fn(x, n), dtype=np.int64)
 
     def allocate_list(self, x, n, rng=None):
         return [int(v) for v in self.fn(np.asarray(x, dtype=np.int64), n)]
@@ -647,9 +619,9 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
     """Exact extended generator applied to a lifted function at (x, s) under
     allocation z.
 
-    f is either a vectorized state function f(x) (no age dependence) or an
-    object with methods value(x, s) and ds_sum(x, s) supplying the analytic
-    age-derivative term (e.g. RenewalLyapunov).
+    On Poisson input f is a state function f(x); on renewal input it has
+    methods value(x, s) and ds_sum(x, s), the latter supplying the analytic
+    age-derivative term (RenewalLyapunov).
     """
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
@@ -663,9 +635,6 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
         dn = np.array([f(x - eye[i]) for i in range(m)])
         return float(np.sum(p.lambda_n * (up - val)) + np.sum(death * (dn - val)))
     s = np.asarray(s, dtype=float)
-    if not hasattr(f, "value"):
-        g = f
-        f = _StateOnlyLifted(g)
     val = f.value(x, s)
     out = f.ds_sum(x, s)
     for i in range(m):
@@ -676,17 +645,6 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
     for i in range(m):
         out += death[i] * (f.value(x - eye[i], s) - val)
     return float(out)
-
-
-class _StateOnlyLifted:
-    def __init__(self, g):
-        self.g = g
-
-    def value(self, x, s):
-        return self.g(x)
-
-    def ds_sum(self, x, s):
-        return 0.0
 
 
 def eps_tilde0(p: PrelimitParams, arr: ArrivalSpec, theta: float) -> float:
@@ -749,9 +707,6 @@ class RenewalLyapunov:
     def value(self, x, s) -> float:
         return float(self.value_scaled(scale_state(np.asarray(x, dtype=float), self.p), s))
 
-    def __call__(self, xhat, s):
-        return self.value_scaled(xhat, s)
-
     def ds_sum(self, x, s) -> float:
         """sum_i d/ds_i of the age correction, via d zeta^n/ds = r^n zeta^n - lambda^n."""
         s = np.asarray(s, dtype=float)
@@ -762,11 +717,6 @@ class RenewalLyapunov:
         diff = lifted - base
         dzeta = self.hazard_n(s) * self.zeta_n(s) - self.p.lambda_n
         return float(np.sum(-dzeta * diff))
-
-
-def renewal_lyapunov(p: PrelimitParams, arr: ArrivalSpec,
-                     spec: lyap.LyapunovSpec) -> RenewalLyapunov:
-    return RenewalLyapunov(p, arr, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -868,13 +818,6 @@ class PrelimitConstants:
     eps_tilde: float
     vartheta: np.ndarray
 
-    def as_dict(self) -> dict[str, float]:
-        d = {k: getattr(self, k) for k in
-             ("c1_hat", "c0n_hat", "tc0n", "tc1n", "c2n_hat", "c3n_hat", "theta0", "eps_tilde")}
-        for i, v in enumerate(self.vartheta):
-            d[f"vartheta{i}"] = float(v)
-        return d
-
 
 def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, radius: float,
                  n_states: int, rng: np.random.Generator) -> float:
@@ -901,9 +844,13 @@ def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, radius: float,
     return p.n * worst / (spec.epsilon * (spec.epsilon + spec.theta))
 
 
-def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec,
-                                sampler: SamplerConfig | None = None,
-                                radius: float = 30.0) -> PrelimitConstants:
+# The second-difference constant is a supremum over this many states, drawn
+# uniformly from the cube of this half-width in xhat with this seed (and the
+# next one for the refinement at the selected parameters).
+C1_STATES, C1_RADIUS, C1_SEED = 2000, 30.0, 11
+
+
+def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> PrelimitConstants:
     """Constants feeding the prelimit theta selection.
 
     The second-difference constant is a sample supremum refined once at the
@@ -911,7 +858,6 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec,
     requires a bounded-hazard family; the allocation-range constants are
     analytic caps over all feasible (x, z).
     """
-    sampler = SamplerConfig(n_samples=2000, seed=11) if sampler is None else sampler
     if not arr.bounded_hazard():
         raise PreconditionError("unbounded hazard family: prelimit constants unavailable")
     m = p.m
@@ -941,9 +887,8 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec,
         c3 = tc0 * float(p.gamma_n.max())
         return tc0, tc1, c2, c3
 
-    rng = np.random.default_rng(sampler.seed)
     prov = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=0.05, theta=0.25)
-    c1 = _estimate_c1(p, prov, radius, sampler.n_samples, rng)
+    c1 = _estimate_c1(p, prov, C1_RADIUS, C1_STATES, np.random.default_rng(C1_SEED))
     tc0, tc1, c2, c3 = downstream(c1)
     theta0 = theta0_formula(varrho_n, m, mu_max, beta_max, c1, tc0, tc1, c2, c3) \
         if varrho_n > 0 else float("nan")
@@ -951,8 +896,8 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec,
         et0 = eps_tilde0(p, arr, theta0)
         eps = 0.5 * min(theta0, et0)
         final = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=eps, theta=theta0)
-        c1 = max(c1, _estimate_c1(p, final, radius, sampler.n_samples,
-                                  np.random.default_rng(sampler.seed + 1)))
+        c1 = max(c1, _estimate_c1(p, final, C1_RADIUS, C1_STATES,
+                                  np.random.default_rng(C1_SEED + 1)))
         tc0, tc1, c2, c3 = downstream(c1)
         theta0 = theta0_formula(varrho_n, m, mu_max, beta_max, c1, tc0, tc1, c2, c3)
     et0 = eps_tilde0(p, arr, theta0 if varrho_n > 0 else 0.5)
@@ -1010,24 +955,23 @@ def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarra
     return np.concatenate(gens), np.repeat(base, pairs), np.repeat(r1, pairs)
 
 
-def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec,
-                           spec: lyap.LyapunovSpec | None, region: Region,
+def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
                            sampler: SamplerConfig, target: str = "exp_linear",
-                           eta: float = 1.0, z_cutoff: int = 10_000,
-                           epsilon: float | None = None) -> VerificationReport:
+                           eta: float = 1.0, z_cutoff: int = 10_000) -> VerificationReport:
     """Certify the prelimit Foster-Lyapunov bound over sampled states and
     work-conserving allocations (exhaustive when the allocation set is small).
 
-    target "exp_linear": Poisson input checks the V-decay with constant
-    eps varrho^n/2m; renewal input checks the age-augmented function with
-    constant eps varrho^n/3m (bounded hazard required).  target "abandon":
-    Poisson input, all gamma^n_i > 0, linear-in-||xhat||_1 decay.
-    Poisson input is evaluated over all states at once (``_poisson_pairs``),
-    renewal input per (state, ages, allocation).
+    target "exp_linear": the exp-linear family at the theta and eps of
+    ``estimate_prelimit_constants``; Poisson input checks the V-decay with
+    constant eps varrho^n/2m, renewal input checks the age-augmented function
+    with constant eps varrho^n/3m (bounded hazard required).  target
+    "abandon": Poisson input, all gamma^n_i > 0, linear-in-||xhat||_1 decay
+    with the slope from ``verify.fitted_slope``.  Poisson input is evaluated
+    over all states at once (``_poisson_pairs``), renewal input per
+    (state, ages, allocation).
     """
     rng = np.random.default_rng(sampler.seed)
     m = p.m
-    consts = {}
     if target == "abandon":
         if arr.kind != "poisson":
             raise PreconditionError("abandonment-decay check is a Poisson-input result")
@@ -1036,29 +980,22 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec,
         beta = p.beta_n
         theta_n = min(1.0, max(1.0 - float(beta.min()), 0.5) / float(beta.max()))
         spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, p.mu_n, eta=eta, theta=theta_n)
-        decay_coeff = None
         name = "prelimit_abandon_foster"
+        consts = {"eta": eta, "theta": theta_n}
     else:
         if p.varrho_n <= 0:
             raise PreconditionError("prelimit exp-linear bound needs varrho^n > 0")
-        if spec is None:
-            consts_est = estimate_prelimit_constants(p, arr)
-            theta = consts_est.theta0
-            eps = epsilon if epsilon is not None else 0.5 * min(theta, consts_est.eps_tilde)
-            spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=eps, theta=theta)
-        if arr.kind == "renewal" and not arr.bounded_hazard():
-            raise PreconditionError("renewal exp-linear bound needs bounded hazard rates")
+        est = estimate_prelimit_constants(p, arr)      # rejects unbounded hazard rates
+        spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
+                                 epsilon=0.5 * min(est.theta0, est.eps_tilde), theta=est.theta0)
         decay_coeff = spec.epsilon * p.varrho_n / ((3.0 if arr.kind == "renewal" else 2.0) * m)
         name = ("prelimit_renewal_foster" if arr.kind == "renewal"
                 else "prelimit_exp_linear_foster")
-        consts.update({"epsilon": spec.epsilon, "theta": spec.theta,
-                       "decay": decay_coeff})
+        consts = {"epsilon": spec.epsilon, "theta": spec.theta, "decay": decay_coeff}
 
     states = _sample_prelimit_states(p, region, sampler, rng)
     if arr.kind == "poisson":
         t, log_v, r1 = _poisson_pairs(p, spec, states, z_cutoff, rng)
-        if target != "abandon":
-            t = t + decay_coeff
     else:
         lifted = RenewalLyapunov(p, arr, spec, check=False)
         rows = []
@@ -1071,24 +1008,14 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec,
             val = lifted.value(x, ages)
             for z in allocs:
                 gen = prelimit_generator_apply(lifted, x, ages, z, p, arr)
-                rows.append((gen / val + decay_coeff, math.log(val), r1))
+                rows.append((gen / val, math.log(val), r1))
         t, log_v, r1 = np.array(rows).T
 
     if target == "abandon":
-        far = r1 >= 0.5 * region.radius
-        if not np.any(far):
-            raise PreconditionError("no far samples; enlarge the region")
-        k1_raw = float(np.min(-t[far] / r1[far]))
-        k1 = 0.9 * k1_raw
-        consts.update({"eta": eta, "theta": spec.theta, "kappa1_estimate": k1})
-        if k1 <= 0:
-            return VerificationReport(name, len(t), int(np.sum(far & (t > 0))), k1_raw,
-                                      sampler.seed, consts, passed=False,
-                                      notes="decay slope not bounded away from 0")
-        t = t + k1 * r1
-    rep = _decay_report(name, t, log_v, r1, region.radius, sampler.seed, consts)
-    rep.inequality = name
-    return rep
+        k1 = fitted_slope(t, r1, r1 >= 0.5 * region.radius)
+        return slope_report(name, t, k1, r1, log_v, region.radius, sampler.seed, consts)
+    return decay_report(name, t + consts["decay"], log_v, r1, region.radius, sampler.seed,
+                        consts)
 
 
 # ---------------------------------------------------------------------------

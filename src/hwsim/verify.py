@@ -1,11 +1,15 @@
 """Sampled certification of drift inequalities and Foster-Lyapunov bounds.
 
-Each ``verify_*`` routine draws a deterministic, seed-keyed cloud of states
-(enriched near the cone boundary, the coordinate axes, and the curvature
-joints of the cutoff) together with simplex controls (all vertices, the
-barycenter, Dirichlet samples), evaluates the inequality on every pair, and
-reports violations, the worst margin, and estimates of the existential
-constants the bounds leave implicit.
+Every diffusion check draws its samples from ``_cloud``: a deterministic,
+seed-keyed cloud of states (enriched near the cone boundary, the coordinate
+axes and the curvature joints of the cutoff), one simplex control per state
+(the vertices, the barycenter, Dirichlet samples) and their ||x||_1.  The
+Foster bounds all read ``L V / V + decay(x) <= 0`` outside a compact set and
+end in one report: ``decay_report`` for a fixed decay term, ``slope_report``
+for a linear decay whose slope kappa1 ``fitted_slope`` takes from the far
+samples.  The n-server prelimit checks in ``queues`` share the last two.
+Each report counts violations and gives the worst margin and estimates of
+the existential constants the bounds leave implicit.
 
 All margins are normalized by the Lyapunov value at the sample point, which
 keeps the arithmetic in log scale; the violation test is equivalent to the
@@ -21,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from . import lyapunov as lyap
-from .model import DiffusionSpec, SystemParams, diffusion_spec, spare_capacity
+from .model import (DiffusionSpec, SystemParams, diffusion_spec, drift_truncated,
+                    spare_capacity)
 
 BASE_SLACK = 1e-9
 # A constant estimate counts as "attained inside" when every positive margin
@@ -85,11 +90,11 @@ class Region:
 class SamplerConfig:
     n_samples: int = 100_000
     seed: int = 0
-    # fraction of samples forced onto <e,x> = 0 and near cutoff joints
-    boundary_frac: float = 0.15
-    joint_frac: float = 0.10
-    axis_frac: float = 0.05
-    orthant_frac: float = 0.10
+
+
+# fractions of each sampled batch forced onto <e,x> = 0, near a cutoff joint,
+# onto a coordinate axis and into one orthant
+BOUNDARY_FRAC, JOINT_FRAC, AXIS_FRAC, ORTHANT_FRAC = 0.15, 0.10, 0.05, 0.10
 
 
 def _l1_ball(rng: np.random.Generator, n: int, m: int, radius: float) -> np.ndarray:
@@ -130,10 +135,10 @@ def sample_states(region: Region, cfg: SamplerConfig, m: int,
         batch = max(1024, int(needed * 1.5))
         base = _l1_ball(rng, batch, m, R)
         k = batch
-        nb = int(cfg.boundary_frac * k)
-        nj = int(cfg.joint_frac * k)
-        na = int(cfg.axis_frac * k)
-        no = int(cfg.orthant_frac * k)
+        nb = int(BOUNDARY_FRAC * k)
+        nj = int(JOINT_FRAC * k)
+        na = int(AXIS_FRAC * k)
+        no = int(ORTHANT_FRAC * k)
         # project a slice onto the hyperplane <e,x> = 0
         sl = base[:nb]
         sl -= sl.sum(axis=-1, keepdims=True)[..., None].reshape(-1, 1) / m
@@ -179,6 +184,15 @@ def sample_controls(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         fixed = np.concatenate([fixed, rng.dirichlet(np.ones(m), size=rest)], axis=0)
     rng.shuffle(fixed, axis=0)
     return fixed
+
+
+def _cloud(region: Region, sampler: SamplerConfig, m: int,
+           joint_values: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States, one control per state and ||x||_1, all from the sampler's seed."""
+    rng = np.random.default_rng(sampler.seed)
+    x = sample_states(region, sampler, m, joint_values=joint_values, rng=rng)
+    u = sample_controls(x.shape[0], m, rng)
+    return x, u, np.abs(x).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +244,9 @@ def _safe_kappa(t: np.ndarray, log_v: np.ndarray) -> float:
     return float(np.max(vals))
 
 
-def _decay_report(name: str, t: np.ndarray, log_v: np.ndarray, r1: np.ndarray,
-                  sample_radius: float, seed: int,
-                  constants: dict[str, float]) -> VerificationReport:
+def decay_report(name: str, t: np.ndarray, log_v: np.ndarray, r1: np.ndarray,
+                 sample_radius: float, seed: int,
+                 constants: dict[str, float]) -> VerificationReport:
     """Common tail of the Foster-type checks.
 
     t = (L_u f)/f + decay(x) must be eventually negative: the constant
@@ -252,6 +266,28 @@ def _decay_report(name: str, t: np.ndarray, log_v: np.ndarray, r1: np.ndarray,
     constants["attainment_radius"] = r_att
     passed = violations == 0 and math.isfinite(kappa) and r_att <= ATTAIN_FRACTION * sample_radius
     return VerificationReport(name, t.shape[0], violations, worst, seed, constants, passed)
+
+
+def fitted_slope(q: np.ndarray, r1: np.ndarray, far: np.ndarray) -> float:
+    """kappa1 = 0.9 min over the far samples of -q / ||x||_1: the largest
+    linear decay the far samples allow, with a 10% margin."""
+    if not np.any(far):
+        raise PreconditionError("no far samples to fit the decay slope; enlarge the region")
+    return 0.9 * float(np.min(-q[far] / r1[far]))
+
+
+def slope_report(name: str, q: np.ndarray, k1: float, r1: np.ndarray, log_v: np.ndarray,
+                 sample_radius: float, seed: int, constants: dict[str, float],
+                 decay: np.ndarray | None = None) -> VerificationReport:
+    """decay_report of q + kappa1 ||x||_1 (or of q + decay, when the decay is
+    linear only on part of the space); failed when kappa1 <= 0."""
+    t = q + (k1 * r1 if decay is None else decay)
+    rep = decay_report(name, t, log_v, r1, sample_radius, seed,
+                       {**constants, "kappa1_estimate": k1})
+    if k1 <= 0:
+        rep.passed = False
+        rep.notes = "decay slope not bounded away from 0"
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +314,12 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     if not c >= 1.0:
         raise PreconditionError(f"truncation level must be >= 1, got {c}")
 
-    rng = np.random.default_rng(sampler.seed)
-    x = sample_states(region, sampler, m, joint_values=(0.0, 1.0, -1.0 / eps), rng=rng)
-    u = sample_controls(x.shape[0], m, rng)
-
+    x, u, r1 = _cloud(region, sampler, m, (0.0, 1.0, -1.0 / eps))
     _, gl, _ = lyap.log_terms(spec, x)
-    from .model import drift_truncated
-    b = drift_truncated(x, u, dspec, c, check=False)
-    lhs = np.sum(gl * b, axis=-1)
+    lhs = np.sum(gl * drift_truncated(x, u, dspec, c, check=False), axis=-1)
 
     s = x.sum(axis=-1)
     neg_part = np.maximum(-x, 0.0).sum(axis=-1)
-    r1 = np.abs(x).sum(axis=-1)
     rhs_minus = eps * (th * rho + (m / (2.0 * eps)) * (1.0 + eps * th) - min(th, 1.0) * r1)
     rhs_plus = -eps * (rho / m - th * rho - th * m / 2.0 + th * neg_part)
     rhs = np.where(s <= 0.0, rhs_minus, rhs_plus)
@@ -298,16 +328,10 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     log_v = lyap.log_value(spec, x)
     slack = BASE_SLACK * (np.exp(-np.clip(log_v, -700, 700)) + np.abs(rhs))
     violations = int(np.sum(margin < -slack))
-    report = VerificationReport(
-        inequality=f"exp_linear_drift[c={c:g}]",
-        n_samples=x.shape[0],
-        violations=violations,
-        worst_margin=float(margin.min()),
-        seed=sampler.seed,
-        constants={"epsilon": eps, "theta": th, "truncation": c},
-        passed=violations == 0,
-    )
-    return report
+    return VerificationReport(f"exp_linear_drift[c={c:g}]", x.shape[0], violations,
+                              float(margin.min()), sampler.seed,
+                              {"epsilon": eps, "theta": th, "truncation": c},
+                              passed=violations == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +351,13 @@ def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     if dspec.varrho <= 0:
         raise PreconditionError("exp-linear Foster bound needs positive spare capacity")
     eps, th = spec.epsilon, spec.theta
-    rng = np.random.default_rng(sampler.seed)
-    x = sample_states(region, sampler, dspec.m, joint_values=(0.0, 1.0, -1.0 / eps), rng=rng)
-    u = sample_controls(x.shape[0], dspec.m, rng)
+    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
     q = lyap.generator_ratio(spec, x, u, dspec, check=False)
     neg_part = np.maximum(-x, 0.0).sum(axis=-1)
     decay = eps * (dspec.varrho / (2.0 * dspec.m) + neg_weight * th * neg_part)
-    log_v = lyap.log_value(spec, x)
-    r1 = np.abs(x).sum(axis=-1)
-    return _decay_report("exp_linear_foster", q + decay, log_v, r1, region.radius,
-                         sampler.seed,
-                         {"epsilon": eps, "theta": th, "neg_weight": neg_weight})
+    return decay_report("exp_linear_foster", q + decay, lyap.log_value(spec, x), r1,
+                        region.radius, sampler.seed,
+                        {"epsilon": eps, "theta": th, "neg_weight": neg_weight})
 
 
 def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
@@ -350,15 +370,11 @@ def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     beta_min = float(beta.min())
     coeff = (eps**2 * min(th, beta_min * min(beta_min, 0.5))
              * min(1.0, th) / (2.0 * float(dspec.mu.max())))
-    rng = np.random.default_rng(sampler.seed)
-    x = sample_states(region, sampler, dspec.m, joint_values=(0.0, 1.0, -1.0 / eps), rng=rng)
-    u = sample_controls(x.shape[0], dspec.m, rng)
+    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
     q = lyap.generator_ratio(spec, x, u, dspec, check=False)
-    r1 = np.abs(x).sum(axis=-1)
-    decay = coeff * r1**2
-    log_v = lyap.log_value(spec, x)
-    return _decay_report("sub_gaussian_foster", q + decay, log_v, r1, region.radius,
-                         sampler.seed, {"epsilon": eps, "theta": th, "decay_coeff": coeff})
+    return decay_report("sub_gaussian_foster", q + coeff * r1**2, lyap.log_value(spec, x), r1,
+                        region.radius, sampler.seed,
+                        {"epsilon": eps, "theta": th, "decay_coeff": coeff})
 
 
 def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
@@ -366,7 +382,7 @@ def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
                               theta: float | None = None) -> VerificationReport:
     """L_u V^ <= k0 - k1 ||x||_1 V^ on K_0^+ x Delta for the abandonment family.
 
-    k1 is estimated from the outer half of the sampled radius and must be
+    k1 is fitted on the outer half of the sampled radius and must be
     bounded away from zero for the check to pass.
     """
     beta = dspec.beta
@@ -376,25 +392,11 @@ def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
     spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, dspec.mu, eta=eta, theta=th)
     if region.kind not in (RegionKind.CONE, RegionKind.CONE_MINUS_CUBE) or region.sign != 1:
         region = Region.cone(1, 0.0, region.radius)
-    rng = np.random.default_rng(sampler.seed)
-    x = sample_states(region, sampler, dspec.m, joint_values=(0.0, 1.0), rng=rng)
-    u = sample_controls(x.shape[0], dspec.m, rng)
+    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
     q = lyap.generator_ratio(spec, x, u, dspec, check=False)
-    r1 = np.abs(x).sum(axis=-1)
-    far = r1 >= 0.5 * region.radius
-    if not np.any(far):
-        raise PreconditionError("sampling region too small to estimate the decay slope")
-    k1_raw = float(np.min(-q[far] / r1[far]))
-    k1 = 0.9 * k1_raw
-    log_v = lyap.log_value(spec, x)
-    if k1 <= 0:
-        return VerificationReport("abandonment_foster", x.shape[0], int(np.sum(far)),
-                                  k1_raw, sampler.seed,
-                                  {"eta": eta, "theta": th, "kappa1_estimate": k1_raw},
-                                  passed=False, notes="decay slope not bounded away from 0")
-    rep = _decay_report("abandonment_foster", q + k1 * r1, log_v, r1, region.radius,
-                        sampler.seed, {"eta": eta, "theta": th, "kappa1_estimate": k1})
-    return rep
+    k1 = fitted_slope(q, r1, r1 >= 0.5 * region.radius)
+    return slope_report("abandonment_foster", q, k1, r1, lyap.log_value(spec, x),
+                        region.radius, sampler.seed, {"eta": eta, "theta": th})
 
 
 def _sum_ratio(spec_a: lyap.LyapunovSpec, spec_b: lyap.LyapunovSpec, x, u,
@@ -422,29 +424,15 @@ def verify_neg_part_foster(dspec: DiffusionSpec, neg_spec: lyap.LyapunovSpec,
         raise PreconditionError(
             f"class_subset must be the gamma_i <= mu_i classes {expected}")
     eps = v_spec.epsilon
-    rng = np.random.default_rng(sampler.seed)
-    x = sample_states(region, sampler, dspec.m, joint_values=(0.0, 1.0, -1.0 / eps), rng=rng)
-    u = sample_controls(x.shape[0], dspec.m, rng)
+    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
     q, log_sum = _sum_ratio(neg_spec, v_spec, x, u, dspec)
-    r1 = np.abs(x).sum(axis=-1)
-    s = x.sum(axis=-1)
-    minus = s <= 0.0
-
-    far_minus = minus & (r1 >= 0.5 * region.radius)
-    if not np.any(far_minus):
-        raise PreconditionError("no far K_0^- samples; enlarge the region")
-    k1_raw = float(np.min(-q[far_minus] / r1[far_minus]))
-    k1 = 0.9 * k1_raw
+    minus = x.sum(axis=-1) <= 0.0
+    k1 = fitted_slope(q, r1, minus & (r1 >= 0.5 * region.radius))
     floor = eps * dspec.varrho / (8.0 * dspec.m)
-    decay = np.where(minus, k1 * r1, floor)
-    rep = _decay_report("neg_part_foster", q + decay, log_sum, r1, region.radius,
-                        sampler.seed,
+    return slope_report("neg_part_foster", q, k1, r1, log_sum, region.radius, sampler.seed,
                         {"eta": neg_spec.eta, "epsilon": eps, "theta": v_spec.theta,
-                         "kappa1_estimate": k1, "plus_floor": floor})
-    if k1 <= 0:
-        rep.passed = False
-        rep.notes = "K_0^- decay slope not positive"
-    return rep
+                         "plus_floor": floor},
+                        decay=np.where(minus, k1 * r1, floor))
 
 
 def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.LyapunovSpec,
@@ -460,11 +448,7 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
     """
     if dspec.varrho <= 0:
         raise PreconditionError("negative-part bound needs positive spare capacity")
-    rng = np.random.default_rng(sampler.seed)
-    x = sample_states(region, sampler, dspec.m,
-                      joint_values=(0.0, 1.0, -1.0 / v_spec.epsilon), rng=rng)
-    u = sample_controls(x.shape[0], dspec.m, rng)
-    r1 = np.abs(x).sum(axis=-1)
+    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / v_spec.epsilon))
     far = r1 >= 0.5 * region.radius
     last = None
     for eta in sorted(eta_grid, reverse=True):
@@ -481,9 +465,9 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
             continue
         c1 = 0.9 * c1_raw
         log_v = lyap.log_value(ns, x) + lyap.log_value(v_spec, x)
-        rep = _decay_report(f"neg_part_sub_gaussian_foster[eta={eta:g}]", q + c1,
-                            log_v, r1, region.radius, sampler.seed,
-                            {"eta": eta, "c1_estimate": c1})
+        rep = decay_report(f"neg_part_sub_gaussian_foster[eta={eta:g}]", q + c1,
+                           log_v, r1, region.radius, sampler.seed,
+                           {"eta": eta, "c1_estimate": c1})
         if rep.passed:
             return rep
         last = rep
@@ -520,19 +504,6 @@ def suggested_radius(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
         slack = CUTOFF_SLACK * m + eps * (th * rho + rho / (2.0 * m) + eps * th * th * dspec.c_bar)
         r = slack / (eps * th * max(1.0 - neg_weight, 0.25))
     return max(floor, 2.5 * r)
-
-
-def estimate_kappa0(inequality: str, dspec: DiffusionSpec, spec, region: Region,
-                    sampler: SamplerConfig) -> tuple[float, float]:
-    """Constant estimate and attainment radius for a named Foster bound."""
-    dispatch = {
-        "exp_linear_foster": verify_exp_linear_foster,
-        "sub_gaussian_foster": verify_sub_gaussian_foster,
-    }
-    if inequality not in dispatch:
-        raise ValueError(f"unknown inequality id {inequality!r}")
-    rep = dispatch[inequality](dspec, spec, region, sampler)
-    return rep.constants["kappa_estimate"], rep.constants["attainment_radius"]
 
 
 def default_suite(params: SystemParams, sampler: SamplerConfig,

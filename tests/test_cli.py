@@ -103,3 +103,12 @@ def test_failed_verification_exits_1(tmp_path, capsys):
     assert any(line.startswith("FAIL prelimit_exp_linear_foster violations=")
                for line in lines)
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_demo_verification_reproduces_the_committed_reports(tmp_path, capsys):
+    # the committed demo artefacts are the reference: a refactor of the
+    # checks must leave both files byte for byte
+    assert cli.main(["verify-drift", "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
+    demo = EXAMPLE.parents[1] / "out" / "demo"
+    for name in ("demo_verify_report.csv", "demo_verify_details.json"):
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name

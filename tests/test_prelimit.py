@@ -33,7 +33,7 @@ def certify_n10():
 
 @pytest.fixture(scope="module")
 def reports(certify_n10):
-    return {target: qs.verify_prelimit_foster(certify_n10, POISSON, None, REGION, SAMPLER,
+    return {target: qs.verify_prelimit_foster(certify_n10, POISSON, REGION, SAMPLER,
                                               target=target)
             for target in ("exp_linear", "abandon")}
 
@@ -85,7 +85,7 @@ def _independent_report(p, spec, target, states, decay):
     if target == "abandon":
         far = r1 >= 0.5 * REGION.radius
         t = t + 0.9 * float(np.min(-t[far] / r1[far])) * r1
-    return ver._decay_report(target, t, log_v, r1, REGION.radius, SAMPLER.seed, {})
+    return ver.decay_report(target, t, log_v, r1, REGION.radius, SAMPLER.seed, {})
 
 
 class TestPrelimitCheck:
@@ -141,7 +141,7 @@ class TestPrelimitCheck:
     def test_chunk_size_leaves_the_report_unchanged(self, certify_n10, reports, monkeypatch,
                                                     chunk):
         monkeypatch.setattr(qs, "_CHUNK_PAIRS", chunk)
-        rep = qs.verify_prelimit_foster(certify_n10, POISSON, None, REGION, SAMPLER,
+        rep = qs.verify_prelimit_foster(certify_n10, POISSON, REGION, SAMPLER,
                                         target="abandon")
         assert rep.to_dict() == reports["abandon"].to_dict()
 
@@ -149,7 +149,7 @@ class TestPrelimitCheck:
         # z_cutoff = 300 sends 4 of the 7 sampled states, with up to 1078
         # allocations, to the random path: its 1000 draws per state from the
         # check's generator, in state order, set the number of pairs
-        rep = qs.verify_prelimit_foster(prelimit_params(CERTIFY, 100), POISSON, None, REGION,
+        rep = qs.verify_prelimit_foster(prelimit_params(CERTIFY, 100), POISSON, REGION,
                                         ver.SamplerConfig(n_samples=8, seed=5),
                                         target="abandon", z_cutoff=300)
         assert rep.to_dict() == {
@@ -164,7 +164,7 @@ class TestPrelimitCheck:
     def test_renewal_report_is_pinned(self, certify_n10):
         arr = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5),
                                       qs.Exponential()])
-        rep = qs.verify_prelimit_foster(certify_n10, arr, None, REGION,
+        rep = qs.verify_prelimit_foster(certify_n10, arr, REGION,
                                         ver.SamplerConfig(n_samples=20, seed=7))
         assert rep.to_dict() == {
             "inequality": "prelimit_renewal_foster", "samples": 112, "violations": 0,

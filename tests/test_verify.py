@@ -5,8 +5,10 @@ import pytest
 
 import hwsim
 from hwsim import lyapunov as lyap
+from hwsim import queues as qs
 from hwsim import verify as ver
 from hwsim.lyapunov import Family, Goal, LyapunovSpec
+from hwsim.model import prelimit_params, scale_state
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +154,12 @@ class TestFosterBounds:
         ds = hwsim.diffusion_spec(stable_system)
         spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
         region = ver.Region.ball(ver.suggested_radius(ds, spec))
-        k, r = ver.estimate_kappa0("exp_linear_foster", ds, spec, region, SAMP)
+
+        def kappa0(sampler):
+            c = ver.verify_exp_linear_foster(ds, spec, region, sampler).constants
+            return c["kappa_estimate"], c["attainment_radius"]
+
+        k, r = kappa0(SAMP)
         x0 = np.zeros((1, 2))
         u0 = np.full((1, 2), 0.5)
         floor = float(lyap.generator_apply(spec, x0, u0, ds)[0]
@@ -160,12 +167,10 @@ class TestFosterBounds:
         assert k >= floor
         assert 0 < r < region.radius
         # monotone in sample count
-        k_small, _ = ver.estimate_kappa0(
-            "exp_linear_foster", ds, spec, region, ver.SamplerConfig(3000, seed=7))
+        k_small, _ = kappa0(ver.SamplerConfig(3000, seed=7))
         assert k >= k_small - 1e-12
         # seed stability
-        k_seed, _ = ver.estimate_kappa0(
-            "exp_linear_foster", ds, spec, region, ver.SamplerConfig(30_000, seed=99))
+        k_seed, _ = kappa0(ver.SamplerConfig(30_000, seed=99))
         assert abs(k - k_seed) / k < 0.05
 
 
@@ -247,3 +252,99 @@ class TestReportPlumbing:
         row = rep.csv_row()
         assert len(row.split(",")) == len(ver.VerificationReport.CSV_HEADER.split(","))
         assert rep.to_dict()["inequality"].startswith("exp_linear_drift")
+
+
+# the certify benchmark's 3-class system with abandonment
+CERTIFY = hwsim.make_system([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 1.2],
+                            hat_lambda=[-0.5, -0.3, -0.2])
+
+EPS, TH = 0.005555555555555556, 0.022222222222222223
+
+# (inequality, worst margin, constants) of every default_suite report on
+# CERTIFY at 3,000 samples, seed 3; each has 0 violations, passed, no notes
+SUITE_PINS = [
+    *((f"exp_linear_drift[c={c:g}]", 0.0038497169060884985,
+       {"epsilon": EPS, "theta": TH, "truncation": c}) for c in (1.0, 5.0, math.inf)),
+    ("exp_linear_foster", 1.568384841784457,
+     {"attainment_radius": 2964.383322242206, "epsilon": EPS,
+      "kappa_estimate": 0.2931369982030254, "neg_weight": 0.5, "theta": TH}),
+    ("neg_part_foster", 1.1033835549981599,
+     {"attainment_radius": 14265.722787395314, "epsilon": EPS, "eta": 1.0,
+      "kappa1_estimate": 7.435662394451954e-05, "kappa_estimate": 2.2170852500046827,
+      "plus_floor": 0.0002314814814814815, "theta": TH}),
+    ("neg_part_sub_gaussian_foster[eta=0.5]", 1.6319378765848827,
+     {"attainment_radius": 14265.722787395314, "c1_estimate": 1.6296148971193416,
+      "eta": 0.5, "kappa_estimate": 4.305450418218239}),
+    ("sub_gaussian_foster", 44.03435307819694,
+     {"attainment_radius": 187.00906680459747, "decay_coeff": 3.532127097800927e-05,
+      "epsilon": 0.026041666666666668, "kappa_estimate": 0.7901881652579006,
+      "theta": 0.4166666666666667}),
+    ("abandonment_foster", 3.1559436042199103,
+     {"attainment_radius": 3.9515010379440723, "eta": 1.0,
+      "kappa1_estimate": 0.43734723477177073, "kappa_estimate": 3.91554889364162,
+      "theta": 0.4166666666666667}),
+]
+
+
+def test_default_suite_reports_are_pinned():
+    reps = ver.default_suite(CERTIFY, ver.SamplerConfig(n_samples=3000, seed=3))
+    assert [r.to_dict() for r in reps] == [
+        {"inequality": name, "samples": 3000, "violations": 0, "worst_margin": worst,
+         "seed": 3, "passed": True, "constants": constants, "notes": ""}
+        for name, worst, constants in SUITE_PINS]
+
+
+class TestSlopeFit:
+    R1 = np.linspace(1.0, 40.0, 79)
+
+    def test_non_decaying_generator_fails_at_the_fitted_slope(self):
+        q = 0.1 * self.R1                          # L V / V grows with ||x||_1
+        k1 = ver.fitted_slope(q, self.R1, self.R1 >= 20.0)
+        assert k1 == pytest.approx(-0.09, rel=1e-12)
+        rep = ver.slope_report("synthetic", q, k1, self.R1, np.zeros_like(q), 40.0, 0, {"a": 1.0})
+        ref = ver.decay_report("synthetic", q + k1 * self.R1, np.zeros_like(q), self.R1, 40.0, 0,
+                               {"a": 1.0, "kappa1_estimate": k1})
+        assert not rep.passed and rep.notes == "decay slope not bounded away from 0"
+        assert {**rep.to_dict(), "notes": ""} == ref.to_dict()
+
+    def test_decaying_generator_passes(self):
+        q = 1.0 - 0.5 * self.R1
+        k1 = ver.fitted_slope(q, self.R1, self.R1 >= 20.0)
+        assert 0 < k1 < 0.5
+        rep = ver.slope_report("synthetic", q, k1, self.R1, np.zeros_like(q), 40.0, 0, {})
+        assert rep.passed and rep.notes == ""
+        assert rep.constants["kappa1_estimate"] == k1
+
+    def test_no_far_sample_is_a_precondition_error(self):
+        with pytest.raises(ver.PreconditionError):
+            ver.fitted_slope(-self.R1, self.R1, self.R1 > 40.0)
+
+    def test_every_slope_check_reports_a_non_decaying_generator_alike(self, abandon_system,
+                                                                      stable_system,
+                                                                      monkeypatch):
+        def growing(*args, **kwargs):
+            return np.abs(args[1]).sum(axis=-1)
+
+        monkeypatch.setattr(lyap, "generator_ratio", growing)
+        monkeypatch.setattr(ver, "_sum_ratio", lambda a, b, x, u, d: (growing(a, x), 0.0 * x[:, 0]))
+        samp = ver.SamplerConfig(2000, seed=7)
+        vspec = LyapunovSpec(Family.EXP_LINEAR, (1.0, 1.0), epsilon=0.01, theta=0.1)
+        reps = [
+            ver.verify_abandonment_foster(hwsim.diffusion_spec(abandon_system), 1.0,
+                                          ver.Region.cone(1, 0.0, 40.0), samp),
+            ver.verify_neg_part_foster(hwsim.diffusion_spec(stable_system),
+                                       lyap.select_parameters(Goal.NEG_PART, stable_system),
+                                       vspec, ver.Region.ball(40.0), samp),
+        ]
+
+        def pairs(p, spec, states, z_cutoff, rng):
+            r1 = np.abs(scale_state(states.astype(float), p)).sum(axis=1)
+            return r1, 0.0 * r1, r1
+
+        monkeypatch.setattr(qs, "_poisson_pairs", pairs)
+        reps.append(qs.verify_prelimit_foster(prelimit_params(CERTIFY, 10),
+                                              qs.ArrivalSpec.poisson(3), ver.Region.ball(40.0),
+                                              ver.SamplerConfig(500, seed=3), target="abandon"))
+        for rep in reps:
+            assert not rep.passed and rep.notes == "decay slope not bounded away from 0"
+            assert rep.constants["kappa1_estimate"] < 0
