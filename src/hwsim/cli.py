@@ -28,6 +28,7 @@ from .model import SystemParams, diffusion_spec, make_system, prelimit_params, s
 
 RESULTS_HEADER = "scenario,operation,seed,timestamp,metric,value,stderr,passed"
 HISTOGRAM_SCHEMA = "histogram CSV: bin_lo_1..m, bin_hi_1..m, weight"
+HISTOGRAM_BINS = 20                        # per dimension
 DETAIL_SCHEMA = {
     "verify_details": "list of VerificationReport dicts",
     "sim_summary": "per-policy moments, guard trips, identity checks",
@@ -235,8 +236,8 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=float) + "\n")
 
 
-def write_histogram_csv(path: Path, measure, bins_per_dim: int = 20) -> None:
-    edges, h = measure.histogram(bins_per_dim)
+def write_histogram_csv(path: Path, measure) -> None:
+    edges, h = measure.histogram(HISTOGRAM_BINS)
     m = len(edges)
     with path.open("w") as fh:
         cols = [f"bin_lo_{d + 1}" for d in range(m)] + [f"bin_hi_{d + 1}" for d in range(m)]
@@ -287,7 +288,7 @@ def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
             n_samples=min(sampler.n_samples, 10_000) if arr.kind == "poisson" else 300,
             seed=sampler.seed)
         pre_region = ver.Region.ball(float(cfg.verify.get("prelimit_radius", 40.0)))
-        if p.varrho_n > 0 and (arr.kind == "poisson" or arr.bounded_hazard()):
+        if p.varrho_n > 0 and arr.bounded_hazard():
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler))
         if arr.kind == "poisson" and float(p.gamma_n.min()) > 0:
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler,

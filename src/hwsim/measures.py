@@ -3,9 +3,9 @@
 A measure carries (i) thinned state snapshots with weights, used for
 histograms and tail fits, and (ii) exact per-replica time integrals of a
 declared list of moment functionals, used for means with replica-level
-standard errors.  Merging measures is associative and order-independent up
-to float addition; replicas are always combined in index order so replays
-are bit-identical.
+standard errors.  Replicas are combined in index order, so replays are
+bit-identical.  Histograms span the samples' padded bounding box, and tail
+fits use fixed level counts and ranges (the module constants).
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class EmpiricalMeasure:
     @property
     def m(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
     def normalized_weights(self) -> np.ndarray:
         w = self.weights / self.weights.sum()
@@ -77,32 +73,16 @@ class EmpiricalMeasure:
             return np.maximum(-x[:, idx], 0.0).sum(axis=1)
         raise ValueError(f"unknown tail direction {direction!r}")
 
-    def histogram(self, bins_per_dim: int, box: tuple[np.ndarray, np.ndarray] | None = None):
-        """Fixed-width histogram over a box; returns (edges list, weights array)."""
-        if box is None:
-            lo = self.samples.min(axis=0)
-            hi = self.samples.max(axis=0)
-            pad = 1e-9 + 0.01 * (hi - lo)
-            lo, hi = lo - pad, hi + pad
-        else:
-            lo, hi = box
+    def histogram(self, bins_per_dim: int):
+        """Fixed-width histogram over the samples' bounding box, padded by 1%;
+        returns (edges list, weights array)."""
+        lo = self.samples.min(axis=0)
+        hi = self.samples.max(axis=0)
+        pad = 1e-9 + 0.01 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
         edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(self.m)]
         h, _ = np.histogramdd(self.samples, bins=edges, weights=self.normalized_weights())
         return edges, h
-
-    def merge(self, other: "EmpiricalMeasure") -> "EmpiricalMeasure":
-        keys = set(self.replica_integrals) | set(other.replica_integrals)
-        integrals = {}
-        for k in sorted(keys):
-            a = self.replica_integrals.get(k, np.zeros(len(self.replica_time)))
-            b = other.replica_integrals.get(k, np.zeros(len(other.replica_time)))
-            integrals[k] = np.concatenate([a, b])
-        return EmpiricalMeasure(
-            samples=np.concatenate([self.samples, other.samples], axis=0),
-            weights=np.concatenate([self.weights, other.weights]),
-            replica_time=np.concatenate([self.replica_time, other.replica_time]),
-            replica_integrals=integrals,
-        )
 
 
 def from_samples(samples, weights=None) -> EmpiricalMeasure:
@@ -129,11 +109,14 @@ class TailFit:
         return not self.flag
 
 
-def fit_tail(values: np.ndarray, weights: np.ndarray, form: str,
-             min_tail_count: int = 50, n_levels: int = 40,
-             start_quantile: float = 0.5) -> TailFit:
+# The tail fit regresses at TAIL_LEVELS levels from the TAIL_START quantile
+# up to the largest value with MIN_TAIL_COUNT samples beyond it.
+MIN_TAIL_COUNT, TAIL_LEVELS, TAIL_START = 50, 40, 0.5
+
+
+def fit_tail(values: np.ndarray, weights: np.ndarray, form: str) -> TailFit:
     """Least-squares slope of log tail mass against r (or r^2) over the
-    resolvable range [quantile(start), largest r with >= min_tail_count
+    resolvable range [quantile(TAIL_START), largest r with >= MIN_TAIL_COUNT
     samples beyond]."""
     if form not in ("exponential", "sub_gaussian"):
         raise ValueError(f"unknown tail form {form!r}")
@@ -144,13 +127,13 @@ def fit_tail(values: np.ndarray, weights: np.ndarray, form: str,
     w = w / w.sum()
     surv = np.concatenate([[1.0], 1.0 - np.cumsum(w)[:-1]])  # P(X >= v_k)
 
-    lo = float(np.interp(start_quantile, np.cumsum(w), v))
-    if len(v) <= min_tail_count:
+    lo = float(np.interp(TAIL_START, np.cumsum(w), v))
+    if len(v) <= MIN_TAIL_COUNT:
         return TailFit(form, 0.0, 0.0, 0.0, lo, lo, 0, flag="insufficient tail samples")
-    hi = float(v[-min_tail_count])
+    hi = float(v[-MIN_TAIL_COUNT])
     if hi <= lo:
         return TailFit(form, 0.0, 0.0, 0.0, lo, hi, 0, flag="tail range empty")
-    grid = np.linspace(lo, hi, n_levels)
+    grid = np.linspace(lo, hi, TAIL_LEVELS)
     mass = np.array([float(surv[np.searchsorted(v, r)]) if np.searchsorted(v, r) < len(v) else 0.0
                      for r in grid])
     keep = mass > 0

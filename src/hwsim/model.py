@@ -14,12 +14,14 @@ of its inputs and vectorizes over a leading batch axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Accepted floating-point slack for simplex membership before projection.
 SIMPLEX_TOL = 1e-12
+# Accepted slack in the critical-load invariant sum_i lambda_i / mu_i = 1.
+LOAD_TOL = 1e-9
 
 
 class SimplexError(ValueError):
@@ -73,7 +75,6 @@ class SystemParams:
     hat_lambda: np.ndarray
     hat_mu: np.ndarray
     scv: np.ndarray
-    load_tol: float = field(default=1e-9, compare=False)
 
     def __post_init__(self):
         for name in ("lambda_", "mu", "gamma", "hat_lambda", "hat_mu", "scv"):
@@ -87,7 +88,7 @@ class SystemParams:
         if np.any(self.scv <= 0):
             raise ValueError("interarrival SCVs must be positive")
         load = float(np.sum(self.lambda_ / self.mu))
-        if abs(load - 1.0) > self.load_tol:
+        if abs(load - 1.0) > LOAD_TOL:
             raise ValueError(f"sum of lambda_i/mu_i must be 1, got {load}")
 
     @property
@@ -105,8 +106,8 @@ class SystemParams:
         return 0.5 * self.lambda_ * (1.0 + self.scv)
 
 
-def make_system(lambda_, mu, gamma=None, hat_lambda=None, hat_mu=None, scv=None,
-                load_tol: float = 1e-9) -> SystemParams:
+def make_system(lambda_, mu, gamma=None, hat_lambda=None, hat_mu=None,
+                scv=None) -> SystemParams:
     """Convenience constructor filling optional blocks with zeros/ones."""
     lambda_ = _as_array(lambda_)
     m = lambda_.shape[-1]
@@ -115,7 +116,7 @@ def make_system(lambda_, mu, gamma=None, hat_lambda=None, hat_mu=None, scv=None,
     hat_lambda = np.zeros(m) if hat_lambda is None else _as_array(hat_lambda, m)
     hat_mu = np.zeros(m) if hat_mu is None else _as_array(hat_mu, m)
     scv = np.ones(m) if scv is None else _as_array(scv, m)
-    return SystemParams(m, lambda_, mu, gamma, hat_lambda, hat_mu, scv, load_tol)
+    return SystemParams(m, lambda_, mu, gamma, hat_lambda, hat_mu, scv)
 
 
 def spare_capacity(params: SystemParams) -> float:
@@ -226,9 +227,9 @@ class DiffusionSpec:
             raise ValueError(f"sum lambda~_i/mu_i is {s}, not 1")
 
 
-def diffusion_spec(params: SystemParams, varrho: float | None = None) -> DiffusionSpec:
+def diffusion_spec(params: SystemParams) -> DiffusionSpec:
     spec = DiffusionSpec(
-        varrho=spare_capacity(params) if varrho is None else float(varrho),
+        varrho=spare_capacity(params),
         mu=params.mu.copy(),
         gamma=params.gamma.copy(),
         a_diag=params.lambda_ * (1.0 + params.scv),
@@ -282,20 +283,6 @@ def cone_membership(x, delta: float) -> str:
     """Classify a single state against K_delta^+/-: 'plus', 'minus' or 'neither'."""
     code = int(in_cone(np.atleast_2d(_as_array(x)), delta)[0])
     return {1: "plus", -1: "minus", 0: "neither"}[code]
-
-
-def cone_boundary_gap(x, delta: float) -> np.ndarray:
-    """Identity residual <e, x^+> - (1 + sign * delta)/2 ||x||_1 on the cone boundary.
-
-    For x on the boundary of K_delta^{+/-} the positive-part sum equals
-    (1 +/- delta)/2 ||x||_1; this helper returns the residual used by tests.
-    """
-    x = _as_array(x)
-    s = x.sum(axis=-1)
-    r = np.abs(x).sum(axis=-1)
-    plus = np.maximum(x, 0.0).sum(axis=-1)
-    sign = np.sign(s)
-    return plus - (1.0 + sign * delta) / 2.0 * r
 
 
 def scale_state(x, p: PrelimitParams) -> np.ndarray:

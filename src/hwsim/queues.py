@@ -1,5 +1,11 @@
 """Exact event-driven simulation of the n-server systems and prelimit checks.
 
+Interarrival laws are unit-mean families.  Each says through ``sup_hazard``
+(None when unbounded) whether the prelimit certification accepts it; the
+bounded ones (exponential, two-phase hyperexponential, Erlang) have
+closed-form hazard and mean residual life, computed with numpy alone, and the
+lognormal, whose hazard is unbounded, is only simulated.
+
 Poisson-input systems evolve as a CTMC with competing exponential clocks;
 renewal-input systems schedule the next arrival of each class from its
 interarrival distribution while service/abandonment clocks stay exponential
@@ -24,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr
 
 from . import lyapunov as lyap
 from .measures import EmpiricalMeasure
@@ -41,7 +46,6 @@ from .verify import (PreconditionError, Region, SamplerConfig, VerificationRepor
 class Exponential:
     kind = "exponential"
     scv = 1.0
-    bounded_hazard = True
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0, size=size)
@@ -63,7 +67,6 @@ class HyperExp2:
     """Two-phase hyperexponential with unit mean (SCV > 1, decreasing hazard)."""
 
     kind = "hyperexp2"
-    bounded_hazard = True
 
     def __init__(self, p: float, r1: float, r2: float):
         if not (0 < p < 1 and r1 > 0 and r2 > 0):
@@ -116,13 +119,14 @@ class Erlang:
     """Erlang(k) with stage rate k (unit mean, SCV = 1/k, increasing hazard)."""
 
     kind = "erlang"
-    bounded_hazard = True
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("shape must be >= 1")
         self.k = int(k)
         self.scv = 1.0 / k
+        # log i!, i < k: correctly rounded logs of exact integers
+        self._log_fact = np.array([math.log(math.factorial(i)) for i in range(self.k)])
 
     def sample(self, rng, size=None):
         return rng.gamma(self.k, 1.0 / self.k, size=size)
@@ -132,7 +136,7 @@ class Erlang:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         i = np.arange(self.k)
         kt = np.maximum(self.k * t, 1e-300)
-        logp = i * np.log(kt)[..., None] - gammaln(i + 1.0)
+        logp = i * np.log(kt)[..., None] - self._log_fact
         logp -= logp.max(axis=-1, keepdims=True)
         p = np.exp(logp)
         return p / p.sum(axis=-1, keepdims=True)
@@ -156,11 +160,10 @@ class Erlang:
 
 
 class LogNormal:
-    """Unit-mean lognormal; mean residual life is unbounded, so this family is
-    excluded from the bounded-hazard certification mode."""
+    """Unit-mean lognormal.  Its hazard and mean residual life are unbounded,
+    so no certification mode accepts it; it is simulated only."""
 
     kind = "lognormal"
-    bounded_hazard = False
 
     def __init__(self, sigma: float):
         if sigma <= 0:
@@ -171,24 +174,6 @@ class LogNormal:
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu_ln, self.sigma, size=size)
-
-    def hazard(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        pos = t > 0
-        z = (np.log(t[pos]) - self.mu_ln) / self.sigma
-        log_pdf = -0.5 * z * z - math.log(math.sqrt(2 * math.pi) * self.sigma) - np.log(t[pos])
-        out[pos] = np.exp(log_pdf - log_ndtr(-z))
-        return out.reshape(np.shape(t)) if np.shape(t) else float(out[0])
-
-    def mrl(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.ones_like(t)
-        pos = t > 0
-        z = (np.log(t[pos]) - self.mu_ln) / self.sigma
-        # E[X 1{X>t}] = exp(mu+sigma^2/2) Phi(sigma - z) = Phi(sigma - z) at unit mean
-        out[pos] = np.exp(log_ndtr(self.sigma - z) - log_ndtr(-z)) - t[pos]
-        return out.reshape(np.shape(t)) if np.shape(t) else float(out[0])
 
     def sup_hazard(self):
         return None
@@ -226,7 +211,7 @@ class ArrivalSpec:
         return np.array([d.scv for d in self.dists])
 
     def bounded_hazard(self) -> bool:
-        return self.kind == "poisson" or all(d.bounded_hazard for d in self.dists)
+        return self.kind == "poisson" or all(d.sup_hazard() is not None for d in self.dists)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +558,9 @@ def _simulate_queue(p, arr, pol, cfg, exact_histogram):
     )
 
 
-def simulate_ctmc(p: PrelimitParams, pol, cfg, arr: ArrivalSpec | None = None,
-                  exact_histogram: bool = False) -> QueueRun:
+def simulate_ctmc(p: PrelimitParams, pol, cfg, exact_histogram: bool = False) -> QueueRun:
     """Exact CTMC simulation with Poisson arrivals."""
-    arr = ArrivalSpec.poisson(p.m) if arr is None else arr
-    if arr.kind != "poisson":
-        raise ValueError("simulate_ctmc requires Poisson arrivals; use simulate_renewal")
-    return _simulate_queue(p, arr, pol, cfg, exact_histogram)
+    return _simulate_queue(p, ArrivalSpec.poisson(p.m), pol, cfg, exact_histogram)
 
 
 def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
@@ -621,7 +602,8 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
 
     On Poisson input f is a state function f(x); on renewal input it has
     methods value(x, s) and ds_sum(x, s), the latter supplying the analytic
-    age-derivative term (RenewalLyapunov).
+    age-derivative term (RenewalLyapunov), and every interarrival law must
+    have a bounded hazard.
     """
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
@@ -634,6 +616,8 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
         up = np.array([f(x + eye[i]) for i in range(m)])
         dn = np.array([f(x - eye[i]) for i in range(m)])
         return float(np.sum(p.lambda_n * (up - val)) + np.sum(death * (dn - val)))
+    if not arr.bounded_hazard():
+        raise PreconditionError("unbounded hazard family: renewal generator unavailable")
     s = np.asarray(s, dtype=float)
     val = f.value(x, s)
     out = f.ds_sum(x, s)
@@ -659,6 +643,10 @@ def eps_tilde0(p: PrelimitParams, arr: ArrivalSpec, theta: float) -> float:
     return math.inf if denom == 0 else 0.5 / denom
 
 
+# The sampled sandwich check draws its states and ages from this seed.
+SANDWICH_SEED = 7
+
+
 class RenewalLyapunov:
     """Age-augmented Lyapunov function G^n(xhat, s) + V(xhat) with
 
@@ -669,7 +657,7 @@ class RenewalLyapunov:
     and by sampling at construction)."""
 
     def __init__(self, p: PrelimitParams, arr: ArrivalSpec, spec: lyap.LyapunovSpec,
-                 check: bool = True, seed: int = 7):
+                 check: bool = True):
         if arr.kind != "renewal":
             raise ValueError("renewal Lyapunov needs a renewal arrival spec")
         self.p, self.arr, self.spec = p, arr, spec
@@ -678,7 +666,7 @@ class RenewalLyapunov:
         if spec.epsilon > bound:
             raise ValueError(f"epsilon {spec.epsilon} too large for the sandwich bound {bound}")
         if check:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(SANDWICH_SEED)
             xh = rng.uniform(-20, 20, size=(2000, p.m))
             ages = rng.exponential(1.0, size=(2000, p.m)) / p.lambda_n
             ratio = self.value_scaled(xh, ages) * np.exp(-lyap.log_value(spec, xh))
@@ -915,13 +903,16 @@ def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerC
 # (state, allocation) pairs enumerated at once by the Poisson prelimit check;
 # its memory peaks in a chunk's allocation block
 _CHUNK_PAIRS = 4096
+# A state with more work-conserving allocations than this gets the priority
+# vertices and random allocations in place of all of them.
+Z_CUTOFF = 10_000
 
 
 def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarray,
-                   z_cutoff: int, rng: np.random.Generator):
+                   rng: np.random.Generator):
     """(A^n_z V / V, log V, ||xhat||_1) over every (state, allocation) pair.
 
-    States with more than ``z_cutoff`` allocations draw random ones from
+    States with more than ``Z_CUTOFF`` allocations draw random ones from
     ``rng`` in state order.  The generator keeps one matmul per state:
     summing rates * dn over all pairs at once rounds differently.
     """
@@ -934,7 +925,7 @@ def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarra
     r1 = np.abs(scale_state(states.astype(float), p)).sum(axis=1)
 
     counts = count_allocations(states, p.n)
-    exhaustive = counts <= z_cutoff
+    exhaustive = counts <= Z_CUTOFF
     sizes = np.where(exhaustive, counts, 0).astype(np.int64)
     # a chunk is the states whose first pair starts in the same
     # _CHUNK_PAIRS-wide window of the exhaustive pairs
@@ -948,7 +939,7 @@ def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarra
         pieces = np.split(p.mu_n * z + p.gamma_n * (x - z), np.cumsum(sizes[a:b])[:-1])
         for s, rates in zip(range(a, b), pieces):
             if not exhaustive[s]:
-                allocs = enumerate_allocations(states[s], p.n, cutoff=z_cutoff, rng=rng)
+                allocs = enumerate_allocations(states[s], p.n, cutoff=Z_CUTOFF, rng=rng)
                 rates = p.mu_n * allocs + p.gamma_n * (states[s] - allocs)
             gens.append(float(arrivals[s]) + rates @ dn[s])
     pairs = np.array([len(g) for g in gens])
@@ -957,7 +948,7 @@ def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarra
 
 def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
                            sampler: SamplerConfig, target: str = "exp_linear",
-                           eta: float = 1.0, z_cutoff: int = 10_000) -> VerificationReport:
+                           eta: float = 1.0) -> VerificationReport:
     """Certify the prelimit Foster-Lyapunov bound over sampled states and
     work-conserving allocations (exhaustive when the allocation set is small).
 
@@ -995,7 +986,7 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
 
     states = _sample_prelimit_states(p, region, sampler, rng)
     if arr.kind == "poisson":
-        t, log_v, r1 = _poisson_pairs(p, spec, states, z_cutoff, rng)
+        t, log_v, r1 = _poisson_pairs(p, spec, states, rng)
     else:
         lifted = RenewalLyapunov(p, arr, spec, check=False)
         rows = []

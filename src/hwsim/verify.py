@@ -44,45 +44,31 @@ class PreconditionError(ValueError):
 
 class RegionKind(str, Enum):
     BALL = "ball"                     # ||x||_1 <= R
-    CONE = "cone"                     # K_delta^{+/-} intersected with ||x||_1 <= R
-    CONE_MINUS_CUBE = "cone_minus_cube"
+    CONE = "cone"                     # K_0^+ = {<e,x> >= 0} intersected with ||x||_1 <= R
 
 
 @dataclass(frozen=True)
 class Region:
     kind: RegionKind
     radius: float
-    delta: float = 0.0
-    sign: int = 1
-    inner: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0 or self.inner < 0:
-            raise ValueError("region radii must be positive")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
+        if self.radius <= 0:
+            raise ValueError("region radius must be positive")
 
     @classmethod
     def ball(cls, radius: float) -> "Region":
         return cls(RegionKind.BALL, radius)
 
     @classmethod
-    def cone(cls, sign: int, delta: float, radius: float) -> "Region":
-        return cls(RegionKind.CONE, radius, delta=delta, sign=sign)
-
-    @classmethod
-    def cone_minus_cube(cls, sign: int, delta: float, inner: float, radius: float) -> "Region":
-        return cls(RegionKind.CONE_MINUS_CUBE, radius, delta=delta, sign=sign, inner=inner)
+    def cone(cls, radius: float) -> "Region":
+        return cls(RegionKind.CONE, radius)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        r1 = np.abs(x).sum(axis=-1)
-        inside = r1 <= self.radius
-        if self.kind in (RegionKind.CONE, RegionKind.CONE_MINUS_CUBE):
-            s = x.sum(axis=-1)
-            inside &= self.sign * s >= self.delta * r1
-        if self.kind == RegionKind.CONE_MINUS_CUBE:
-            inside &= r1 > self.inner
+        inside = np.abs(x).sum(axis=-1) <= self.radius
+        if self.kind == RegionKind.CONE:
+            inside &= x.sum(axis=-1) >= 0.0
         return inside
 
 
@@ -159,11 +145,9 @@ def sample_states(region: Region, cfg: SamplerConfig, m: int,
         if no > 0:
             sgn = np.where(rng.random(no) < 0.5, 1.0, -1.0)
             ol[:] = np.abs(ol) * sgn[:, None]
-        if region.kind in (RegionKind.CONE, RegionKind.CONE_MINUS_CUBE):
-            # reflecting doubles the yield for sign-definite cones
-            s = base.sum(axis=-1)
-            flip = region.sign * s < 0
-            base[flip] *= -1.0
+        if region.kind == RegionKind.CONE:
+            # reflecting doubles the yield for the cone
+            base[base.sum(axis=-1) < 0] *= -1.0
         keep = region.contains(base)
         got = base[keep]
         out.append(got[:needed])
@@ -338,9 +322,13 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
 # Foster-Lyapunov bounds
 # ---------------------------------------------------------------------------
 
+# Weight w of the idleness decay in the exp-linear Foster bound.
+NEG_WEIGHT = 0.5
+
+
 def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
                              region: Region, sampler: SamplerConfig,
-                             neg_weight: float = 0.5) -> VerificationReport:
+                             neg_weight: float = NEG_WEIGHT) -> VerificationReport:
     """L_u V <= kappa_0 - eps (rho/2m + w th ||x^-||_1) V with estimated kappa_0.
 
     On the far negative orthant the drift supplies idleness decay at rate
@@ -378,8 +366,7 @@ def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
 
 
 def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
-                              sampler: SamplerConfig,
-                              theta: float | None = None) -> VerificationReport:
+                              sampler: SamplerConfig) -> VerificationReport:
     """L_u V^ <= k0 - k1 ||x||_1 V^ on K_0^+ x Delta for the abandonment family.
 
     k1 is fitted on the outer half of the sampled radius and must be
@@ -388,10 +375,10 @@ def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
     beta = dspec.beta
     if float(beta.min()) <= 0:
         raise PreconditionError("abandonment family needs all abandonment rates positive")
-    th = lyap.sub_gaussian_theta(float(beta.min()), float(beta.max())) if theta is None else theta
+    th = lyap.sub_gaussian_theta(float(beta.min()), float(beta.max()))
     spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, dspec.mu, eta=eta, theta=th)
-    if region.kind not in (RegionKind.CONE, RegionKind.CONE_MINUS_CUBE) or region.sign != 1:
-        region = Region.cone(1, 0.0, region.radius)
+    if region.kind != RegionKind.CONE:
+        region = Region.cone(region.radius)
     x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
     q = lyap.generator_ratio(spec, x, u, dspec, check=False)
     k1 = fitted_slope(q, r1, r1 >= 0.5 * region.radius)
@@ -435,11 +422,13 @@ def verify_neg_part_foster(dspec: DiffusionSpec, neg_spec: lyap.LyapunovSpec,
                         decay=np.where(minus, k1 * r1, floor))
 
 
+# The eta values the negative-part sub-Gaussian check tries, largest first.
+ETA_GRID = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
+
+
 def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.LyapunovSpec,
                                         class_subset: tuple[int, ...], region: Region,
-                                        sampler: SamplerConfig,
-                                        eta_grid: tuple[float, ...] = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125),
-                                        ) -> VerificationReport:
+                                        sampler: SamplerConfig) -> VerificationReport:
     """Grid search for eta making L_u (V~_eta V) <= c0 - c1 (V~_eta V) hold globally.
 
     Returns the report of the largest grid eta whose decay constant c1 is
@@ -450,8 +439,7 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
         raise PreconditionError("negative-part bound needs positive spare capacity")
     x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / v_spec.epsilon))
     far = r1 >= 0.5 * region.radius
-    last = None
-    for eta in sorted(eta_grid, reverse=True):
+    for eta in ETA_GRID:
         ns = lyap.LyapunovSpec(lyap.Family.NEG_PART_SUB_GAUSSIAN, dspec.mu, eta=eta,
                                class_subset=class_subset)
         q = lyap.generator_ratio([ns, v_spec], x, u, dspec, check=False)
@@ -471,17 +459,16 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
         if rep.passed:
             return rep
         last = rep
-    if last is None:
-        raise PreconditionError("empty eta grid")
     return last
 
 
 # max over s of -psi'(s) s: the per-coordinate slack of the cutoff middle piece
 CUTOFF_SLACK = 0.2599
+# No suggested sampling radius is smaller than this.
+RADIUS_FLOOR = 60.0
 
 
-def suggested_radius(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
-                     neg_weight: float = 0.5, floor: float = 60.0) -> float:
+def suggested_radius(dspec: DiffusionSpec, spec: lyap.LyapunovSpec) -> float:
     """Sampling radius comfortably past the family's expected attainment radius.
 
     The binding region is the far negative orthant, where coordinates inside
@@ -502,8 +489,8 @@ def suggested_radius(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     else:
         eps, th = spec.epsilon, spec.theta
         slack = CUTOFF_SLACK * m + eps * (th * rho + rho / (2.0 * m) + eps * th * th * dspec.c_bar)
-        r = slack / (eps * th * max(1.0 - neg_weight, 0.25))
-    return max(floor, 2.5 * r)
+        r = slack / (eps * th * max(1.0 - NEG_WEIGHT, 0.25))
+    return max(RADIUS_FLOOR, 2.5 * r)
 
 
 def default_suite(params: SystemParams, sampler: SamplerConfig,
@@ -546,7 +533,6 @@ def default_suite(params: SystemParams, sampler: SamplerConfig,
         reports.append(verify_sub_gaussian_foster(dspec, sg, reg(sg), sampler))
         ab = lyap.select_parameters(lyap.Goal.ABANDON, params, eta=eta)
         abandon_region = (region if region is not None
-                          else Region.cone(1, 0.0, suggested_radius(dspec, ab)))
-        reports.append(verify_abandonment_foster(dspec, eta, abandon_region, sampler,
-                                                 theta=ab.theta))
+                          else Region.cone(suggested_radius(dspec, ab)))
+        reports.append(verify_abandonment_foster(dspec, eta, abandon_region, sampler))
     return reports

@@ -269,14 +269,6 @@ class TestMeasure:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="normalize"):
             m.normalized_weights()
 
-    def test_merge_is_order_insensitive_in_content(self):
-        a = measures.from_samples(np.zeros((3, 2)))
-        b = measures.from_samples(np.ones((2, 2)))
-        ab = a.merge(b)
-        ba = b.merge(a)
-        assert sorted(map(tuple, ab.samples.tolist())) == sorted(map(tuple, ba.samples.tolist()))
-        assert ab.total_weight == ba.total_weight
-
     def test_moment_requires_accumulator(self):
         m = measures.from_samples(np.zeros((3, 2)))
         with pytest.raises(KeyError):
@@ -297,7 +289,7 @@ class TestIdleness:
         ests = []
         for pol in (dif.ConstantControl([0.5, 0.5]), dif.StaticPriorityControl((0, 1))):
             run = dif.simulate(dspec, pol, cfg)
-            rep = dif.check_idleness_identity(run.measure, dspec, tol=0.05)
+            rep = dif.check_idleness_identity(run.measure, dspec)
             assert rep.passed
             ests.append((rep.estimate, rep.stderr))
         gap = abs(ests[0][0] - ests[1][0])

@@ -145,13 +145,14 @@ class TestPrelimitCheck:
                                         target="abandon")
         assert rep.to_dict() == reports["abandon"].to_dict()
 
-    def test_random_allocations_keep_their_stream(self):
-        # z_cutoff = 300 sends 4 of the 7 sampled states, with up to 1078
+    def test_random_allocations_keep_their_stream(self, monkeypatch):
+        # Z_CUTOFF = 300 sends 4 of the 7 sampled states, with up to 1078
         # allocations, to the random path: its 1000 draws per state from the
         # check's generator, in state order, set the number of pairs
+        monkeypatch.setattr(qs, "Z_CUTOFF", 300)
         rep = qs.verify_prelimit_foster(prelimit_params(CERTIFY, 100), POISSON, REGION,
                                         ver.SamplerConfig(n_samples=8, seed=5),
-                                        target="abandon", z_cutoff=300)
+                                        target="abandon")
         assert rep.to_dict() == {
             "inequality": "prelimit_abandon_foster", "samples": 2301, "violations": 0,
             "worst_margin": 1.948836318790427, "seed": 5, "passed": True,
@@ -197,6 +198,19 @@ class TestGenerators:
                 # each term of the generator
                 scale = v(x) * float(np.sum(p.lambda_n + p.mu_n * z + p.gamma_n * (x - z)))
                 assert abs(ratio * v(x) - direct) <= 1e-10 * scale
+
+    def test_renewal_generator_needs_a_bounded_hazard(self, certify_n10):
+        class Flat:                        # a lifted function that never fails itself
+            def value(self, x, s):
+                return 1.0
+
+            def ds_sum(self, x, s):
+                return 0.0
+
+        arr = qs.ArrivalSpec.renewal([qs.LogNormal(0.5), qs.Exponential(), qs.Exponential()])
+        x, s = np.array([3, 4, 5]), np.ones(3)
+        with pytest.raises(ver.PreconditionError, match="unbounded hazard"):
+            qs.prelimit_generator_apply(Flat(), x, s, x, certify_n10, arr)
 
     def test_age_derivative_matches_a_central_difference(self, certify_n10):
         p = certify_n10

@@ -149,6 +149,23 @@ class TestErlangA:
             assert abs(est - pi[k]) <= IDENTITY_SE * se, (k, est, se, pi[k])
 
 
+class TestInterarrivalLaws:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_erlang_hazard_and_mrl_match_closed_forms(self, k):
+        # with a = kt and stage terms a^i / i!, i < k:
+        # hazard = k a^(k-1) / (k-1)! / sum_i a^i / i!  (density over survival)
+        # mrl = sum_i (k - i) a^i / i! / (k sum_i a^i / i!)
+        law = qs.Erlang(k)
+        for t in np.linspace(0.0, 20.0, 81):
+            a = k * t
+            terms = [a**i / math.factorial(i) for i in range(k)]
+            density = k * a ** (k - 1) * math.exp(-a) / math.factorial(k - 1)
+            survival = math.exp(-a) * sum(terms)
+            mrl = sum((k - i) * v for i, v in enumerate(terms)) / (k * sum(terms))
+            assert law.hazard(t) == pytest.approx(density / survival, rel=1e-12)
+            assert law.mrl(t) == pytest.approx(mrl, rel=1e-12)
+
+
 class TestAllocations:
     @given(st.data())
     @settings(max_examples=100, deadline=None)

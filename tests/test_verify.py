@@ -34,9 +34,7 @@ class TestSampler:
         assert np.array_equal(a, b)
 
     def test_region_respected(self):
-        for region in (ver.Region.ball(10.0), ver.Region.cone(1, 0.3, 10.0),
-                       ver.Region.cone(-1, 1.0, 8.0),
-                       ver.Region.cone_minus_cube(1, 0.0, 2.0, 10.0)):
+        for region in (ver.Region.ball(10.0), ver.Region.cone(10.0)):
             x = ver.sample_states(region, ver.SamplerConfig(2000, seed=3), 2,
                                   rng=np.random.default_rng(3))
             assert region.contains(x).all()
@@ -178,20 +176,20 @@ class TestAbandonmentFamily:
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
     def test_linear_decay_for_every_eta(self, abandon_system, eta):
         ds = hwsim.diffusion_spec(abandon_system)
-        rep = ver.verify_abandonment_foster(ds, eta, ver.Region.cone(1, 0.0, 60.0), SAMP)
+        rep = ver.verify_abandonment_foster(ds, eta, ver.Region.cone(60.0), SAMP)
         assert rep.passed
         assert rep.constants["kappa1_estimate"] > 0.05
 
     def test_rejects_zero_abandonment(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
         with pytest.raises(ver.PreconditionError):
-            ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(1, 0.0, 40.0), SAMP)
+            ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(40.0), SAMP)
 
     def test_kappa1_stable_under_sample_doubling(self, abandon_system):
         ds = hwsim.diffusion_spec(abandon_system)
-        r1 = ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(1, 0.0, 60.0),
+        r1 = ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(60.0),
                                            ver.SamplerConfig(20_000, seed=7))
-        r2 = ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(1, 0.0, 60.0),
+        r2 = ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(60.0),
                                            ver.SamplerConfig(40_000, seed=7))
         a = r1.constants["kappa1_estimate"]
         b = r2.constants["kappa1_estimate"]
@@ -331,13 +329,13 @@ class TestSlopeFit:
         vspec = LyapunovSpec(Family.EXP_LINEAR, (1.0, 1.0), epsilon=0.01, theta=0.1)
         reps = [
             ver.verify_abandonment_foster(hwsim.diffusion_spec(abandon_system), 1.0,
-                                          ver.Region.cone(1, 0.0, 40.0), samp),
+                                          ver.Region.cone(40.0), samp),
             ver.verify_neg_part_foster(hwsim.diffusion_spec(stable_system),
                                        lyap.select_parameters(Goal.NEG_PART, stable_system),
                                        vspec, ver.Region.ball(40.0), samp),
         ]
 
-        def pairs(p, spec, states, z_cutoff, rng):
+        def pairs(p, spec, states, rng):
             r1 = np.abs(scale_state(states.astype(float), p)).sum(axis=1)
             return r1, 0.0 * r1, r1
 
