@@ -76,13 +76,17 @@ def big_psi_star(x, eps: float, theta: float, mu) -> np.ndarray:
     return v
 
 
+def _psi_star_value(x: np.ndarray, eps: float, theta: float, mu: np.ndarray) -> np.ndarray:
+    return np.sum((eps * theta * psi(-x) + psi(eps * x)) / mu, axis=-1)
+
+
 def psi_star_terms(x, eps: float, theta: float, mu):
     """Value, per-coordinate gradient and per-coordinate second derivative of Psi*."""
     if eps <= 0 or theta <= 0:
         raise ValueError("eps and theta must be positive")
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    val = np.sum((eps * theta * psi(-x) + psi(eps * x)) / mu, axis=-1)
+    val = _psi_star_value(x, eps, theta, mu)
     g = (-eps * theta * psi_d1(-x) + eps * psi_d1(eps * x)) / mu
     h = (eps * theta * psi_d2(-x) + eps * eps * psi_d2(eps * x)) / mu
     return val, g, h
@@ -164,20 +168,25 @@ class LyapunovSpec:
         return mask
 
 
-def _inner_terms(spec: LyapunovSpec, x: np.ndarray):
+def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
     """Separable inner sum T(x) with per-coordinate first/second derivatives.
 
     For EXP_LINEAR/ABANDON_EXP/NEG_PART_EXP the log of the family is T itself;
     for the squared families the log is T^2/2; for POWER the log is
     p log(T + shift) with the strictly positive shift (1 + eps theta) sum 1/mu.
+    With ``derivatives=False`` only T is computed and both derivatives are None.
     """
     mu = spec.mu
     f = spec.family
     if f in (Family.EXP_LINEAR, Family.SUB_GAUSSIAN, Family.POWER):
+        if not derivatives:
+            return _psi_star_value(x, spec.epsilon, spec.theta, mu), None, None
         return psi_star_terms(x, spec.epsilon, spec.theta, mu)
     if f == Family.ABANDON_EXP:
         eta, th = spec.eta, spec.theta
         val = eta * np.sum((th * psi(-x) + psi(x)) / mu, axis=-1)
+        if not derivatives:
+            return val, None, None
         g = eta * (-th * psi_d1(-x) + psi_d1(x)) / mu
         h = eta * (th * psi_d2(-x) + psi_d2(x)) / mu
         return val, g, h
@@ -185,6 +194,8 @@ def _inner_terms(spec: LyapunovSpec, x: np.ndarray):
         eta = spec.eta
         mask = spec.subset_mask()
         val = eta * np.sum(mask * psi(-x) / mu, axis=-1)
+        if not derivatives:
+            return val, None, None
         g = -eta * mask * psi_d1(-x) / mu
         h = eta * mask * psi_d2(-x) / mu
         return val, g, h
@@ -195,9 +206,27 @@ def _inner_terms(spec: LyapunovSpec, x: np.ndarray):
         eta = spec.eta
         mask = spec.subset_mask()
         val = eta * np.sum(mask * (psi(-eta * x) + 0.5) / mu, axis=-1)
+        if not derivatives:
+            return val, None, None
         g = -eta * eta * mask * psi_d1(-eta * x) / mu
         h = eta**3 * mask * psi_d2(-eta * x) / mu
         return val, g, h
+    raise ValueError(f"unknown family {f}")
+
+
+def _power_base(spec: LyapunovSpec, val: np.ndarray) -> np.ndarray:
+    return val + (1.0 + spec.epsilon * spec.theta) * float(np.sum(1.0 / spec.mu))
+
+
+def _log_of_inner(spec: LyapunovSpec, val: np.ndarray) -> np.ndarray:
+    """L = log f from the inner sum T."""
+    f = spec.family
+    if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
+        return val
+    if f in (Family.SUB_GAUSSIAN, Family.NEG_PART_SUB_GAUSSIAN):
+        return 0.5 * val**2
+    if f == Family.POWER:
+        return spec.p * np.log(_power_base(spec, val))
     raise ValueError(f"unknown family {f}")
 
 
@@ -209,25 +238,21 @@ def log_terms(spec: LyapunovSpec, x):
     """
     x = np.asarray(x, dtype=float)
     val, g, h = _inner_terms(spec, x)
+    L = _log_of_inner(spec, val)
     f = spec.family
     if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
-        return val, g, h
+        return L, g, h
     if f in (Family.SUB_GAUSSIAN, Family.NEG_PART_SUB_GAUSSIAN):
-        L = 0.5 * val**2
-        gl = val[..., None] * g
-        hl = g * g + val[..., None] * h
-        return L, gl, hl
-    if f == Family.POWER:
-        base = val + (1.0 + spec.epsilon * spec.theta) * float(np.sum(1.0 / spec.mu))
-        L = spec.p * np.log(base)
-        gl = spec.p * g / base[..., None]
-        hl = spec.p * (h / base[..., None] - (g / base[..., None]) ** 2)
-        return L, gl, hl
-    raise ValueError(f"unknown family {f}")
+        return L, val[..., None] * g, g * g + val[..., None] * h
+    base = _power_base(spec, val)[..., None]
+    return L, spec.p * g / base, spec.p * (h / base - (g / base) ** 2)
 
 
 def log_value(spec: LyapunovSpec, x) -> np.ndarray:
-    return log_terms(spec, x)[0]
+    """L = log f at x, the first of ``log_terms``; computes the value only."""
+    x = np.asarray(x, dtype=float)
+    val, _, _ = _inner_terms(spec, x, derivatives=False)
+    return _log_of_inner(spec, val)
 
 
 def evaluate(spec: LyapunovSpec, x) -> np.ndarray:
@@ -245,21 +270,18 @@ def hessian(spec: LyapunovSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     val, g, h = _inner_terms(spec, x)
     f = spec.family
+    L = _log_of_inner(spec, val)
     if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
-        L, gl = val, g
+        gl = g
         hess_l = _diag_embed(h)
     elif f in (Family.SUB_GAUSSIAN, Family.NEG_PART_SUB_GAUSSIAN):
-        L = 0.5 * val**2
         gl = val[..., None] * g
         hess_l = _outer(g, g) + val[..., None, None] * _diag_embed(h)
-    elif f == Family.POWER:
-        base = val + (1.0 + spec.epsilon * spec.theta) * float(np.sum(1.0 / spec.mu))
-        L = spec.p * np.log(base)
+    else:
+        base = _power_base(spec, val)
         gb = g / base[..., None]
         gl = spec.p * gb
         hess_l = spec.p * (_diag_embed(h / base[..., None]) - _outer(gb, gb))
-    else:
-        raise ValueError(f"unknown family {f}")
     return np.exp(L)[..., None, None] * (_outer(gl, gl) + hess_l)
 
 
@@ -289,10 +311,16 @@ def generator_ratio(spec, x, u, dspec: DiffusionSpec, c: float = math.inf,
     """
     specs = [spec] if isinstance(spec, LyapunovSpec) else list(spec)
     x = np.asarray(x, dtype=float)
+    return ratio_from_terms([log_terms(s, x) for s in specs], x, u, dspec, c, check=check)
+
+
+def ratio_from_terms(terms, x, u, dspec: DiffusionSpec, c: float = math.inf,
+                     check: bool = True) -> np.ndarray:
+    """``generator_ratio`` of the product family from each factor's ``log_terms``
+    at x, for callers that already hold them (they need L as well)."""
     gl = 0.0
     hl = 0.0
-    for s in specs:
-        _, g, h = log_terms(s, x)
+    for _, g, h in terms:
         gl = gl + g
         hl = hl + h
     b = drift_truncated(x, u, dspec, c, check=check)

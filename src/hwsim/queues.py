@@ -753,7 +753,12 @@ def _allocation_block(states: np.ndarray, n: int) -> np.ndarray:
     return np.stack(cols + [rem], axis=1)
 
 
-def enumerate_allocations(x: np.ndarray, n: int, cutoff: int = 10_000,
+# A state with more work-conserving allocations than this gets the priority
+# vertices and random allocations in place of all of them.
+Z_CUTOFF = 10_000
+
+
+def enumerate_allocations(x: np.ndarray, n: int, cutoff: int = Z_CUTOFF,
                           rng: np.random.Generator | None = None,
                           n_random: int = 1000) -> np.ndarray:
     """All of Z^n(x) in lexicographic order when there are at most
@@ -903,9 +908,6 @@ def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerC
 # (state, allocation) pairs enumerated at once by the Poisson prelimit check;
 # its memory peaks in a chunk's allocation block
 _CHUNK_PAIRS = 4096
-# A state with more work-conserving allocations than this gets the priority
-# vertices and random allocations in place of all of them.
-Z_CUTOFF = 10_000
 
 
 def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarray,

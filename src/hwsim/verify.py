@@ -3,7 +3,9 @@
 Every diffusion check draws its samples from ``_cloud``: a deterministic,
 seed-keyed cloud of states (enriched near the cone boundary, the coordinate
 axes and the curvature joints of the cutoff), one simplex control per state
-(the vertices, the barycenter, Dirichlet samples) and their ||x||_1.  The
+(the vertices, the barycenter, Dirichlet samples) and their ||x||_1.
+Consecutive checks on one region share one read-only cloud: ``_cloud`` keeps
+the last one it drew, and ``default_suite`` drops it when it returns.  The
 Foster bounds all read ``L V / V + decay(x) <= 0`` outside a compact set and
 end in one report: ``decay_report`` for a fixed decay term, ``slope_report``
 for a linear decay whose slope kappa1 ``fitted_slope`` takes from the far
@@ -18,6 +20,7 @@ linear-scale test with slack 1e-9 (1 + |RHS|).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -166,17 +169,25 @@ def sample_controls(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     rest = n - fixed.shape[0]
     if rest > 0:
         fixed = np.concatenate([fixed, rng.dirichlet(np.ones(m), size=rest)], axis=0)
-    rng.shuffle(fixed, axis=0)
-    return fixed
+    # the same draws as rng.shuffle(fixed, axis=0), without its row-by-row swaps
+    return fixed[rng.permutation(len(fixed))]
 
 
+@functools.lru_cache(maxsize=1)
 def _cloud(region: Region, sampler: SamplerConfig, m: int,
            joint_values: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States, one control per state and ||x||_1, all from the sampler's seed."""
+    """States, one control per state and ||x||_1, all from the sampler's seed.
+
+    The last cloud is kept for the next check on the same arguments, so the
+    arrays are read-only.
+    """
     rng = np.random.default_rng(sampler.seed)
     x = sample_states(region, sampler, m, joint_values=joint_values, rng=rng)
     u = sample_controls(x.shape[0], m, rng)
-    return x, u, np.abs(x).sum(axis=-1)
+    cloud = x, u, np.abs(x).sum(axis=-1)
+    for a in cloud:
+        a.flags.writeable = False
+    return cloud
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +310,7 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
         raise PreconditionError(f"truncation level must be >= 1, got {c}")
 
     x, u, r1 = _cloud(region, sampler, m, (0.0, 1.0, -1.0 / eps))
-    _, gl, _ = lyap.log_terms(spec, x)
+    log_v, gl, _ = lyap.log_terms(spec, x)
     lhs = np.sum(gl * drift_truncated(x, u, dspec, c, check=False), axis=-1)
 
     s = x.sum(axis=-1)
@@ -309,7 +320,6 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     rhs = np.where(s <= 0.0, rhs_minus, rhs_plus)
 
     margin = rhs - lhs
-    log_v = lyap.log_value(spec, x)
     slack = BASE_SLACK * (np.exp(-np.clip(log_v, -700, 700)) + np.abs(rhs))
     violations = int(np.sum(margin < -slack))
     return VerificationReport(f"exp_linear_drift[c={c:g}]", x.shape[0], violations,
@@ -321,6 +331,12 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
 # ---------------------------------------------------------------------------
 # Foster-Lyapunov bounds
 # ---------------------------------------------------------------------------
+
+def _ratio(spec: lyap.LyapunovSpec, x, u, dspec: DiffusionSpec):
+    """(L_u f / f, log f) on the cloud from one ``log_terms`` evaluation."""
+    terms = lyap.log_terms(spec, x)
+    return lyap.ratio_from_terms([terms], x, u, dspec, check=False), terms[0]
+
 
 # Weight w of the idleness decay in the exp-linear Foster bound.
 NEG_WEIGHT = 0.5
@@ -340,10 +356,10 @@ def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
         raise PreconditionError("exp-linear Foster bound needs positive spare capacity")
     eps, th = spec.epsilon, spec.theta
     x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q = lyap.generator_ratio(spec, x, u, dspec, check=False)
+    q, log_v = _ratio(spec, x, u, dspec)
     neg_part = np.maximum(-x, 0.0).sum(axis=-1)
     decay = eps * (dspec.varrho / (2.0 * dspec.m) + neg_weight * th * neg_part)
-    return decay_report("exp_linear_foster", q + decay, lyap.log_value(spec, x), r1,
+    return decay_report("exp_linear_foster", q + decay, log_v, r1,
                         region.radius, sampler.seed,
                         {"epsilon": eps, "theta": th, "neg_weight": neg_weight})
 
@@ -359,8 +375,8 @@ def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     coeff = (eps**2 * min(th, beta_min * min(beta_min, 0.5))
              * min(1.0, th) / (2.0 * float(dspec.mu.max())))
     x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q = lyap.generator_ratio(spec, x, u, dspec, check=False)
-    return decay_report("sub_gaussian_foster", q + coeff * r1**2, lyap.log_value(spec, x), r1,
+    q, log_v = _ratio(spec, x, u, dspec)
+    return decay_report("sub_gaussian_foster", q + coeff * r1**2, log_v, r1,
                         region.radius, sampler.seed,
                         {"epsilon": eps, "theta": th, "decay_coeff": coeff})
 
@@ -380,17 +396,17 @@ def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
     if region.kind != RegionKind.CONE:
         region = Region.cone(region.radius)
     x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
-    q = lyap.generator_ratio(spec, x, u, dspec, check=False)
+    q, log_v = _ratio(spec, x, u, dspec)
     k1 = fitted_slope(q, r1, r1 >= 0.5 * region.radius)
-    return slope_report("abandonment_foster", q, k1, r1, lyap.log_value(spec, x),
+    return slope_report("abandonment_foster", q, k1, r1, log_v,
                         region.radius, sampler.seed, {"eta": eta, "theta": th})
 
 
 def _sum_ratio(spec_a: lyap.LyapunovSpec, spec_b: lyap.LyapunovSpec, x, u,
                dspec: DiffusionSpec):
     """Generator ratio of f_a + f_b via a stable log-weighted average."""
-    la, qa = lyap.log_value(spec_a, x), lyap.generator_ratio(spec_a, x, u, dspec, check=False)
-    lb, qb = lyap.log_value(spec_b, x), lyap.generator_ratio(spec_b, x, u, dspec, check=False)
+    qa, la = _ratio(spec_a, x, u, dspec)
+    qb, lb = _ratio(spec_b, x, u, dspec)
     w = 1.0 / (1.0 + np.exp(np.clip(lb - la, -700, 700)))
     q = w * qa + (1.0 - w) * qb
     return q, np.logaddexp(la, lb)
@@ -439,10 +455,12 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
         raise PreconditionError("negative-part bound needs positive spare capacity")
     x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / v_spec.epsilon))
     far = r1 >= 0.5 * region.radius
+    v_terms = lyap.log_terms(v_spec, x)
     for eta in ETA_GRID:
         ns = lyap.LyapunovSpec(lyap.Family.NEG_PART_SUB_GAUSSIAN, dspec.mu, eta=eta,
                                class_subset=class_subset)
-        q = lyap.generator_ratio([ns, v_spec], x, u, dspec, check=False)
+        ns_terms = lyap.log_terms(ns, x)
+        q = lyap.ratio_from_terms([ns_terms, v_terms], x, u, dspec, check=False)
         c1_raw = float(-np.max(q[far]))
         if c1_raw <= 0:
             last = VerificationReport(
@@ -452,9 +470,8 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
                 notes="no positive decay constant at this eta (sampling caveat)")
             continue
         c1 = 0.9 * c1_raw
-        log_v = lyap.log_value(ns, x) + lyap.log_value(v_spec, x)
         rep = decay_report(f"neg_part_sub_gaussian_foster[eta={eta:g}]", q + c1,
-                           log_v, r1, region.radius, sampler.seed,
+                           ns_terms[0] + v_terms[0], r1, region.radius, sampler.seed,
                            {"eta": eta, "c1_estimate": c1})
         if rep.passed:
             return rep
@@ -513,26 +530,30 @@ def default_suite(params: SystemParams, sampler: SamplerConfig,
     def reg(spec):
         return region if region is not None else Region.ball(suggested_radius(dspec, spec))
 
-    if varrho > 0:
-        spec = lyap.select_parameters(lyap.Goal.EXP_ERGODIC, params)
-        if "epsilon" in overrides or "theta" in overrides:
-            spec = lyap.LyapunovSpec(
-                lyap.Family.EXP_LINEAR, params.mu,
-                epsilon=float(overrides.get("epsilon", spec.epsilon)),
-                theta=float(overrides.get("theta", spec.theta)))
-        for c in truncations:
-            reports.append(verify_exp_linear_drift(dspec, spec, c, Region.ball(50.0)
-                                                   if region is None else region, sampler))
-        reports.append(verify_exp_linear_foster(dspec, spec, reg(spec), sampler))
-        neg = lyap.select_parameters(lyap.Goal.NEG_PART, params, eta=eta)
-        reports.append(verify_neg_part_foster(dspec, neg, spec, reg(spec), sampler))
-        reports.append(verify_neg_part_sub_gaussian_foster(
-            dspec, spec, neg.class_subset, reg(spec), sampler))
-    if float(params.gamma.min()) > 0:
-        sg = lyap.select_parameters(lyap.Goal.SUB_GAUSSIAN, params)
-        reports.append(verify_sub_gaussian_foster(dspec, sg, reg(sg), sampler))
-        ab = lyap.select_parameters(lyap.Goal.ABANDON, params, eta=eta)
-        abandon_region = (region if region is not None
-                          else Region.cone(suggested_radius(dspec, ab)))
-        reports.append(verify_abandonment_foster(dspec, eta, abandon_region, sampler))
+    # consecutive checks on one region share its cloud; none outlives the suite
+    try:
+        if varrho > 0:
+            spec = lyap.select_parameters(lyap.Goal.EXP_ERGODIC, params)
+            if "epsilon" in overrides or "theta" in overrides:
+                spec = lyap.LyapunovSpec(
+                    lyap.Family.EXP_LINEAR, params.mu,
+                    epsilon=float(overrides.get("epsilon", spec.epsilon)),
+                    theta=float(overrides.get("theta", spec.theta)))
+            for c in truncations:
+                reports.append(verify_exp_linear_drift(dspec, spec, c, Region.ball(50.0)
+                                                       if region is None else region, sampler))
+            reports.append(verify_exp_linear_foster(dspec, spec, reg(spec), sampler))
+            neg = lyap.select_parameters(lyap.Goal.NEG_PART, params, eta=eta)
+            reports.append(verify_neg_part_foster(dspec, neg, spec, reg(spec), sampler))
+            reports.append(verify_neg_part_sub_gaussian_foster(
+                dspec, spec, neg.class_subset, reg(spec), sampler))
+        if float(params.gamma.min()) > 0:
+            sg = lyap.select_parameters(lyap.Goal.SUB_GAUSSIAN, params)
+            reports.append(verify_sub_gaussian_foster(dspec, sg, reg(sg), sampler))
+            ab = lyap.select_parameters(lyap.Goal.ABANDON, params, eta=eta)
+            abandon_region = (region if region is not None
+                              else Region.cone(suggested_radius(dspec, ab)))
+            reports.append(verify_abandonment_foster(dspec, eta, abandon_region, sampler))
+    finally:
+        _cloud.cache_clear()
     return reports

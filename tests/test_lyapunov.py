@@ -242,6 +242,40 @@ class TestGenerator:
             assert abs(est - target) < 3 * se + 5e-3 * abs(target)
 
 
+class TestLogSplit:
+    """log_value and ratio_from_terms give the very bits of log_terms and
+    generator_ratio."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(11)
+        return np.concatenate([rng.uniform(-5, 5, size=(200, 2)),
+                               rng.uniform(-1e6, 1e6, size=(50, 2)),
+                               [[-0.0, -0.0], [-0.0, 3.0], [1e300, -0.0], [-1e300, 2.0]]])
+
+    def test_log_value_is_the_first_log_term(self, system):
+        x = self.points()
+        for name, spec in all_family_specs(system.mu).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.array_equal(lyap.log_value(spec, x), lyap.log_terms(spec, x)[0],
+                                      equal_nan=True), name
+                assert np.array_equal(lyap.log_value(spec, x[-1]),
+                                      lyap.log_terms(spec, x[-1])[0], equal_nan=True), name
+
+    def test_ratio_from_terms_is_the_generator_ratio(self, system, dspec):
+        rng = np.random.default_rng(12)
+        x = self.points()[:250]
+        u = rng.dirichlet([1, 1], size=len(x))
+        specs = all_family_specs(system.mu)
+        product = [specs["neg_part_sub_gaussian"], specs["exp_linear"]]
+        for c in (1.0, 5.0, math.inf):
+            for name, spec in specs.items():
+                got = lyap.ratio_from_terms([lyap.log_terms(spec, x)], x, u, dspec, c)
+                assert np.array_equal(got, lyap.generator_ratio(spec, x, u, dspec, c)), name
+            got = lyap.ratio_from_terms([lyap.log_terms(s, x) for s in product], x, u, dspec, c)
+            assert np.array_equal(got, lyap.generator_ratio(product, x, u, dspec, c))
+
+
 class TestSelectParameters:
     def test_single_class_reference_values(self):
         sp = hwsim.make_system([1.0], [1.0], hat_lambda=[-1.0])

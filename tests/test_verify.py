@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hwsim
 from hwsim import lyapunov as lyap
@@ -54,6 +56,37 @@ class TestSampler:
         for i in range(3):
             assert np.any(np.all(u == np.eye(3)[i], axis=1))
         assert np.any(np.all(np.abs(u - 1 / 3) < 1e-12, axis=1))
+
+    @staticmethod
+    def _controls_by_row_swaps(n, m, rng):
+        # sample_controls as it was when it shuffled the rows in place
+        block = max(1, n // (4 * (m + 1)))
+        parts = [np.tile(np.eye(m)[i], (block, 1)) for i in range(m)]
+        parts.append(np.tile(np.full(m, 1.0 / m), (block, 1)))
+        fixed = np.concatenate(parts, axis=0)[:n]
+        rest = n - fixed.shape[0]
+        if rest > 0:
+            fixed = np.concatenate([fixed, rng.dirichlet(np.ones(m), size=rest)], axis=0)
+        rng.shuffle(fixed, axis=0)
+        return fixed
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_controls_match_the_row_swap_shuffle(self, n, m, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(ver.sample_controls(n, m, rng),
+                              self._controls_by_row_swaps(n, m, ref_rng))
+        assert rng.random() == ref_rng.random()
+
+    def test_cloud_is_read_only_and_dropped_after_the_suite(self, stable_system):
+        args = (ver.Region.ball(20.0), ver.SamplerConfig(500, seed=2), 2, (0.0, 1.0))
+        cloud = ver._cloud(*args)
+        assert ver._cloud(*args)[0] is cloud[0]
+        for a in cloud:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        ver.default_suite(stable_system, ver.SamplerConfig(500, seed=2))
+        assert ver._cloud.cache_info().currsize == 0
 
 
 class TestDriftInequality:
@@ -323,7 +356,7 @@ class TestSlopeFit:
         def growing(*args, **kwargs):
             return np.abs(args[1]).sum(axis=-1)
 
-        monkeypatch.setattr(lyap, "generator_ratio", growing)
+        monkeypatch.setattr(lyap, "ratio_from_terms", growing)
         monkeypatch.setattr(ver, "_sum_ratio", lambda a, b, x, u, d: (growing(a, x), 0.0 * x[:, 0]))
         samp = ver.SamplerConfig(2000, seed=7)
         vspec = LyapunovSpec(Family.EXP_LINEAR, (1.0, 1.0), epsilon=0.01, theta=0.1)
