@@ -6,7 +6,6 @@ from .model import (
     PrelimitParams,
     SystemParams,
     allocation_to_control,
-    cone_membership,
     diffusion_spec,
     drift,
     drift_truncated,

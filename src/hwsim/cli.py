@@ -1,10 +1,27 @@
 """Experiment orchestration: config parsing, subcommands, result persistence.
 
-A single INI-style config file defines one experiment scenario (system
-parameters, prelimit sizes, arrival spec, policies, simulation and verifier
-settings).  Subcommands write CSV artifacts plus a JSON detail file into the
-output directory and append ResultRecord rows to results.csv.  Exit codes:
-0 all checks passed, 1 verification violations, 2 config/precondition error.
+A single INI-style config file defines one experiment scenario.  These
+are its sections and keys, defaults in parentheses; ``parse_config`` rejects
+any other (``CONFIG_KEYS``).  Lists take commas or spaces.
+
+  [scenario]  id ("scenario"), seed
+  [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
+              of the [arrivals] laws)
+  [prelimit]  n: server counts, for sim-queue and the prelimit checks
+  [arrivals]  kind: poisson (default) or renewal, with dist: one law per
+              class, each exponential, erlang:<k>, hyperexp2:<scv> or
+              lognormal:<scv>
+  [policy.<name>]  at least one; kind: constant or proportional_split (with
+              u), static_priority (with order), longest_queue_first,
+              random_work_conserving
+  [sim]       horizon (200), step (0.001), burn_in (horizon / 10),
+              replicas (16), thin (1), x0 (0), blowup (1000)
+  [verify]    samples (100000), truncations (1, 5, inf), eta (1)
+  [output]    dir (out)
+
+Subcommands write CSV artifacts plus a JSON detail file into the output
+directory and append ResultRecord rows to results.csv.  Exit codes: 0 all
+checks passed, 1 verification violations, 2 config/precondition error.
 """
 
 from __future__ import annotations
@@ -41,6 +58,24 @@ class ConfigError(ValueError):
     pass
 
 
+# Every section and key the commands read; "policy.*" is each [policy.<name>].
+CONFIG_KEYS = {
+    "scenario": ("id", "seed"),
+    "system": ("lambda", "mu", "gamma", "hat_lambda", "hat_mu", "scv"),
+    "prelimit": ("n",),
+    "arrivals": ("kind", "dist"),
+    "policy.*": ("kind", "u", "order"),
+    "sim": ("horizon", "step", "burn_in", "replicas", "thin", "x0", "blowup"),
+    "verify": ("samples", "truncations", "eta"),
+    "output": ("dir",),
+}
+# The prelimit checks sample the ball of this radius in scaled states.
+PRELIMIT_RADIUS = 40.0
+# generator-check's (state, control) pairs, and its decade-spanning n grid,
+# which keeps the slope fit out of the small-error noise
+CONSISTENCY_POINTS, CONSISTENCY_N = 20, (100, 1000, 10000)
+
+
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
@@ -62,7 +97,6 @@ class ExperimentConfig:
     arrival_kind: str
     arrival_dists: tuple[str, ...]
     policies: list[PolicyConfig]
-    lyapunov: dict
     sim: dict
     verify: dict
     out_dir: str
@@ -83,7 +117,7 @@ def _parse_dist(token: str):
     if name == "erlang":
         return qs.Erlang(int(arg))
     if name == "lognormal":
-        return qs.LogNormal(float(arg))
+        return qs.LogNormal.from_scv(float(arg))
     raise ConfigError(f"unknown interarrival family {token!r}")
 
 
@@ -95,12 +129,26 @@ def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(v) for v in s.replace(",", " ").split())
 
 
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    if cp.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
+    for sect in cp.sections():
+        allowed = CONFIG_KEYS.get("policy.*" if sect.startswith("policy.") else sect)
+        if allowed is None:
+            raise ConfigError(f"unknown config section [{sect}]")
+        for key in cp[sect]:
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r} in [{sect}]; "
+                                  f"it accepts {', '.join(allowed)}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"config parse failure: {err}") from err
+    _check_keys(cp)
     try:
         sc = cp["scenario"]
         scenario = sc.get("id", "scenario")
@@ -146,7 +194,6 @@ def parse_config(text: str) -> ExperimentConfig:
             elif kind not in ("longest_queue_first", "random_work_conserving"):
                 raise ConfigError(f"unknown policy kind {kind!r}")
             policies.append(pol)
-        ly = dict(cp["lyapunov"]) if cp.has_section("lyapunov") else {}
         sim = dict(cp["sim"]) if cp.has_section("sim") else {}
         vf = dict(cp["verify"]) if cp.has_section("verify") else {}
         out_dir = cp["output"]["dir"] if cp.has_section("output") else "out"
@@ -157,7 +204,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not policies:
         raise ConfigError("at least one [policy.<name>] block is required")
     return ExperimentConfig(scenario, seed, system, n_list, arr_kind, dists,
-                            policies, ly, sim, vf, out_dir)
+                            policies, sim, vf, out_dir)
 
 
 def _sim_config(cfg: ExperimentConfig, seed: int) -> dif.SimConfig:
@@ -266,28 +313,19 @@ def write_samples_csv(path: Path, measure) -> None:
 
 def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
     out = _prepare_out(cfg, f"{cfg.scenario}_verify_report.csv", overwrite)
-    sampler = ver.SamplerConfig(
-        n_samples=int(cfg.verify.get("samples", 100_000)),
-        seed=int(cfg.verify.get("seed", cfg.seed)),
-    )
-    region = None
-    if "radius" in cfg.verify:
-        region = ver.Region.ball(float(cfg.verify["radius"]))
-    truncs = tuple(float(t) for t in
-                   str(cfg.verify.get("truncations", "1, 5, inf")).replace(",", " ").split())
+    sampler = ver.SamplerConfig(n_samples=int(cfg.verify.get("samples", 100_000)),
+                                seed=cfg.seed)
+    truncs = _floats(cfg.verify.get("truncations", "1, 5, inf"))
     eta = float(cfg.verify.get("eta", 1.0))
-    reports = ver.default_suite(cfg.system, sampler, region=region,
-                                truncations=truncs, eta=eta,
-                                overrides=cfg.lyapunov)
-    include = str(cfg.verify.get("include", "all"))
-    if cfg.n_list and ("prelimit" in include or include == "all"):
+    reports = ver.default_suite(cfg.system, sampler, truncations=truncs, eta=eta)
+    if cfg.n_list:
         n = cfg.n_list[0]
         p = prelimit_params(cfg.system, n)
         arr = cfg.arrival_spec(cfg.system.m)
         pre_sampler = ver.SamplerConfig(
             n_samples=min(sampler.n_samples, 10_000) if arr.kind == "poisson" else 300,
             seed=sampler.seed)
-        pre_region = ver.Region.ball(float(cfg.verify.get("prelimit_radius", 40.0)))
+        pre_region = ver.Region.ball(PRELIMIT_RADIUS)
         if p.varrho_n > 0 and arr.bounded_hazard():
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler))
         if arr.kind == "poisson" and float(p.gamma_n.min()) > 0:
@@ -386,9 +424,7 @@ def cmd_generator_check(cfg: ExperimentConfig, overwrite: bool) -> int:
         raise ConfigError("generator-check selects exp-linear parameters; needs rho > 0")
     spec = lyap.select_parameters(lyap.Goal.EXP_ERGODIC, cfg.system)
     rng = np.random.default_rng(cfg.seed)
-    n_pts = int(cfg.verify.get("consistency_points", 20))
-    # a decade-spanning n grid keeps the slope fit out of the small-error noise
-    n_list = _ints(str(cfg.verify.get("consistency_n", "100, 1000, 10000")))
+    n_pts, n_list = CONSISTENCY_POINTS, CONSISTENCY_N
     pts = rng.uniform(-3.0, 3.0, size=(n_pts, cfg.system.m))
     us = rng.dirichlet(np.ones(cfg.system.m), size=n_pts)
     errs = qs.generator_consistency_errors(cfg.system, dspec, spec, pts, us, n_list)
@@ -424,7 +460,7 @@ def cmd_tails(cfg: ExperimentConfig, overwrite: bool) -> int:
         pol = diffusion_policy(polcfg)
         run = dif.simulate(dspec, pol, _sim_config(cfg, cfg.seed + i))
         for form in ("exponential", "sub_gaussian"):
-            fit = dif.estimate_tail(run.measure, form, "l1")
+            fit = dif.estimate_tail(run.measure, form)
             rows.append((polcfg.name, form, fit))
             records.append(ResultRecord(cfg.scenario, "tails", cfg.seed + i,
                                         f"{polcfg.name}.{form}.slope", fit.slope,

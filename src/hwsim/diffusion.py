@@ -114,8 +114,6 @@ class SimConfig:
     x0: tuple[float, ...] | float = 0.0
     thin: float = 1.0
     blowup: float = 1e3
-    exp_deltas: tuple[float, ...] = ()
-    expsq_deltas: tuple[float, ...] = ()
     debug_checks: bool = False
 
     def __post_init__(self):
@@ -141,11 +139,8 @@ class DiffusionRun:
         return bool(self.tripped.any())
 
 
-def _moment_names(m: int, cfg: SimConfig) -> list[str]:
-    names = ["l1", "neg_sum", "sum"] + [f"coord{i}" for i in range(m)]
-    names += [f"exp:{d:g}" for d in cfg.exp_deltas]
-    names += [f"expsq:{d:g}" for d in cfg.expsq_deltas]
-    return names
+def _moment_names(m: int) -> list[str]:
+    return ["l1", "neg_sum", "sum"] + [f"coord{i}" for i in range(m)]
 
 
 def _fold(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -158,7 +153,7 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([total[None], terms]), axis=0)[-1]
 
 
-def _accumulate(integrals, live_time, xs, alive, h, cfg):
+def _accumulate(integrals, live_time, xs, alive, h):
     """Fold a block of post-burn-in states (B, R, m) and their alive masks
     (B, R) into the moment integrals; returns the new live time."""
     l1 = np.abs(xs).sum(axis=2)
@@ -166,9 +161,6 @@ def _accumulate(integrals, live_time, xs, alive, h, cfg):
     w = alive * h
     values = [("l1", l1), ("neg_sum", np.maximum(-s, 0.0)), ("sum", s)]
     values += [(f"coord{i}", xs[:, :, i]) for i in range(xs.shape[2])]
-    values += [(f"exp:{d:g}", np.exp(np.minimum(d * l1, 700.0))) for d in cfg.exp_deltas]
-    values += [(f"expsq:{d:g}", np.exp(np.minimum(d * l1 * l1, 700.0)))
-               for d in cfg.expsq_deltas]
     for name, v in values:
         integrals[name] = _fold(integrals[name], w * v)
     return _fold(live_time, w)
@@ -213,7 +205,7 @@ def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
     sqh_sigma = math.sqrt(h) * dspec.sigma_diag
     # a constant control's u broadcasts against X to the same products
     u_const = policy.u if isinstance(policy, ConstantControl) else None
-    integrals = {k: np.zeros(R) for k in _moment_names(m, cfg)}
+    integrals = {k: np.zeros(R) for k in _moment_names(m)}
     live_time = np.zeros(R)
     sample_rows = []
     snaps = [] if keep_snapshots else None
@@ -248,7 +240,7 @@ def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
         first = max(burn_step - k, 0)      # first post-burn-in row
         if first < done:
             live_time = _accumulate(integrals, live_time, xs[first:done],
-                                    alive_rows[first:done], h, cfg)
+                                    alive_rows[first:done], h)
             rows = _thin_rows(k, first, done, thin_every)
             sample_rows.append(xs[rows][alive_rows[rows]])
         if keep_snapshots:
@@ -311,8 +303,9 @@ def check_idleness_identity(measure: EmpiricalMeasure, dspec: DiffusionSpec) -> 
     return IdlenessReport(est, se, dspec.varrho)
 
 
-def estimate_tail(measure: EmpiricalMeasure, form: str, direction="l1") -> TailFit:
-    return fit_tail(measure.tail_values(direction), measure.weights, form)
+def estimate_tail(measure: EmpiricalMeasure, form: str) -> TailFit:
+    """Tail fit of ||x||_1 under the measure."""
+    return fit_tail(measure.tail_values(), measure.weights, form)
 
 
 @dataclass
@@ -323,15 +316,17 @@ class RateEstimate:
     noise_floor: float
     window: tuple[float, float] | None
     flag: str = ""
-    probe_at_x0: float | None = None
 
     @property
     def ok(self) -> bool:
         return self.gamma_hat is not None and not self.flag
 
 
-def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig, probe=None,
-                  bins_per_dim: int = 10, ref_fraction: float = 0.2) -> RateEstimate:
+# bins per coordinate, and the late share of the snapshots taken as stationary
+RATE_BINS, RATE_REF_FRACTION = 10, 0.2
+
+
+def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig) -> RateEstimate:
     """Exponential mixing-rate estimate from replica ensembles.
 
     Regresses log of the total-variation distance between the binned law of
@@ -344,13 +339,8 @@ def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig, probe=None,
         raise ValueError("horizon/thin too coarse: no snapshots collected")
     snaps, times = run.snapshots, run.snapshot_times
     K, R, m = snaps.shape
-    kref = max(2, int(math.ceil(ref_fraction * K)))
+    kref = max(2, int(math.ceil(RATE_REF_FRACTION * K)))
     ref = snaps[-kref:].reshape(-1, m)
-
-    probe_v0 = None
-    if probe is not None:
-        from . import lyapunov as lyap
-        probe_v0 = float(lyap.evaluate(probe, np.asarray(cfg.x0, dtype=float) * np.ones(m)))
 
     # the late-time reference is only meaningful if the ensemble has settled:
     # a drifting mean or growing spread marks transience / too-short horizon
@@ -363,12 +353,11 @@ def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig, probe=None,
         dists = np.full(K, np.nan)
         return RateEstimate(None, times, dists, math.nan, None,
                             flag="ensemble not stationary by the horizon "
-                                 "(transient configuration or horizon too short)",
-                            probe_at_x0=probe_v0)
+                                 "(transient configuration or horizon too short)")
 
     lo = ref.mean(axis=0) - 4.0 * ref.std(axis=0) - 1e-6
     hi = ref.mean(axis=0) + 4.0 * ref.std(axis=0) + 1e-6
-    edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(m)]
+    edges = [np.linspace(lo[d], hi[d], RATE_BINS + 1) for d in range(m)]
 
     def binned(pts):
         hcount, _ = np.histogramdd(np.clip(pts, lo, hi), bins=edges)
@@ -380,22 +369,18 @@ def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig, probe=None,
     floor_vals = [tv_distance(binned(snaps[j, :half]), binned(snaps[j, half:]))
                   for j in range(K - kref, K)]
     floor = float(np.median(floor_vals))
-    probe_v = probe_v0
 
     usable = dists > max(2.0 * floor, 1e-3)
     usable[-kref:] = False
     idx = np.nonzero(usable)[0]
     if len(idx) < 4:
         return RateEstimate(None, times, dists, floor, None,
-                            flag="distance already at noise floor (window too short)",
-                            probe_at_x0=probe_v)
+                            flag="distance already at noise floor (window too short)")
     t_w, d_w = times[idx], dists[idx]
     A = np.vstack([t_w, np.ones_like(t_w)]).T
     coef, *_ = np.linalg.lstsq(A, np.log(d_w), rcond=None)
     slope = float(coef[0])
     if slope >= 0:
         return RateEstimate(None, times, dists, floor, (float(t_w[0]), float(t_w[-1])),
-                            flag="distance not decaying (transient or horizon too short)",
-                            probe_at_x0=probe_v)
-    return RateEstimate(-slope, times, dists, floor, (float(t_w[0]), float(t_w[-1])),
-                        probe_at_x0=probe_v)
+                            flag="distance not decaying (transient or horizon too short)")
+    return RateEstimate(-slope, times, dists, floor, (float(t_w[0]), float(t_w[-1])))

@@ -58,18 +58,6 @@ def psi_d2(t):
     return out if out.ndim else float(out)
 
 
-def psi_eps(t, eps: float):
-    return psi(np.asarray(t, dtype=float) * eps)
-
-
-def psi_eps_d1(t, eps: float):
-    return eps * psi_d1(np.asarray(t, dtype=float) * eps)
-
-
-def psi_eps_d2(t, eps: float):
-    return eps * eps * psi_d2(np.asarray(t, dtype=float) * eps)
-
-
 def big_psi_star(x, eps: float, theta: float, mu) -> np.ndarray:
     """Psi*_{eps,theta}(x) = eps theta Psi(-x) + Psi_eps(x), vectorized over rows."""
     v, _, _ = psi_star_terms(x, eps, theta, mu)
@@ -99,7 +87,6 @@ def psi_star_terms(x, eps: float, theta: float, mu):
 class Family(str, Enum):
     EXP_LINEAR = "exp_linear"                  # exp(Psi*)
     SUB_GAUSSIAN = "sub_gaussian"              # exp(Psi*^2 / 2)
-    POWER = "power"                            # (eps th PsiBar(-x) + PsiBar_eps(x))^p
     NEG_PART_EXP = "neg_part_exp"              # exp(eta Phi_1)
     ABANDON_EXP = "abandon_exp"                # exp(eta th Psi(-x) + eta Psi(x))
     NEG_PART_SUB_GAUSSIAN = "neg_part_sub_gaussian"  # exp([eta Phi_eta]^2 / 2)
@@ -112,7 +99,6 @@ class Goal(str, Enum):
     SUB_GAUSSIAN = "sub_gaussian"              # squared family, needs all gamma_i > 0
     ABANDON = "abandon"                        # linear-decay family, needs all gamma_i > 0
     NEG_PART = "neg_part"                      # exp of idleness over gamma_i <= mu_i classes
-    NEG_PART_SUB_GAUSSIAN = "neg_part_sub_gaussian"
 
 
 class InfeasibleGoal(ValueError):
@@ -126,7 +112,6 @@ class LyapunovSpec:
     epsilon: float | None = None
     theta: float | None = None
     eta: float | None = None
-    p: float | None = None
     class_subset: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -135,7 +120,6 @@ class LyapunovSpec:
         need = {
             Family.EXP_LINEAR: ("epsilon", "theta"),
             Family.SUB_GAUSSIAN: ("epsilon", "theta"),
-            Family.POWER: ("epsilon", "theta", "p"),
             Family.NEG_PART_EXP: ("eta",),
             Family.ABANDON_EXP: ("eta", "theta"),
             Family.NEG_PART_SUB_GAUSSIAN: ("eta",),
@@ -144,10 +128,7 @@ class LyapunovSpec:
             v = getattr(self, name)
             if v is None:
                 raise ValueError(f"{f.value} requires parameter {name}")
-            if name == "p":
-                if v < 0:
-                    raise ValueError("power exponent must be >= 0")
-            elif v <= 0:
+            if v <= 0:
                 raise ValueError(f"parameter {name} must be positive, got {v}")
         if f in (Family.NEG_PART_EXP, Family.NEG_PART_SUB_GAUSSIAN):
             if self.class_subset is None:
@@ -172,13 +153,12 @@ def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
     """Separable inner sum T(x) with per-coordinate first/second derivatives.
 
     For EXP_LINEAR/ABANDON_EXP/NEG_PART_EXP the log of the family is T itself;
-    for the squared families the log is T^2/2; for POWER the log is
-    p log(T + shift) with the strictly positive shift (1 + eps theta) sum 1/mu.
+    for the squared families the log is T^2/2.
     With ``derivatives=False`` only T is computed and both derivatives are None.
     """
     mu = spec.mu
     f = spec.family
-    if f in (Family.EXP_LINEAR, Family.SUB_GAUSSIAN, Family.POWER):
+    if f in (Family.EXP_LINEAR, Family.SUB_GAUSSIAN):
         if not derivatives:
             return _psi_star_value(x, spec.epsilon, spec.theta, mu), None, None
         return psi_star_terms(x, spec.epsilon, spec.theta, mu)
@@ -199,23 +179,17 @@ def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
         g = -eta * mask * psi_d1(-x) / mu
         h = eta * mask * psi_d2(-x) / mu
         return val, g, h
-    if f == Family.NEG_PART_SUB_GAUSSIAN:
-        # the +1/2 shift keeps the inner sum nonnegative (zero deep in the
-        # positive orthant); squaring an inner sum that dips negative would
-        # flip the gradient sign there and destroy the drift bound
-        eta = spec.eta
-        mask = spec.subset_mask()
-        val = eta * np.sum(mask * (psi(-eta * x) + 0.5) / mu, axis=-1)
-        if not derivatives:
-            return val, None, None
-        g = -eta * eta * mask * psi_d1(-eta * x) / mu
-        h = eta**3 * mask * psi_d2(-eta * x) / mu
-        return val, g, h
-    raise ValueError(f"unknown family {f}")
-
-
-def _power_base(spec: LyapunovSpec, val: np.ndarray) -> np.ndarray:
-    return val + (1.0 + spec.epsilon * spec.theta) * float(np.sum(1.0 / spec.mu))
+    # NEG_PART_SUB_GAUSSIAN: the +1/2 shift keeps the inner sum nonnegative
+    # (zero deep in the positive orthant); squaring an inner sum that dips
+    # negative would flip the gradient sign there and destroy the drift bound
+    eta = spec.eta
+    mask = spec.subset_mask()
+    val = eta * np.sum(mask * (psi(-eta * x) + 0.5) / mu, axis=-1)
+    if not derivatives:
+        return val, None, None
+    g = -eta * eta * mask * psi_d1(-eta * x) / mu
+    h = eta**3 * mask * psi_d2(-eta * x) / mu
+    return val, g, h
 
 
 def _log_of_inner(spec: LyapunovSpec, val: np.ndarray) -> np.ndarray:
@@ -223,11 +197,7 @@ def _log_of_inner(spec: LyapunovSpec, val: np.ndarray) -> np.ndarray:
     f = spec.family
     if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
         return val
-    if f in (Family.SUB_GAUSSIAN, Family.NEG_PART_SUB_GAUSSIAN):
-        return 0.5 * val**2
-    if f == Family.POWER:
-        return spec.p * np.log(_power_base(spec, val))
-    raise ValueError(f"unknown family {f}")
+    return 0.5 * val**2
 
 
 def log_terms(spec: LyapunovSpec, x):
@@ -242,10 +212,7 @@ def log_terms(spec: LyapunovSpec, x):
     f = spec.family
     if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
         return L, g, h
-    if f in (Family.SUB_GAUSSIAN, Family.NEG_PART_SUB_GAUSSIAN):
-        return L, val[..., None] * g, g * g + val[..., None] * h
-    base = _power_base(spec, val)[..., None]
-    return L, spec.p * g / base, spec.p * (h / base - (g / base) ** 2)
+    return L, val[..., None] * g, g * g + val[..., None] * h
 
 
 def log_value(spec: LyapunovSpec, x) -> np.ndarray:
@@ -274,14 +241,9 @@ def hessian(spec: LyapunovSpec, x) -> np.ndarray:
     if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
         gl = g
         hess_l = _diag_embed(h)
-    elif f in (Family.SUB_GAUSSIAN, Family.NEG_PART_SUB_GAUSSIAN):
+    else:
         gl = val[..., None] * g
         hess_l = _outer(g, g) + val[..., None, None] * _diag_embed(h)
-    else:
-        base = _power_base(spec, val)
-        gb = g / base[..., None]
-        gl = spec.p * gb
-        hess_l = spec.p * (_diag_embed(h / base[..., None]) - _outer(gb, gb))
     return np.exp(L)[..., None, None] * (_outer(gl, gl) + hess_l)
 
 
@@ -389,7 +351,7 @@ def select_parameters(goal: Goal, params: SystemParams, eta: float = 1.0) -> Lya
     c_bar = float(np.sum(params.lambda_tilde / params.mu**2))
     mu = params.mu
 
-    if goal in (Goal.EXP_ERGODIC, Goal.NEG_PART, Goal.NEG_PART_SUB_GAUSSIAN):
+    if goal in (Goal.EXP_ERGODIC, Goal.NEG_PART):
         if varrho <= 0:
             raise InfeasibleGoal(f"goal {goal.value} needs positive spare capacity, got {varrho}")
         theta = exp_linear_theta_bound(varrho, params.m, beta_max)
@@ -397,16 +359,13 @@ def select_parameters(goal: Goal, params: SystemParams, eta: float = 1.0) -> Lya
         if goal == Goal.EXP_ERGODIC:
             return LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=eps, theta=theta)
         subset = tuple(int(i) for i in np.nonzero(params.gamma <= params.mu)[0])
-        family = Family.NEG_PART_EXP if goal == Goal.NEG_PART else Family.NEG_PART_SUB_GAUSSIAN
-        return LyapunovSpec(family, mu, eta=eta, class_subset=subset)
+        return LyapunovSpec(Family.NEG_PART_EXP, mu, eta=eta, class_subset=subset)
 
-    if goal in (Goal.SUB_GAUSSIAN, Goal.ABANDON):
-        if beta_min <= 0:
-            raise InfeasibleGoal(f"goal {goal.value} needs all abandonment rates positive")
-        theta = sub_gaussian_theta(beta_min, beta_max)
-        if goal == Goal.ABANDON:
-            return LyapunovSpec(Family.ABANDON_EXP, mu, eta=eta, theta=theta)
-        eps = 0.5 * sub_gaussian_eps0(theta, beta_min, c_bar, float(mu.min()), float(mu.max()))
-        return LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=eps, theta=theta)
-
-    raise ValueError(f"unknown goal {goal}")
+    # SUB_GAUSSIAN and ABANDON
+    if beta_min <= 0:
+        raise InfeasibleGoal(f"goal {goal.value} needs all abandonment rates positive")
+    theta = sub_gaussian_theta(beta_min, beta_max)
+    if goal == Goal.ABANDON:
+        return LyapunovSpec(Family.ABANDON_EXP, mu, eta=eta, theta=theta)
+    eps = 0.5 * sub_gaussian_eps0(theta, beta_min, c_bar, float(mu.min()), float(mu.max()))
+    return LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=eps, theta=theta)

@@ -57,21 +57,9 @@ class EmpiricalMeasure:
         se = float(per_rep.std(ddof=1) / np.sqrt(r)) if r > 1 else float("inf")
         return est, se
 
-    def tail_values(self, direction) -> np.ndarray:
-        """Scalar functional of each snapshot for tail estimation.
-
-        direction: 'l1', ('neg_coord', i), or ('neg_sum', index tuple).
-        """
-        x = self.samples
-        if direction == "l1":
-            return np.abs(x).sum(axis=1)
-        kind, arg = direction
-        if kind == "neg_coord":
-            return np.maximum(-x[:, int(arg)], 0.0)
-        if kind == "neg_sum":
-            idx = list(arg)
-            return np.maximum(-x[:, idx], 0.0).sum(axis=1)
-        raise ValueError(f"unknown tail direction {direction!r}")
+    def tail_values(self) -> np.ndarray:
+        """||x||_1 of each snapshot, the functional the tail fits use."""
+        return np.abs(self.samples).sum(axis=1)
 
     def histogram(self, bins_per_dim: int):
         """Fixed-width histogram over the samples' bounding box, padded by 1%;

@@ -1,4 +1,4 @@
-"""Core model: system parameters, controlled drift, cones, and diffusion scaling.
+"""Core model: system parameters, controlled drift and diffusion scaling.
 
 The limiting diffusion for an m-class many-server system in the
 Halfin-Whitt regime is
@@ -259,30 +259,6 @@ def drift_truncated(x, u, spec: DiffusionSpec, c: float, check: bool = True) -> 
     pos = np.maximum(x.sum(axis=-1, keepdims=True), 0.0)
     keep = (x <= c).astype(float)
     return -(spec.varrho / spec.m) * spec.mu - spec.mu * (x - pos * u) - pos * spec.gamma * u * keep
-
-
-def in_cone(x, delta: float) -> np.ndarray:
-    """Vectorized cone classification: +1 on K_delta^+, -1 on K_delta^-, 0 otherwise.
-
-    K_delta^+ = {<e,x> >= delta ||x||_1}, K_delta^- = {<e,x> <= -delta ||x||_1}.
-    Points satisfying both (only possible when delta = 0 and <e,x> = 0) are
-    reported as +1.
-    """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    x = _as_array(x)
-    s = x.sum(axis=-1)
-    r = np.abs(x).sum(axis=-1)
-    out = np.zeros(s.shape, dtype=np.int8)
-    out[s <= -delta * r] = -1
-    out[s >= delta * r] = 1
-    return out
-
-
-def cone_membership(x, delta: float) -> str:
-    """Classify a single state against K_delta^+/-: 'plus', 'minus' or 'neither'."""
-    code = int(in_cone(np.atleast_2d(_as_array(x)), delta)[0])
-    return {1: "plus", -1: "minus", 0: "neither"}[code]
 
 
 def scale_state(x, p: PrelimitParams) -> np.ndarray:

@@ -172,6 +172,13 @@ class LogNormal:
         self.mu_ln = -0.5 * sigma * sigma
         self.scv = math.expm1(sigma * sigma)
 
+    @classmethod
+    def from_scv(cls, scv: float) -> "LogNormal":
+        # scv = expm1(sigma^2)
+        if scv <= 0:
+            raise ValueError("lognormal requires SCV > 0")
+        return cls(math.sqrt(math.log1p(scv)))
+
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu_ln, self.sigma, size=size)
 
@@ -424,8 +431,6 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
     center, inv_rt, shift = p.fluid_center.tolist(), 1.0 / math.sqrt(n), p.varrho_n / m
     T, T0, thin, blowup = cfg.horizon, cfg.burn_in, cfg.thin, cfg.blowup
-    tilts = ([(f"exp:{d:g}", d, 1) for d in cfg.exp_deltas]
-             + [(f"expsq:{d:g}", d, 2) for d in cfg.expsq_deltas])
     allocate, debug = pol.allocator(m, n, rng), cfg.debug_checks
     poisson = arr.kind == "poisson"
     lam_cum = list(itertools.accumulate(lam))
@@ -439,7 +444,7 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     l1, ssum = sum(abs(v) for v in xhat), sum(xhat)
     # time integrals past burn-in; coordinate i is integrated up to settled[i]
     int_l1 = int_neg = int_sum = 0.0
-    int_coord, settled, int_tilt = [0.0] * m, [T0] * m, [0.0] * len(tilts)
+    int_coord, settled = [0.0] * m, [T0] * m
     counts = [[0] * m for _ in range(3)]       # arrivals, services, abandonments
     samples, ages = [], []
     hist = {} if exact_histogram else None
@@ -471,9 +476,6 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
             int_sum += w * ssum
             if ssum < 0.0:
                 int_neg -= w * ssum
-            if tilts:
-                for k, (_, d, power) in enumerate(tilts):
-                    int_tilt[k] += w * math.exp(min(d * l1**power, 700.0))
             if hist is not None:
                 key = tuple(x)
                 hist[key] = hist.get(key, 0.0) + w
@@ -522,7 +524,6 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
         int_coord[k] += max(stop - settled[k], 0.0) * xhat[k]
     integrals = {"l1": int_l1, "neg_sum": int_neg, "sum": int_sum}
     integrals.update((f"coord{i}", v) for i, v in enumerate(int_coord))
-    integrals.update((name, v) for (name, _, _), v in zip(tilts, int_tilt))
     return {"integrals": integrals, "live": max(stop - T0, 0.0), "samples": samples,
             "ages": ages, "hist": hist, "counts": counts, "tripped": stop < T,
             "trip_at": stop if stop < T else math.nan, "terminal": x}

@@ -385,16 +385,14 @@ def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
                               sampler: SamplerConfig) -> VerificationReport:
     """L_u V^ <= k0 - k1 ||x||_1 V^ on K_0^+ x Delta for the abandonment family.
 
-    k1 is fitted on the outer half of the sampled radius and must be
-    bounded away from zero for the check to pass.
+    ``region`` is a cone.  k1 is fitted on the outer half of the sampled
+    radius and must be bounded away from zero for the check to pass.
     """
     beta = dspec.beta
     if float(beta.min()) <= 0:
         raise PreconditionError("abandonment family needs all abandonment rates positive")
     th = lyap.sub_gaussian_theta(float(beta.min()), float(beta.max()))
     spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, dspec.mu, eta=eta, theta=th)
-    if region.kind != RegionKind.CONE:
-        region = Region.cone(region.radius)
     x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
     q, log_v = _ratio(spec, x, u, dspec)
     k1 = fitted_slope(q, r1, r1 >= 0.5 * region.radius)
@@ -511,49 +509,37 @@ def suggested_radius(dspec: DiffusionSpec, spec: lyap.LyapunovSpec) -> float:
 
 
 def default_suite(params: SystemParams, sampler: SamplerConfig,
-                  region: Region | None = None,
                   truncations: tuple[float, ...] = (1.0, 5.0, math.inf),
-                  eta: float = 1.0,
-                  overrides: dict | None = None) -> list[VerificationReport]:
+                  eta: float = 1.0) -> list[VerificationReport]:
     """Run every applicable certification for this parameter set.
 
-    With region=None each check samples a ball sized to its own family's
-    expected attainment radius.  ``overrides`` may pin epsilon/theta of the
-    exp-linear family in place of the admissible selection (the preconditions
-    still apply and may reject them).
+    The drift checks, one per truncation level, sample the ball of radius
+    50.  Each Foster check samples a ball sized by
+    ``suggested_radius`` to its own family's expected attainment radius; the
+    abandonment check samples the cone of that radius.
     """
     dspec = diffusion_spec(params)
     reports = []
     varrho = spare_capacity(params)
-    overrides = overrides or {}
-
-    def reg(spec):
-        return region if region is not None else Region.ball(suggested_radius(dspec, spec))
-
     # consecutive checks on one region share its cloud; none outlives the suite
     try:
         if varrho > 0:
             spec = lyap.select_parameters(lyap.Goal.EXP_ERGODIC, params)
-            if "epsilon" in overrides or "theta" in overrides:
-                spec = lyap.LyapunovSpec(
-                    lyap.Family.EXP_LINEAR, params.mu,
-                    epsilon=float(overrides.get("epsilon", spec.epsilon)),
-                    theta=float(overrides.get("theta", spec.theta)))
             for c in truncations:
-                reports.append(verify_exp_linear_drift(dspec, spec, c, Region.ball(50.0)
-                                                       if region is None else region, sampler))
-            reports.append(verify_exp_linear_foster(dspec, spec, reg(spec), sampler))
+                reports.append(verify_exp_linear_drift(dspec, spec, c, Region.ball(50.0), sampler))
+            region = Region.ball(suggested_radius(dspec, spec))
+            reports.append(verify_exp_linear_foster(dspec, spec, region, sampler))
             neg = lyap.select_parameters(lyap.Goal.NEG_PART, params, eta=eta)
-            reports.append(verify_neg_part_foster(dspec, neg, spec, reg(spec), sampler))
+            reports.append(verify_neg_part_foster(dspec, neg, spec, region, sampler))
             reports.append(verify_neg_part_sub_gaussian_foster(
-                dspec, spec, neg.class_subset, reg(spec), sampler))
+                dspec, spec, neg.class_subset, region, sampler))
         if float(params.gamma.min()) > 0:
             sg = lyap.select_parameters(lyap.Goal.SUB_GAUSSIAN, params)
-            reports.append(verify_sub_gaussian_foster(dspec, sg, reg(sg), sampler))
+            reports.append(verify_sub_gaussian_foster(
+                dspec, sg, Region.ball(suggested_radius(dspec, sg)), sampler))
             ab = lyap.select_parameters(lyap.Goal.ABANDON, params, eta=eta)
-            abandon_region = (region if region is not None
-                              else Region.cone(suggested_radius(dspec, ab)))
-            reports.append(verify_abandonment_foster(dspec, eta, abandon_region, sampler))
+            reports.append(verify_abandonment_foster(
+                dspec, eta, Region.cone(suggested_radius(dspec, ab)), sampler))
     finally:
         _cloud.cache_clear()
     return reports

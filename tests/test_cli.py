@@ -36,10 +36,7 @@ thin = 0.5
 
 POISSON = "kind = poisson"
 RENEWAL = "kind = renewal\ndist = erlang:2, hyperexp2:1.5"
-
-
-# lognormal:sigma has SCV expm1(sigma^2); this sigma gives 1 to within 1e-8
-LOGNORMAL = "kind = renewal\ndist = lognormal:0.83255461, exponential"
+LOGNORMAL = "kind = renewal\ndist = lognormal:1.0, exponential"
 
 
 def _config(scv, arrivals):
@@ -55,6 +52,7 @@ def _run(tmp_path, scv, arrivals, command="sim-queue"):
 @pytest.mark.parametrize("scv, arrivals", [
     ("1.0, 1.0", POISSON), ("0.5, 1.5", RENEWAL), (None, POISSON), (None, RENEWAL),
     (None, LOGNORMAL), ("1.0, 1.0", LOGNORMAL),
+    ("0.284, 1.716", "kind = renewal\ndist = lognormal:0.284, hyperexp2:1.716"),
 ])
 def test_valid_config_exits_0(tmp_path, scv, arrivals):
     assert _run(tmp_path, scv, arrivals) == 0
@@ -86,6 +84,25 @@ def test_omitted_scv_comes_from_the_interarrival_laws(arrivals):
     assert np.array_equal(cfg.system.scv, cfg.arrival_spec(cfg.system.m).scv)
 
 
+@pytest.mark.parametrize("section, line, named", [
+    ("verify", "radius = 50", "'radius'"),
+    ("verify", "include = all", "'include'"),
+    ("verify", "prelimit_radius = 40", "'prelimit_radius'"),
+    ("verify", "consistency_points = 20", "'consistency_points'"),
+    ("verify", "consistency_n = 100, 1000", "'consistency_n'"),
+    ("verify", "seed = 3", "'seed'"),
+    ("verify", "sampels = 1000", "'sampels'"),
+    ("lyapunov", "epsilon = 0.1", "[lyapunov]"),
+    ("lyapunov", "theta = 0.5", "[lyapunov]"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, section, line, named):
+    path = tmp_path / "exp.ini"
+    path.write_text(_config(None, POISSON) + f"\n[{section}]\n{line}\n")
+    assert cli.main(["verify-drift", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
 
 
@@ -111,4 +128,11 @@ def test_demo_verification_reproduces_the_committed_reports(tmp_path, capsys):
     assert cli.main(["verify-drift", "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
     demo = EXAMPLE.parents[1] / "out" / "demo"
     for name in ("demo_verify_report.csv", "demo_verify_details.json"):
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+
+
+def test_demo_generator_check_reproduces_the_committed_files(tmp_path, capsys):
+    assert cli.main(["generator-check", "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
+    demo = EXAMPLE.parents[1] / "out" / "demo"
+    for name in ("demo_generator_check.csv", "demo_generator_check.json"):
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name

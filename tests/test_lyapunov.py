@@ -23,7 +23,6 @@ def all_family_specs(mu):
     return {
         "exp_linear": LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=0.1, theta=0.4),
         "sub_gaussian": LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=0.08, theta=0.3),
-        "power": LyapunovSpec(Family.POWER, mu, epsilon=0.1, theta=0.4, p=2.5),
         "neg_part_exp": LyapunovSpec(Family.NEG_PART_EXP, mu, eta=0.7, class_subset=(0,)),
         "abandon_exp": LyapunovSpec(Family.ABANDON_EXP, mu, eta=0.9, theta=0.5),
         "neg_part_sub_gaussian": LyapunovSpec(Family.NEG_PART_SUB_GAUSSIAN, mu,
@@ -62,7 +61,7 @@ class TestCutoff:
     def test_scaled_curvature_bound(self):
         eps = 0.37
         t = np.linspace(-20, 20, 50_001)
-        assert np.max(lyap.psi_eps_d2(t, eps)) <= 1.5 * eps**2 + 1e-12
+        assert np.max(eps * eps * lyap.psi_d2(eps * t)) <= 1.5 * eps**2 + 1e-12
 
 
 class TestWeightedSums:
@@ -117,7 +116,7 @@ class TestNormIdentities:
         eps = 0.05
         x = rng.uniform(-60, 60, size=(20_000, 3))
         m = 3
-        s1 = np.sum(lyap.psi_eps_d1(x, eps) * x, axis=1)
+        s1 = np.sum(eps * lyap.psi_d1(eps * x) * x, axis=1)
         assert np.all(s1 >= eps * np.maximum(x, 0).sum(axis=1) - m / 2 - 1e-9)
         s2 = -np.sum(lyap.psi_d1(-x) * x, axis=1)
         assert np.all(s2 >= np.maximum(-x, 0).sum(axis=1) - m / 2 - 1e-9)
@@ -129,7 +128,7 @@ class TestNormIdentities:
         x = rng.uniform(-40, 40, size=(20_000, 4))
         s = x.sum(axis=1)
         left = np.sum(lyap.psi_d1(-x) * x, axis=1)
-        right = np.sum(lyap.psi_eps_d1(x, eps) * x, axis=1)
+        right = np.sum(eps * lyap.psi_d1(eps * x) * x, axis=1)
         assert np.all(eps * left <= eps * s + 1e-9)
         assert np.all(eps * s <= right + 1e-9)
 
@@ -172,7 +171,7 @@ class TestFamilies:
 class TestDerivativeOracle:
     """Gradients against FD of values; Hessians against FD of analytic gradients."""
 
-    @pytest.mark.parametrize("name", ["exp_linear", "sub_gaussian", "power",
+    @pytest.mark.parametrize("name", ["exp_linear", "sub_gaussian",
                                       "neg_part_exp", "abandon_exp",
                                       "neg_part_sub_gaussian"])
     def test_gradient_and_hessian(self, system, name):
@@ -197,7 +196,7 @@ class TestDerivativeOracle:
 
 class TestGenerator:
     def test_constant_function_hook(self, system, dspec):
-        spec = LyapunovSpec(Family.POWER, system.mu, epsilon=0.1, theta=0.4, p=0.0)
+        spec = LyapunovSpec(Family.NEG_PART_EXP, system.mu, eta=1.0, class_subset=())
         rng = np.random.default_rng(3)
         x = rng.normal(size=(100, 2)) * 5
         u = rng.dirichlet([1, 1], size=100)

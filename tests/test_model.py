@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hwsim
-from hwsim.model import SimplexError, WorkConservationError, in_cone, project_simplex
+from hwsim.model import SimplexError, WorkConservationError, project_simplex
 
 
 @pytest.fixture
@@ -131,22 +131,6 @@ class TestTruncatedDrift:
     def test_rejects_small_truncation(self, two_class):
         with pytest.raises(ValueError):
             hwsim.drift_truncated(np.zeros(2), [0.5, 0.5], spec_of(two_class), 0.5)
-
-
-class TestCones:
-    def test_sign_of_sum(self):
-        assert hwsim.cone_membership([1.0, -2.0], 0.0) == "minus"
-
-    def test_orthant_at_delta_one(self):
-        assert hwsim.cone_membership([1.0, 2.0], 1.0) == "plus"
-        assert hwsim.cone_membership([1.0, -0.001], 1.0) == "neither"
-
-    def test_half_delta(self):
-        assert hwsim.cone_membership([3.0, -1.0], 0.5) == "plus"
-
-    def test_vectorized_classification(self):
-        x = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5]])
-        assert np.array_equal(in_cone(x, 0.9), [1, -1, 0])
 
 
 class TestScaling:
