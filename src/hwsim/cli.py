@@ -4,7 +4,7 @@ A single INI-style config file defines one experiment scenario.  These
 are its sections and keys, defaults in parentheses; ``parse_config`` rejects
 any other (``CONFIG_KEYS``).  Lists take commas or spaces.
 
-  [scenario]  id ("scenario"), seed
+  [scenario]  id ("scenario"), seed (required: it drives every stream)
   [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
               of the [arrivals] laws)
   [prelimit]  n: server counts, for sim-queue and the prelimit checks
@@ -32,7 +32,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +69,9 @@ CONFIG_KEYS = {
     "verify": ("samples", "truncations", "eta"),
     "output": ("dir",),
 }
-# The prelimit checks sample the ball of this radius in scaled states.
-PRELIMIT_RADIUS = 40.0
+# The prelimit checks sample the ball of this radius in scaled states, at
+# most this many states.
+PRELIMIT_RADIUS, PRELIMIT_SAMPLES = 40.0, 10_000
 # generator-check's (state, control) pairs, and its decade-spanning n grid,
 # which keeps the slope fit out of the small-error noise
 CONSISTENCY_POINTS, CONSISTENCY_N = 20, (100, 1000, 10000)
@@ -97,8 +98,10 @@ class ExperimentConfig:
     arrival_kind: str
     arrival_dists: tuple[str, ...]
     policies: list[PolicyConfig]
-    sim: dict
-    verify: dict
+    sim: dif.SimConfig                     # seed 0: each command sets its own
+    samples: int
+    truncations: tuple[float, ...]
+    eta: float
     out_dir: str
 
     def arrival_spec(self, m: int) -> qs.ArrivalSpec:
@@ -152,7 +155,9 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         sc = cp["scenario"]
         scenario = sc.get("id", "scenario")
-        seed = sc.getint("seed")
+        if "seed" not in sc:
+            raise ConfigError("[scenario] seed is required")
+        seed = int(sc["seed"])
         sysb = cp["system"]
         lam = _floats(sysb["lambda"])
         m = len(lam)
@@ -195,7 +200,19 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown policy kind {kind!r}")
             policies.append(pol)
         sim = dict(cp["sim"]) if cp.has_section("sim") else {}
+        sim_cfg = dif.SimConfig(
+            horizon=float(sim.get("horizon", 200.0)),
+            step=float(sim.get("step", 1e-3)),
+            burn_in=float(sim["burn_in"]) if "burn_in" in sim else None,
+            replicas=int(sim.get("replicas", 16)),
+            x0=_floats(sim["x0"]) if "x0" in sim else 0.0,
+            thin=float(sim.get("thin", 1.0)),
+            blowup=float(sim.get("blowup", 1e3)),
+        )
         vf = dict(cp["verify"]) if cp.has_section("verify") else {}
+        samples = int(vf.get("samples", 100_000))
+        truncations = _floats(vf.get("truncations", "1, 5, inf"))
+        eta = float(vf.get("eta", 1.0))
         out_dir = cp["output"]["dir"] if cp.has_section("output") else "out"
     except (KeyError, ValueError) as err:
         if isinstance(err, ConfigError):
@@ -203,22 +220,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config error: {err!r}") from err
     if not policies:
         raise ConfigError("at least one [policy.<name>] block is required")
-    return ExperimentConfig(scenario, seed, system, n_list, arr_kind, dists,
-                            policies, sim, vf, out_dir)
-
-
-def _sim_config(cfg: ExperimentConfig, seed: int) -> dif.SimConfig:
-    sim = cfg.sim
-    return dif.SimConfig(
-        horizon=float(sim.get("horizon", 200.0)),
-        step=float(sim.get("step", 1e-3)),
-        burn_in=float(sim["burn_in"]) if "burn_in" in sim else None,
-        replicas=int(sim.get("replicas", 16)),
-        seed=seed,
-        x0=_floats(sim["x0"]) if "x0" in sim else 0.0,
-        thin=float(sim.get("thin", 1.0)),
-        blowup=float(sim.get("blowup", 1e3)),
-    )
+    return ExperimentConfig(scenario, seed, system, n_list, arr_kind, dists, policies,
+                            sim_cfg, samples, truncations, eta, out_dir)
 
 
 def diffusion_policy(pol: PolicyConfig):
@@ -313,24 +316,20 @@ def write_samples_csv(path: Path, measure) -> None:
 
 def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
     out = _prepare_out(cfg, f"{cfg.scenario}_verify_report.csv", overwrite)
-    sampler = ver.SamplerConfig(n_samples=int(cfg.verify.get("samples", 100_000)),
-                                seed=cfg.seed)
-    truncs = _floats(cfg.verify.get("truncations", "1, 5, inf"))
-    eta = float(cfg.verify.get("eta", 1.0))
-    reports = ver.default_suite(cfg.system, sampler, truncations=truncs, eta=eta)
+    sampler = ver.SamplerConfig(n_samples=cfg.samples, seed=cfg.seed)
+    reports = ver.default_suite(cfg.system, sampler, truncations=cfg.truncations,
+                                eta=cfg.eta)
     if cfg.n_list:
         n = cfg.n_list[0]
         p = prelimit_params(cfg.system, n)
         arr = cfg.arrival_spec(cfg.system.m)
-        pre_sampler = ver.SamplerConfig(
-            n_samples=min(sampler.n_samples, 10_000) if arr.kind == "poisson" else 300,
-            seed=sampler.seed)
+        pre_sampler = ver.SamplerConfig(min(cfg.samples, PRELIMIT_SAMPLES), cfg.seed)
         pre_region = ver.Region.ball(PRELIMIT_RADIUS)
         if p.varrho_n > 0 and arr.bounded_hazard():
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler))
         if arr.kind == "poisson" and float(p.gamma_n.min()) > 0:
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler,
-                                                     target="abandon", eta=eta))
+                                                     target="abandon", eta=cfg.eta))
     report_path = out / f"{cfg.scenario}_verify_report.csv"
     with report_path.open("w") as fh:
         fh.write(ver.VerificationReport.CSV_HEADER + "\n")
@@ -355,7 +354,7 @@ def cmd_sim_diffusion(cfg: ExperimentConfig, overwrite: bool) -> int:
     records, summary = [], {}
     for i, polcfg in enumerate(cfg.policies):
         pol = diffusion_policy(polcfg)
-        run = dif.simulate(dspec, pol, _sim_config(cfg, cfg.seed + i))
+        run = dif.simulate(dspec, pol, replace(cfg.sim, seed=cfg.seed + i))
         entry = {"policy": pol.describe(), "tripped": int(run.tripped.sum())}
         if run.measure.replica_time.sum() > 0:
             for key in ("l1", "neg_sum", "sum"):
@@ -393,7 +392,7 @@ def cmd_sim_queue(cfg: ExperimentConfig, overwrite: bool) -> int:
         p = prelimit_params(cfg.system, n)
         for i, polcfg in enumerate(cfg.policies):
             pol = queue_policy(polcfg)
-            scfg = _sim_config(cfg, cfg.seed + i)
+            scfg = replace(cfg.sim, seed=cfg.seed + i)
             run = (qs.simulate_ctmc(p, pol, scfg) if arr.kind == "poisson"
                    else qs.simulate_renewal(p, arr, pol, scfg))
             key = f"n{n}.{polcfg.name}"
@@ -458,7 +457,7 @@ def cmd_tails(cfg: ExperimentConfig, overwrite: bool) -> int:
     rows = []
     for i, polcfg in enumerate(cfg.policies):
         pol = diffusion_policy(polcfg)
-        run = dif.simulate(dspec, pol, _sim_config(cfg, cfg.seed + i))
+        run = dif.simulate(dspec, pol, replace(cfg.sim, seed=cfg.seed + i))
         for form in ("exponential", "sub_gaussian"):
             fit = dif.estimate_tail(run.measure, form)
             rows.append((polcfg.name, form, fit))

@@ -15,10 +15,11 @@ generator, so a seed gives other paths than the earlier loop that drew one
 variate per numpy call.  The same module evaluates the exact finite-difference
 generators on Lyapunov functions, builds the age-augmented renewal Lyapunov
 function, and certifies the prelimit Foster-Lyapunov bounds over sampled
-states and all (or extreme) work-conserving allocations; on Poisson input
-that check runs in numpy passes over all states, chunked by pair count.  Its
-reports, and the fit of the abandonment check's decay slope, come from the
-Foster-check path in ``verify``.
+states and all work-conserving allocations, or past ``Z_CUTOFF`` only the
+priority vertices, exact as the generators are affine in the allocation; on
+both arrival kinds that check runs in numpy passes over all states, chunked
+by pair count.  Its reports, and the fit of the abandonment check's decay
+slope, come from the Foster-check path in ``verify``.
 """
 
 from __future__ import annotations
@@ -685,27 +686,41 @@ class RenewalLyapunov:
                          * np.asarray(self.arr.dists[i].hazard(self.p.lambda_n[i] * s[..., i]))
                          for i in range(self.p.m)], axis=-1)
 
-    def value_scaled(self, xhat, s) -> np.ndarray:
+    def _steps(self, xhat):
+        """V(xhat) and V(xhat + e_i/sqrt(n)) - V(xhat) for each class i."""
         xhat = np.asarray(xhat, dtype=float)
         base = np.exp(lyap.log_value(self.spec, xhat))
         eye = np.eye(self.p.m)
         lifted = np.exp(lyap.log_value(self.spec, xhat[..., None, :] + self.delta * eye))
-        g = np.sum((1.0 - self.zeta_n(s)) * (lifted - base[..., None]), axis=-1)
-        return base + g
+        return base, lifted - base[..., None]
+
+    def value_scaled(self, xhat, s) -> np.ndarray:
+        base, steps = self._steps(xhat)
+        return base + np.sum((1.0 - self.zeta_n(s)) * steps, axis=-1)
 
     def value(self, x, s) -> float:
         return float(self.value_scaled(scale_state(np.asarray(x, dtype=float), self.p), s))
 
-    def ds_sum(self, x, s) -> float:
-        """sum_i d/ds_i of the age correction, via d zeta^n/ds = r^n zeta^n - lambda^n."""
-        s = np.asarray(s, dtype=float)
-        xhat = scale_state(np.asarray(x, dtype=float), self.p)
-        base = np.exp(lyap.log_value(self.spec, xhat))
-        eye = np.eye(self.p.m)
-        lifted = np.exp(lyap.log_value(self.spec, xhat[None, :] + self.delta * eye))
-        diff = lifted - base
+    def ds_sum(self, x, s) -> np.ndarray:
+        """sum_i d/ds_i of the age correction, via d zeta^n/ds = r^n zeta^n - lambda^n,
+        at a state or at each of a stack of states."""
+        _, steps = self._steps(scale_state(np.asarray(x, dtype=float), self.p))
         dzeta = self.hazard_n(s) * self.zeta_n(s) - self.p.lambda_n
-        return float(np.sum(-dzeta * diff))
+        return np.sum(-dzeta * steps, axis=-1)
+
+    def pair_terms(self, states: np.ndarray, ages: np.ndarray):
+        """``_poisson_terms`` of the extended generator over V~ = V~(x, s): the
+        arrivals are (ds_sum + sum_i r^n_i (V~(x + e_i, s with s_i = 0) - V~)) / V~."""
+        x = states.astype(float)
+        xhat, eye = scale_state(x, self.p), np.eye(self.p.m)
+        val = self.value_scaled(xhat, ages)
+        up = self.value_scaled(scale_state(x[:, None, :] + eye, self.p),
+                               ages[:, None, :] * (1.0 - eye))
+        down = self.value_scaled(scale_state(x[:, None, :] - eye, self.p), ages[:, None, :])
+        arrivals = (self.ds_sum(x, ages)
+                    + np.sum(self.hazard_n(ages) * (up - val[:, None]), axis=1)) / val
+        dn = (down - val[:, None]) / val[:, None]
+        return arrivals, dn, np.log(val), np.abs(xhat).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -755,36 +770,23 @@ def _allocation_block(states: np.ndarray, n: int) -> np.ndarray:
 
 
 # A state with more work-conserving allocations than this gets the priority
-# vertices and random allocations in place of all of them.
+# vertices in place of all of them.
 Z_CUTOFF = 10_000
 
 
-def enumerate_allocations(x: np.ndarray, n: int, cutoff: int = Z_CUTOFF,
-                          rng: np.random.Generator | None = None,
-                          n_random: int = 1000) -> np.ndarray:
+def enumerate_allocations(x: np.ndarray, n: int) -> np.ndarray:
     """All of Z^n(x) in lexicographic order when there are at most
-    ``cutoff``, else priority-greedy vertices plus random feasible points."""
+    ``Z_CUTOFF``, else its distinct priority-greedy vertices, sorted.  These
+    hold the maximum of any function affine in z, as each prelimit generator
+    is: Z^n(x) is the base polytope of the polymatroid min(n, x(S)), whose
+    linear maxima sit at greedy vertices (Edmonds)."""
     x = np.asarray(x, dtype=np.int64)
-    m = len(x)
-    k = min(n, int(x.sum()))
-    if count_allocations(x, n) <= cutoff:
+    if count_allocations(x, n) <= Z_CUTOFF:
         return _allocation_block(x[None, :], n)
     xl = [int(v) for v in x]
-    vertices = {tuple(_greedy_list(xl, n, perm)) for perm in itertools.permutations(range(m))}
-    rng = np.random.default_rng(0) if rng is None else rng
-    pts = set(vertices)
-    for _ in range(n_random):
-        rem = k
-        z = np.zeros(m, dtype=np.int64)
-        order = rng.permutation(m)
-        for pos, i in enumerate(order):
-            tail_cap = int(x[order[pos + 1:]].sum())
-            lo = max(0, rem - tail_cap)
-            hi = min(int(x[i]), rem)
-            z[i] = rng.integers(lo, hi + 1)
-            rem -= z[i]
-        pts.add(tuple(z))
-    return np.asarray(sorted(pts), dtype=np.int64)
+    return np.asarray(sorted({tuple(_greedy_list(xl, n, perm))
+                              for perm in itertools.permutations(range(len(xl)))}),
+                      dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -906,27 +908,29 @@ def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerC
     return np.unique(x, axis=0)
 
 
-# (state, allocation) pairs enumerated at once by the Poisson prelimit check;
-# its memory peaks in a chunk's allocation block
+# (state, allocation) pairs enumerated at once by the prelimit check; its
+# memory peaks in a chunk's allocation block
 _CHUNK_PAIRS = 4096
 
 
-def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarray,
-                   rng: np.random.Generator):
-    """(A^n_z V / V, log V, ||xhat||_1) over every (state, allocation) pair.
-
-    States with more than ``Z_CUTOFF`` allocations draw random ones from
-    ``rng`` in state order.  The generator keeps one matmul per state:
-    summing rates * dn over all pairs at once rounds differently.
-    """
+def _poisson_terms(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarray):
+    """Per-state terms of A^n_z V / V = arrivals + rates(z) @ dn on Poisson input:
+    arrivals, dn_i = V(x - e_i) / V - 1, log V and ||xhat||_1."""
     logv = _log_v(spec, p)
     eye = np.eye(p.m, dtype=np.int64)
     base = logv(states)
     up = np.exp(logv(states[:, None, :] + eye) - base[:, None]) - 1.0
     dn = np.exp(logv(states[:, None, :] - eye) - base[:, None]) - 1.0
     arrivals = np.sum(p.lambda_n * up, axis=1)
-    r1 = np.abs(scale_state(states.astype(float), p)).sum(axis=1)
+    return arrivals, dn, base, np.abs(scale_state(states.astype(float), p)).sum(axis=1)
 
+
+def _pair_stage(p: PrelimitParams, states: np.ndarray, terms):
+    """(t, log V, ||xhat||_1) over every (state, ``enumerate_allocations``)
+    pair from per-state ``terms`` (arrivals, dn, log V, ||xhat||_1), where
+    t = arrivals + (mu^n z + gamma^n (x - z)) @ dn.  It keeps one matmul per
+    state: summing over all pairs at once rounds differently."""
+    arrivals, dn, log_v, r1 = terms
     counts = count_allocations(states, p.n)
     exhaustive = counts <= Z_CUTOFF
     sizes = np.where(exhaustive, counts, 0).astype(np.int64)
@@ -938,34 +942,34 @@ def _poisson_pairs(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarra
     for a, b in zip(bounds[:-1], bounds[1:]):
         z = _allocation_block(states[a:b][exhaustive[a:b]], p.n)
         x = np.repeat(states[a:b], sizes[a:b], axis=0)
-        # one piece per state, empty for a state on the random path
+        # one piece per state, empty for a state past the cutoff
         pieces = np.split(p.mu_n * z + p.gamma_n * (x - z), np.cumsum(sizes[a:b])[:-1])
         for s, rates in zip(range(a, b), pieces):
             if not exhaustive[s]:
-                allocs = enumerate_allocations(states[s], p.n, cutoff=Z_CUTOFF, rng=rng)
+                allocs = enumerate_allocations(states[s], p.n)
                 rates = p.mu_n * allocs + p.gamma_n * (states[s] - allocs)
             gens.append(float(arrivals[s]) + rates @ dn[s])
     pairs = np.array([len(g) for g in gens])
-    return np.concatenate(gens), np.repeat(base, pairs), np.repeat(r1, pairs)
+    return np.concatenate(gens), np.repeat(log_v, pairs), np.repeat(r1, pairs)
 
 
 def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
                            sampler: SamplerConfig, target: str = "exp_linear",
                            eta: float = 1.0) -> VerificationReport:
     """Certify the prelimit Foster-Lyapunov bound over sampled states and
-    work-conserving allocations (exhaustive when the allocation set is small).
+    work-conserving allocations (``enumerate_allocations``: all, or the
+    priority vertices that hold the generator's maximum).
 
     target "exp_linear": the exp-linear family at the theta and eps of
     ``estimate_prelimit_constants``; Poisson input checks the V-decay with
     constant eps varrho^n/2m, renewal input checks the age-augmented function
+    (``RenewalLyapunov``, one age vector per state drawn after the states)
     with constant eps varrho^n/3m (bounded hazard required).  target
     "abandon": Poisson input, all gamma^n_i > 0, linear-in-||xhat||_1 decay
-    with the slope from ``verify.fitted_slope``.  Poisson input is evaluated
-    over all states at once (``_poisson_pairs``), renewal input per
-    (state, ages, allocation).
+    with the slope from ``verify.fitted_slope``.  Both arrival kinds feed
+    per-state terms into one pair stage (``_pair_stage``).
     """
     rng = np.random.default_rng(sampler.seed)
-    m = p.m
     if target == "abandon":
         if arr.kind != "poisson":
             raise PreconditionError("abandonment-decay check is a Poisson-input result")
@@ -982,28 +986,18 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
         est = estimate_prelimit_constants(p, arr)      # rejects unbounded hazard rates
         spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
                                  epsilon=0.5 * min(est.theta0, est.eps_tilde), theta=est.theta0)
-        decay_coeff = spec.epsilon * p.varrho_n / ((3.0 if arr.kind == "renewal" else 2.0) * m)
+        decay_coeff = spec.epsilon * p.varrho_n / ((3.0 if arr.kind == "renewal" else 2.0) * p.m)
         name = ("prelimit_renewal_foster" if arr.kind == "renewal"
                 else "prelimit_exp_linear_foster")
         consts = {"epsilon": spec.epsilon, "theta": spec.theta, "decay": decay_coeff}
 
     states = _sample_prelimit_states(p, region, sampler, rng)
     if arr.kind == "poisson":
-        t, log_v, r1 = _poisson_pairs(p, spec, states, rng)
+        terms = _poisson_terms(p, spec, states)
     else:
-        lifted = RenewalLyapunov(p, arr, spec, check=False)
-        rows = []
-        for x in states:
-            r1 = float(np.abs(scale_state(x.astype(float), p)).sum())
-            # allocation sweep kept small: the generator evaluation is exact
-            # but per-(x, s, z) scalar work
-            allocs = enumerate_allocations(x, p.n, cutoff=24, rng=rng, n_random=8)
-            ages = rng.exponential(1.0, size=m) / p.lambda_n
-            val = lifted.value(x, ages)
-            for z in allocs:
-                gen = prelimit_generator_apply(lifted, x, ages, z, p, arr)
-                rows.append((gen / val, math.log(val), r1))
-        t, log_v, r1 = np.array(rows).T
+        ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
+        terms = RenewalLyapunov(p, arr, spec, check=False).pair_terms(states, ages)
+    t, log_v, r1 = _pair_stage(p, states, terms)
 
     if target == "abandon":
         k1 = fitted_slope(t, r1, r1 >= 0.5 * region.radius)

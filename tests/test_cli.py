@@ -136,3 +136,32 @@ def test_demo_generator_check_reproduces_the_committed_files(tmp_path, capsys):
     demo = EXAMPLE.parents[1] / "out" / "demo"
     for name in ("demo_generator_check.csv", "demo_generator_check.json"):
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("", "\n[verify]\nsamples = many\n", "many"),
+    ("", "step = 0\n", "step"),
+    ("burn_in = 1\n", "burn_in = 4\n", "burn_in"),
+    ("seed = 3\n", "", "seed is required"),
+])
+@pytest.mark.parametrize("command", ["verify-drift", "sim-diffusion"])
+def test_bad_config_value_exits_2(tmp_path, capsys, old, new, named, command):
+    text = _config(None, POISSON)
+    path = tmp_path / "exp.ini"
+    path.write_text(text.replace(old, new) if old else text + new)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_renewal_verification_passes_and_repeats(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(_config(None, RENEWAL))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["verify-drift", "--config", str(path), "--out", str(out)]) == 0
+    rows = (outs[0] / "tiny_verify_report.csv").read_text().splitlines()
+    row = next(r.split(",") for r in rows if r.startswith("prelimit_renewal_foster,"))
+    assert row[5] == "1"
+    for name in ("tiny_verify_report.csv", "tiny_verify_details.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -17,6 +17,8 @@ from hwsim import verify as ver
 from hwsim.model import prelimit_params, scale_state
 
 POISSON = qs.ArrivalSpec.poisson(3)
+RENEWAL = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5),
+                                  qs.Exponential()])
 REGION = ver.Region.ball(40.0)
 SAMPLER = ver.SamplerConfig(n_samples=500, seed=3)
 
@@ -65,6 +67,23 @@ class TestEnumeration:
                                              for z in _brute_force(x, n)]
         assert qs.count_allocations(states, n).tolist() == [
             len(_brute_force(x, n)) for x in states.tolist()]
+
+    @given(st.integers(1, 4).flatmap(
+        lambda m: st.tuples(st.lists(st.integers(0, 5), min_size=m, max_size=m),
+                            st.lists(st.integers(-9, 9), min_size=m + 1, max_size=m + 1))),
+        st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_vertices_hold_the_max_of_an_affine_function(self, x_coef, n):
+        x, coef = x_coef
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qs, "Z_CUTOFF", 0)          # always the vertex branch
+            vertices = qs.enumerate_allocations(np.array(x), n)
+        brute = _brute_force(x, n)
+        assert {tuple(z) for z in vertices} <= set(brute)
+
+        def f(z):
+            return coef[-1] + sum(c * v for c, v in zip(coef, z))
+        assert max(map(f, vertices.tolist())) == max(map(f, brute))
 
     def test_counts_past_int64_are_exact(self):
         # no box binds when every x_i >= n: |Z| = C(n + m - 1, m - 1)
@@ -145,27 +164,48 @@ class TestPrelimitCheck:
                                         target="abandon")
         assert rep.to_dict() == reports["abandon"].to_dict()
 
-    def test_random_allocations_keep_their_stream(self, monkeypatch):
+    def test_priority_vertices_keep_the_exhaustive_maxima(self, monkeypatch):
         # Z_CUTOFF = 300 sends 4 of the 7 sampled states, with up to 1078
-        # allocations, to the random path: its 1000 draws per state from the
-        # check's generator, in state order, set the number of pairs
-        monkeypatch.setattr(qs, "Z_CUTOFF", 300)
-        rep = qs.verify_prelimit_foster(prelimit_params(CERTIFY, 100), POISSON, REGION,
-                                        ver.SamplerConfig(n_samples=8, seed=5),
-                                        target="abandon")
-        assert rep.to_dict() == {
-            "inequality": "prelimit_abandon_foster", "samples": 2301, "violations": 0,
-            "worst_margin": 1.948836318790427, "seed": 5, "passed": True,
-            "constants": {"attainment_radius": 4.9, "eta": 1.0,
-                          "kappa1_estimate": 0.4257561798198021,
-                          "kappa_estimate": 0.7504118856078772,
-                          "theta": 0.4166666666666667},
-            "notes": ""}
+        # allocations, to their priority vertices: every statistic that is a
+        # maximum over each state's allocations stays the same
+        p, sampler = prelimit_params(CERTIFY, 100), ver.SamplerConfig(n_samples=8, seed=5)
+        for target in ("exp_linear", "abandon"):
+            full = qs.verify_prelimit_foster(p, POISSON, REGION, sampler, target=target)
+            with monkeypatch.context() as mp:
+                mp.setattr(qs, "Z_CUTOFF", 300)
+                cut = qs.verify_prelimit_foster(p, POISSON, REGION, sampler, target=target)
+            assert cut.n_samples < full.n_samples
+            assert cut.worst_margin == full.worst_margin
+            for key in ("kappa_estimate", "kappa1_estimate", "attainment_radius"):
+                assert cut.constants.get(key) == full.constants.get(key), (target, key)
+
+    def test_every_renewal_pair_matches_the_scalar_generator(self, certify_n10):
+        p, sampler = certify_n10, ver.SamplerConfig(n_samples=20, seed=7)
+        c = qs.estimate_prelimit_constants(p, RENEWAL)
+        spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
+                                 epsilon=0.5 * min(c.theta0, c.eps_tilde), theta=c.theta0)
+        lifted = qs.RenewalLyapunov(p, RENEWAL, spec, check=False)
+        rng = np.random.default_rng(sampler.seed)
+        states = qs._sample_prelimit_states(p, REGION, sampler, rng)
+        ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
+        t, _, _ = qs._pair_stage(p, states, lifted.pair_terms(states, ages))
+        ref = []
+        for x, s in zip(states, ages):
+            val = lifted.value(x, s)
+            hazard = float(np.sum(lifted.hazard_n(s)))
+            for z in qs.enumerate_allocations(x, p.n):
+                gen = qs.prelimit_generator_apply(lifted, x, s, z, p, RENEWAL)
+                # each term of the generator over V~ is at most a rate, or
+                # the age derivative
+                scale = (hazard + float(np.sum(p.mu_n * z + p.gamma_n * (x - z)))
+                         + abs(float(lifted.ds_sum(x, s))) / val)
+                ref.append((gen / val, scale))
+        assert len(t) == len(ref)
+        for got, (want, scale) in zip(t, ref):
+            assert abs(got - want) <= 1e-10 * scale
 
     def test_renewal_report_is_pinned(self, certify_n10):
-        arr = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5),
-                                      qs.Exponential()])
-        rep = qs.verify_prelimit_foster(certify_n10, arr, REGION,
+        rep = qs.verify_prelimit_foster(certify_n10, RENEWAL, REGION,
                                         ver.SamplerConfig(n_samples=20, seed=7))
         assert rep.to_dict() == {
             "inequality": "prelimit_renewal_foster", "samples": 112, "violations": 0,

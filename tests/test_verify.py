@@ -368,11 +368,11 @@ class TestSlopeFit:
                                        vspec, ver.Region.ball(40.0), samp),
         ]
 
-        def pairs(p, spec, states, rng):
+        def pairs(p, states, terms):
             r1 = np.abs(scale_state(states.astype(float), p)).sum(axis=1)
             return r1, 0.0 * r1, r1
 
-        monkeypatch.setattr(qs, "_poisson_pairs", pairs)
+        monkeypatch.setattr(qs, "_pair_stage", pairs)
         reps.append(qs.verify_prelimit_foster(prelimit_params(CERTIFY, 10),
                                               qs.ArrivalSpec.poisson(3), ver.Region.ball(40.0),
                                               ver.SamplerConfig(500, seed=3), target="abandon"))
