@@ -57,6 +57,7 @@ from .diffusion import (
     estimate_rate,
     estimate_tail,
     simulate,
+    simulate_policies,
 )
 from .queues import (
     ArrivalSpec,

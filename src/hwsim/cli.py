@@ -352,9 +352,9 @@ def cmd_sim_diffusion(cfg: ExperimentConfig, overwrite: bool) -> int:
     out = _prepare_out(cfg, f"{cfg.scenario}_diffusion_summary.json", overwrite)
     dspec = diffusion_spec(cfg.system)
     records, summary = [], {}
-    for i, polcfg in enumerate(cfg.policies):
-        pol = diffusion_policy(polcfg)
-        run = dif.simulate(dspec, pol, replace(cfg.sim, seed=cfg.seed + i))
+    pols = [diffusion_policy(polcfg) for polcfg in cfg.policies]
+    runs = dif.simulate_policies(dspec, pols, replace(cfg.sim, seed=cfg.seed))
+    for i, (polcfg, pol, run) in enumerate(zip(cfg.policies, pols, runs)):
         entry = {"policy": pol.describe(), "tripped": int(run.tripped.sum())}
         if run.measure.replica_time.sum() > 0:
             for key in ("l1", "neg_sum", "sum"):
@@ -455,9 +455,9 @@ def cmd_tails(cfg: ExperimentConfig, overwrite: bool) -> int:
     dspec = diffusion_spec(cfg.system)
     records = []
     rows = []
-    for i, polcfg in enumerate(cfg.policies):
-        pol = diffusion_policy(polcfg)
-        run = dif.simulate(dspec, pol, replace(cfg.sim, seed=cfg.seed + i))
+    pols = [diffusion_policy(polcfg) for polcfg in cfg.policies]
+    runs = dif.simulate_policies(dspec, pols, replace(cfg.sim, seed=cfg.seed))
+    for i, (polcfg, run) in enumerate(zip(cfg.policies, runs)):
         for form in ("exponential", "sub_gaussian"):
             fit = dif.estimate_tail(run.measure, form)
             rows.append((polcfg.name, form, fit))

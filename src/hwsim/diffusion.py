@@ -1,21 +1,24 @@
 """Euler-Maruyama simulation of the controlled piecewise-linear diffusion.
 
-Replicas evolve independently with per-replica RNG substreams spawned from
-the master seed, so runs are bit-reproducible and replicas can be merged in
-any order.  Time averages are accumulated exactly (step-weighted) after
-burn-in; thinned snapshots feed histogram and tail queries.
+Every replica draws its noise from its own RNG substream, spawned from the
+seed, so runs are bit-reproducible and replicas can be merged in any order.
+Time averages are accumulated exactly (step-weighted) after burn-in; thinned
+snapshots feed histogram and tail queries.
 
-The step loop does only the state update and the blow-up guard.  The states
-of each block of ``_BLOCK`` steps are kept, and the moment integrals are
-folded from the block in time order, one step's terms after the other, so
-they equal per-step addition bit for bit.  Once every replica has tripped
-the guard the loop stops.
+``simulate_policies`` steps the replicas of several controls in lockstep, as
+the rows of one state array.  The replicas of control i are spawned from
+seed + i, so each control's run equals a run of that control alone bit for
+bit.  The step loop does only the state update and the blow-up guard.  The
+states of each block of steps are kept, and the moment integrals are folded
+from the block in time order, one step's terms after the other, so they
+equal per-step addition bit for bit.  Once every replica has tripped the
+guard the loop stops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,22 +61,33 @@ class StaticPriorityControl(ConstantControl):
 
 
 class StateTableControl:
-    """Piecewise-constant control looked up on a regular grid."""
+    """Piecewise-constant control looked up on a grid of cells.
+
+    Points outside the grid take the nearest cell along each coordinate, and
+    NaN takes the last one.
+    """
 
     def __init__(self, edges: list[np.ndarray], table: np.ndarray):
         self.edges = [np.asarray(e, dtype=float) for e in edges]
-        self.table = np.asarray(table, dtype=float)
-        if self.table.ndim != len(self.edges) + 1:
-            raise ValueError("table must have one axis per dimension plus the control axis")
-        flat = self.table.reshape(-1, self.table.shape[-1])
-        self.table = project_simplex(flat).reshape(self.table.shape)
+        table = np.asarray(table, dtype=float)
+        cells = tuple(len(e) - 1 for e in self.edges)
+        if table.shape[:-1] != cells:
+            raise ValueError("table must have one axis of len(edges[d]) - 1 cells per "
+                             "dimension plus the control axis")
+        if any(not np.all(np.diff(e) > 0) for e in self.edges):
+            raise ValueError("edges must be strictly increasing")
+        self._flat = project_simplex(table.reshape(-1, table.shape[-1]))
+        self.table = self._flat.reshape(table.shape)
+        # the cell of x_d is the number of interior edges below it, which
+        # puts points outside the grid (and NaN) in the outer cells
+        self._inner = [e[1:-1] for e in self.edges]
+        self._strides = [math.prod(cells[d + 1:]) for d in range(len(cells))]
 
     def controls(self, x: np.ndarray) -> np.ndarray:
-        idx = []
-        for d, e in enumerate(self.edges):
-            i = np.clip(np.searchsorted(e, x[..., d]) - 1, 0, len(e) - 2)
-            idx.append(i)
-        return self.table[tuple(idx)]
+        cell = np.searchsorted(self._inner[-1], x[..., -1])
+        for d in range(len(self._inner) - 1):
+            cell += np.searchsorted(self._inner[d], x[..., d]) * self._strides[d]
+        return self._flat.take(cell, axis=0)
 
     def describe(self) -> str:
         return f"state_table[{'x'.join(str(len(e) - 1) for e in self.edges)}]"
@@ -97,10 +111,13 @@ class FunctionControl:
 # simulation
 # ---------------------------------------------------------------------------
 
-# Steps per noise draw and per fold of the moment integrals.  At 16 replicas
-# the block's (B, R, m) buffers then take 64 KB, under the allocator's 128 KB
-# mmap threshold; at 512 steps they crossed it, and the peak RSS of repeated
-# runs crept up by ~0.4 MB while the step cost stayed the same.
+# Steps per noise draw and per fold of the moment integrals for one control;
+# G controls in lockstep take _BLOCK // G.  The block's (B, G * R, m) state and
+# noise buffers then keep one control's byte size, 64 KB each at 16 replicas
+# and m = 2, under glibc's 128 KB mmap threshold.  Past it each block's
+# buffers are mapped afresh and the peak RSS of repeated runs creeps up
+# (~0.4 MB for one control at 512 steps, ~1.2 MB for three at 256) while the
+# step cost stays the same.
 _BLOCK = 256
 
 
@@ -172,9 +189,55 @@ def _thin_rows(k: int, lo: int, hi: int, thin_every: int) -> slice:
     return slice(-(-(k + lo + 1) // thin_every) * thin_every - k - 1, hi, thin_every)
 
 
+# The runs of the simulate_policies call in progress: a suspended
+# _lockstep_runs, stepped by the first simulate call that asks for a run.
+_pending = None
+
+
 def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
              keep_snapshots: bool = False) -> DiffusionRun:
-    """Fixed-step Euler-Maruyama paths under a stationary Markov control.
+    """Fixed-step Euler-Maruyama paths under one stationary Markov control.
+
+    Every run, of a control alone or of one in lockstep with others, is
+    returned by one call of this function, so a wrapper of ``simulate`` (the
+    perfbench tracer counts replica steps and repeated paths per call) sees
+    each control's run.  Within ``simulate_policies`` the call returns the
+    next control's run of the lockstep.
+    """
+    if _pending is not None:
+        return next(_pending)
+    return next(_lockstep_runs(dspec, [policy], cfg, keep_snapshots))
+
+
+def simulate_policies(dspec: DiffusionSpec, policies, cfg: SimConfig,
+                      keep_snapshots: bool = False) -> list[DiffusionRun]:
+    """Fixed-step Euler-Maruyama paths under each of several stationary Markov
+    controls, stepped in lockstep; one run per control.
+
+    Control i drives cfg.replicas replicas seeded from
+    ``SeedSequence(cfg.seed + i)``, so its run equals ``simulate`` under that
+    control at seed cfg.seed + i bit for bit.  Each run is returned by a
+    ``simulate`` call with those arguments; the first of them steps them all.
+    """
+    global _pending
+    if not policies:
+        raise ValueError("need at least one policy")
+    _pending = _lockstep_runs(dspec, policies, cfg, keep_snapshots)
+    try:
+        return [simulate(dspec, pol, replace(cfg, seed=cfg.seed + i), keep_snapshots)
+                for i, pol in enumerate(policies)]
+    finally:
+        _pending = None
+
+
+def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
+                   keep_snapshots: bool):
+    """Step the replicas of every control in lockstep, then yield one run per
+    control, in order.
+
+    All replicas are rows of one (G * R, m) state: constant controls fill
+    their rows of the control array once, and the others are evaluated on
+    their own rows every step.
 
     Replicas that exceed the blow-up guard ||x||_1 > cfg.blowup stop evolving
     and stop contributing to the measure; this is an expected outcome for
@@ -183,45 +246,54 @@ def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
     the frozen states.
 
     Each step only updates the state and checks the guard.  States are kept
-    for a block of ``_BLOCK`` steps; the moment integrals, live time, thinned
-    samples and snapshots are then taken from the block, the integrals folded
-    in time order so that they equal per-step addition bit for bit.
+    for a block of steps; the moment integrals, live time, thinned samples and
+    snapshots are then taken from the block, the integrals folded in time
+    order so that they equal per-step addition bit for bit.
     """
     m = dspec.m
     h = cfg.step
     n_steps = int(round(cfg.horizon / h))
     burn_step = int(round(cfg.burn_in / h))
     thin_every = max(1, int(round(cfg.thin / h)))
-    R = cfg.replicas
+    G, R = len(policies), cfg.replicas
+    N = G * R
+    groups = [slice(g * R, (g + 1) * R) for g in range(G)]
 
-    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(R)]
+    gens = [np.random.default_rng(s) for g in range(G)
+            for s in np.random.SeedSequence(cfg.seed + g).spawn(R)]
     x0 = np.asarray(cfg.x0, dtype=float) * np.ones(m)
-    X = np.tile(x0, (R, 1))
-    alive = np.ones(R, dtype=bool)
+    X = np.tile(x0, (N, 1))
+    alive = np.ones(N, dtype=bool)
     all_alive = True
-    trip_time = np.full(R, np.nan)
+    trip_time = np.full(N, np.nan)
 
     base = -(dspec.varrho / m) * dspec.mu
     sqh_sigma = math.sqrt(h) * dspec.sigma_diag
-    # a constant control's u broadcasts against X to the same products
-    u_const = policy.u if isinstance(policy, ConstantControl) else None
-    integrals = {k: np.zeros(R) for k in _moment_names(m)}
-    live_time = np.zeros(R)
-    sample_rows = []
+    u = np.empty((N, m))                   # the controls, one row per replica
+    varying = []
+    for grp, pol in zip(groups, policies):
+        if isinstance(pol, ConstantControl):
+            u[grp] = pol.u
+        else:
+            varying.append((grp, pol))
+    integrals = {k: np.zeros(N) for k in _moment_names(m)}
+    live_time = np.zeros(N)
+    sample_rows = [[] for _ in groups]     # per control, one array per block
     snaps = [] if keep_snapshots else None
     snap_times = [] if keep_snapshots else None
 
-    block = min(_BLOCK, n_steps)
-    xs = np.empty((block, R, m))           # the block's states, one row per step
-    alive_rows = np.empty((block, R), dtype=bool)
+    block = min(max(_BLOCK // G, 1), n_steps)
+    xs = np.empty((block, N, m))           # the block's states, one row per step
+    alive_rows = np.empty((block, N), dtype=bool)
     k = 0                                  # steps done
     while k < n_steps and alive.any():
         ksz = min(block, n_steps - k)
-        noise = np.stack([g.standard_normal((ksz, m)) for g in gens], axis=1)  # (ksz, R, m)
+        noise = np.stack([g.standard_normal((ksz, m)) for g in gens], axis=1)  # (ksz, N, m)
         noise *= sqh_sigma
         alive_rows[:ksz] = alive
         for j in range(ksz):
-            u = policy.controls(X) if u_const is None else u_const
+            for grp, pol in varying:
+                u[grp] = pol.controls(X[grp])
             pos = np.maximum(X.sum(axis=1, keepdims=True), 0.0)
             b = base - dspec.mu * (X - pos * u) - pos * dspec.gamma * u
             Xn = X + b * h + noise[j]
@@ -242,7 +314,8 @@ def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
             live_time = _accumulate(integrals, live_time, xs[first:done],
                                     alive_rows[first:done], h)
             rows = _thin_rows(k, first, done, thin_every)
-            sample_rows.append(xs[rows][alive_rows[rows]])
+            for grp, parts in zip(groups, sample_rows):
+                parts.append(xs[rows, grp][alive_rows[rows, grp]])
         if keep_snapshots:
             rows = _thin_rows(k, 0, done, thin_every)
             snaps.append(xs[rows].copy())
@@ -250,27 +323,26 @@ def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
         k += done
     if keep_snapshots:                     # frozen paths after the last trip
         rest = range((k // thin_every + 1) * thin_every, n_steps + 1, thin_every)
-        snaps.append(np.broadcast_to(X, (len(rest), R, m)))
+        snaps.append(np.broadcast_to(X, (len(rest), N, m)))
         snap_times += [t * h for t in rest]
+    snapshots = np.concatenate(snaps, axis=0) if keep_snapshots and snap_times else None
 
-    if sample_rows:
-        samples = np.concatenate(sample_rows, axis=0)
-    else:
-        samples = np.empty((0, m))
-    measure = EmpiricalMeasure(
-        samples=samples,
-        weights=np.full(samples.shape[0], cfg.thin),
-        replica_time=live_time,
-        replica_integrals=integrals,
-    )
-    return DiffusionRun(
-        measure=measure,
-        tripped=~alive,
-        trip_time=trip_time,
-        terminal=X,
-        snapshot_times=np.asarray(snap_times) if keep_snapshots else None,
-        snapshots=np.concatenate(snaps, axis=0) if keep_snapshots and snap_times else None,
-    )
+    for grp, parts in zip(groups, sample_rows):
+        samples = np.concatenate(parts, axis=0) if parts else np.empty((0, m))
+        measure = EmpiricalMeasure(
+            samples=samples,
+            weights=np.full(samples.shape[0], cfg.thin),
+            replica_time=live_time[grp],
+            replica_integrals={name: v[grp] for name, v in integrals.items()},
+        )
+        yield DiffusionRun(
+            measure=measure,
+            tripped=~alive[grp],
+            trip_time=trip_time[grp],
+            terminal=X[grp],
+            snapshot_times=np.asarray(snap_times) if keep_snapshots else None,
+            snapshots=None if snapshots is None else snapshots[:, grp],
+        )
 
 
 # ---------------------------------------------------------------------------

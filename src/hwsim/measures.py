@@ -10,6 +10,7 @@ fits use fixed level counts and ranges (the module constants).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,7 @@ def fit_tail(values: np.ndarray, weights: np.ndarray, form: str) -> TailFit:
     w = w / w.sum()
     surv = np.concatenate([[1.0], 1.0 - np.cumsum(w)[:-1]])  # P(X >= v_k)
 
-    lo = float(np.interp(TAIL_START, np.cumsum(w), v))
+    lo = float(np.interp(TAIL_START, np.cumsum(w), v)) if len(v) else math.nan
     if len(v) <= MIN_TAIL_COUNT:
         return TailFit(form, 0.0, 0.0, 0.0, lo, lo, 0, flag="insufficient tail samples")
     hi = float(v[-MIN_TAIL_COUNT])

@@ -138,6 +138,34 @@ def test_demo_generator_check_reproduces_the_committed_files(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
 
 
+def test_demo_diffusion_reproduces_the_committed_files(tmp_path, capsys):
+    for command in ("sim-diffusion", "tails"):
+        assert cli.main([command, "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
+    demo = EXAMPLE.parents[1] / "out" / "demo"
+    names = sorted(p.name for p in demo.glob("demo_*_diffusion_*"))
+    names += ["demo_diffusion_summary.json", "demo_tails.csv"]
+    assert len(names) == 8
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+
+
+def test_tails_flags_policies_that_trip_before_burn_in(tmp_path, capsys):
+    # a transient system: every replica of every policy trips before burn-in
+    text = EXAMPLE.read_text()
+    for old, new in [("hat_lambda = -0.5, -0.5", "hat_lambda = 0.5, 0.5"),
+                     ("horizon = 200", "horizon = 400"), ("step = 0.005", "step = 0.05"),
+                     ("burn_in = 20", "burn_in = 300"), ("replicas = 16", "replicas = 4"),
+                     ("blowup = 1000", "blowup = 30")]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "trip.ini"
+    path.write_text(text)
+    assert cli.main(["tails", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "demo_tails.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert all(row.endswith(",0,insufficient tail samples") for row in rows)
+
+
 @pytest.mark.parametrize("old, new, named", [
     ("", "\n[verify]\nsamples = many\n", "many"),
     ("", "step = 0\n", "step"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,38 @@ class TestPolicies:
         pol = dif.StateTableControl(edges, table)
         u = pol.controls(np.array([[-0.5, -0.5], [0.5, -0.5]]))
         assert np.array_equal(u, [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_state_table_equals_the_clipped_lookup(self, m):
+        rng = np.random.default_rng(m)
+        edges = [np.sort(rng.uniform(-3.0, 3.0, size=n)) for n in (5, 2, 6)[:m]]
+        cells = tuple(len(e) - 1 for e in edges)
+        pol = dif.StateTableControl(edges, rng.dirichlet(np.ones(m), size=cells))
+        pts = [rng.uniform(-4.0, 4.0, size=(500, m))]
+        far = np.array([-1e300, 1e300, -np.inf, np.inf, np.nan])
+        for d, e in enumerate(edges):
+            for values in (e, far):                # on every edge, far outside, NaN
+                p = rng.uniform(-4.0, 4.0, size=(len(values), m))
+                p[:, d] = values
+                pts.append(p)
+        x = np.concatenate(pts)
+
+        def clipped(x):
+            idx = [np.clip(np.searchsorted(e, x[..., d]) - 1, 0, len(e) - 2)
+                   for d, e in enumerate(pol.edges)]
+            return pol.table[tuple(idx)]
+
+        assert np.array_equal(pol.controls(x), clipped(x))
+        assert np.array_equal(pol.controls(x[:12].reshape(3, 4, m)),
+                              clipped(x[:12].reshape(3, 4, m)))
+        assert np.array_equal(pol.controls(x[0]), clipped(x[0]))
+
+    def test_state_table_rejects_a_bad_grid(self):
+        table = np.full((2, 2, 2), 0.5)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dif.StateTableControl([np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0])], table)
+        with pytest.raises(ValueError, match="cells"):
+            dif.StateTableControl([np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0])], table)
 
     def test_function_hook_projected(self):
         pol = dif.FunctionControl(lambda x: np.full_like(x, 0.5), "half")
@@ -249,6 +282,87 @@ class TestReferenceLoop:
             assert np.nanmin(got.trip_time) <= cfg.burn_in < np.nanmax(got.trip_time)
 
 
+_TRIP_CLASS0 = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 1.0], [1.0, 1.0])
+_TABLE3 = dif.StateTableControl(
+    [np.linspace(-2.0, 2.0, 4)] * 3,
+    np.random.default_rng(6).dirichlet(np.ones(3), size=(3, 3, 3)))
+
+_LOCKSTEP = {
+    # m = 2, 777 steps: not a multiple of the 64-step block of four policies
+    "mixed": (None, [dif.ConstantControl([0.3, 0.7]), dif.StaticPriorityControl((1, 0)),
+                     _TABLE, _SOFTMAX],
+              dict(horizon=7.77, step=0.01, burn_in=1.37, replicas=3, thin=0.3,
+                   x0=(1.0, -1.0))),
+    "mixed_m3": (_THREE, [_SOFTMAX, dif.StaticPriorityControl((2, 0, 1)), _TABLE3,
+                          dif.ConstantControl([0.2, 0.3, 0.5])],
+                 dict(horizon=3.0, step=0.005, replicas=2, thin=0.1)),
+    # class 0 does not abandon: under u = e_0 every replica trips, while
+    # u = e_1 and the table keep theirs to the horizon
+    "one_group_trips": (_TRIP_CLASS0, [dif.StaticPriorityControl((1, 0)),
+                                       dif.StaticPriorityControl((0, 1)), _TABLE],
+                        dict(horizon=12.0, step=0.01, burn_in=2.0, replicas=3, thin=0.5,
+                             blowup=12.0)),
+    # every replica of both controls trips, so the loop stops before the horizon
+    "all_trip": (_TRANSIENT, [dif.ConstantControl([1.0, 0.0]), dif.ConstantControl([0.5, 0.5])],
+                 dict(horizon=60.0, step=0.02, burn_in=5.0, replicas=3, thin=0.7, blowup=8.0)),
+}
+
+
+class TestLockstep:
+    """Each run of simulate_policies equals simulate of its control alone."""
+
+    @pytest.mark.parametrize("snaps", [False, True])
+    @pytest.mark.parametrize("name", list(_LOCKSTEP))
+    def test_runs_equal_one_policy_runs(self, dspec, name, snaps):
+        ds, pols, kw = _LOCKSTEP[name]
+        ds = dspec if ds is None else ds
+        cfg = dif.SimConfig(seed=0, **kw)
+        runs = dif.simulate_policies(ds, pols, cfg, keep_snapshots=snaps)
+        assert len(runs) == len(pols)
+        for i, (pol, run) in enumerate(zip(pols, runs)):
+            alone = dif.simulate(ds, pol, replace(cfg, seed=cfg.seed + i), keep_snapshots=snaps)
+            want, have = _outputs(alone), _outputs(run)
+            assert have.keys() == want.keys()
+            for field, value in want.items():
+                if value is None:
+                    assert have[field] is None, (i, field)
+                else:
+                    assert np.array_equal(have[field], value, equal_nan=True), (i, field)
+        if name == "one_group_trips":
+            assert runs[0].tripped.all()
+            assert not runs[1].tripped.any() and not runs[2].tripped.any()
+        if name == "all_trip":
+            assert all(run.tripped.all() for run in runs)
+
+    def test_needs_a_policy(self, dspec):
+        with pytest.raises(ValueError, match="policy"):
+            dif.simulate_policies(dspec, [], dif.SimConfig(horizon=1.0, step=0.1))
+
+    def test_each_run_passes_through_simulate(self, dspec, monkeypatch):
+        # a wrapper of simulate sees one call per control, with that control
+        # and its seed, and returns that control's run
+        seen = []
+        inner = dif.simulate
+
+        def wrapped(ds, pol, cfg, keep_snapshots=False):
+            run = inner(ds, pol, cfg, keep_snapshots)
+            seen.append((pol, cfg.seed, run))
+            return run
+
+        monkeypatch.setattr(dif, "simulate", wrapped)
+        pols = [dif.ConstantControl([0.5, 0.5]), _TABLE, dif.StaticPriorityControl((1, 0))]
+        cfg = dif.SimConfig(horizon=3.0, step=0.01, burn_in=1.0, replicas=2, seed=4)
+        runs = dif.simulate_policies(dspec, pols, cfg)
+        assert [(pol, seed) for pol, seed, _ in seen] == [(p, 4 + i) for i, p in enumerate(pols)]
+        assert all(a is b for (_, _, a), b in zip(seen, runs))
+        assert dif._pending is None
+        # a control that raises mid-lockstep leaves no pending runs behind
+        bad = dif.FunctionControl(lambda x: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            dif.simulate_policies(dspec, [pols[0], bad], cfg)
+        assert dif._pending is None
+
+
 class TestMeasure:
     def test_normalization(self, dspec):
         cfg = dif.SimConfig(horizon=20.0, step=0.01, replicas=4, seed=2)
@@ -309,6 +423,9 @@ class TestTails:
     def test_insufficient_samples_flagged(self):
         fit = measures.fit_tail(np.arange(10.0), np.ones(10), "exponential")
         assert not fit.ok
+        # every replica tripped before burn-in: no samples at all
+        fit = measures.fit_tail(np.empty(0), np.empty(0), "exponential")
+        assert fit.flag == "insufficient tail samples" and fit.n_levels == 0
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
