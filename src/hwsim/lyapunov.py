@@ -20,7 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DiffusionSpec, SystemParams, drift_truncated, spare_capacity
+from .model import (DiffusionSpec, SystemParams, drift_truncated, max_drift_along,
+                    spare_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +281,22 @@ def ratio_from_terms(terms, x, u, dspec: DiffusionSpec, c: float = math.inf,
                      check: bool = True) -> np.ndarray:
     """``generator_ratio`` of the product family from each factor's ``log_terms``
     at x, for callers that already hold them (they need L as well)."""
-    gl = 0.0
-    hl = 0.0
-    for _, g, h in terms:
-        gl = gl + g
-        hl = hl + h
-    b = drift_truncated(x, u, dspec, c, check=check)
-    return 0.5 * np.sum(dspec.a_diag * (gl * gl + hl), axis=-1) + np.sum(b * gl, axis=-1)
+    gl, second = _second_order(terms, dspec)
+    return second + np.sum(drift_truncated(x, u, dspec, c, check=check) * gl, axis=-1)
+
+
+def worst_ratio_from_terms(terms, x, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
+    """max over u in Delta of ``ratio_from_terms``: only the drift depends on u."""
+    gl, second = _second_order(terms, dspec)
+    return second + max_drift_along(x, gl, dspec, c)
+
+
+def _second_order(terms, dspec: DiffusionSpec):
+    """(grad L, (1/2) sum_i a_ii ((d_i L)^2 + d_ii L)) of the product family:
+    the gradient of L = log f and the part of L_u f / f free of u."""
+    gl = sum(g for _, g, _ in terms)
+    hl = sum(h for _, _, h in terms)
+    return gl, 0.5 * np.sum(dspec.a_diag * (gl * gl + hl), axis=-1)
 
 
 def generator_apply(spec, x, u, dspec: DiffusionSpec, c: float = math.inf,

@@ -261,6 +261,18 @@ def drift_truncated(x, u, spec: DiffusionSpec, c: float, check: bool = True) -> 
     return -(spec.varrho / spec.m) * spec.mu - spec.mu * (x - pos * u) - pos * spec.gamma * u * keep
 
 
+def max_drift_along(x, g, spec: DiffusionSpec, c: float) -> np.ndarray:
+    """max over u in Delta of <g, b_c(x, u)>, row by row: b_c(x, u) = b_c(x, 0)
+    + <e,x>^+ (mu - gamma 1{x <= c}) * u is affine in u, so the maximum sits at
+    the vertex e_k with the largest (mu_k - gamma_k 1{x_k <= c}) g_k."""
+    if not c >= 1.0:
+        raise ValueError(f"truncation level must satisfy c >= 1, got {c}")
+    x = _as_array(x, spec.m)
+    pos = np.maximum(x.sum(axis=-1), 0.0)
+    base = np.sum(g * (-(spec.varrho / spec.m) * spec.mu - spec.mu * x), axis=-1)
+    return base + pos * np.max(g * (spec.mu - spec.gamma * (x <= c)), axis=-1)
+
+
 def scale_state(x, p: PrelimitParams) -> np.ndarray:
     """Diffusion scaling: xhat_i = (x_i - lambda^n_i/mu^n_i)/sqrt(n) - varrho^n/m."""
     x = _as_array(x, p.m)

@@ -793,33 +793,23 @@ def enumerate_allocations(x: np.ndarray, n: int) -> np.ndarray:
 # prelimit Foster-Lyapunov verification
 # ---------------------------------------------------------------------------
 
-def theta0_formula(varrho_n: float, m: int, mu_max_n: float, beta_max_n: float,
-                   c1: float, tc0: float, tc1: float, c2: float, c3: float) -> float:
-    """Three-way minimum defining the admissible prelimit theta."""
-    term1 = 1.0 / (1.0 + max(beta_max_n - 1.0, 0.0))
-    term2 = 1.0 / (2.0 * mu_max_n * (tc0 + c1))
-    term3 = (varrho_n / m) / (m + 2.0 * varrho_n + 4.0 * (tc1 + m * c1 * c2 + m * c3))
-    return min(term1, term2, term3)
-
-
 @dataclass
 class PrelimitConstants:
-    c1_hat: float
-    c0n_hat: float
-    tc0n: float
-    tc1n: float
-    c2n_hat: float
-    c3n_hat: float
     theta0: float
     eps_tilde: float
-    vartheta: np.ndarray
 
 
-def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, radius: float,
-                 n_states: int, rng: np.random.Generator) -> float:
+# The second-difference constant is a supremum over this many states, drawn
+# uniformly from the cube of this half-width in xhat with this seed (and the
+# next one for the refinement at the selected parameters).
+C1_STATES, C1_RADIUS, C1_SEED = 2000, 30.0, 11
+
+
+def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, seed: int) -> float:
     """Sample sup of n |second difference of V^n| / (eps (eps+theta) V^n)."""
     m = p.m
-    xh = rng.uniform(-radius, radius, size=(n_states, m))
+    rng = np.random.default_rng(seed)
+    xh = rng.uniform(-C1_RADIUS, C1_RADIUS, size=(C1_STATES, m))
     x = np.maximum(np.rint(unscale_state(xh, p)), 0.0)
     logv = _log_v(spec, p)
     base = logv(x)
@@ -840,20 +830,17 @@ def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, radius: float,
     return p.n * worst / (spec.epsilon * (spec.epsilon + spec.theta))
 
 
-# The second-difference constant is a supremum over this many states, drawn
-# uniformly from the cube of this half-width in xhat with this seed (and the
-# next one for the refinement at the selected parameters).
-C1_STATES, C1_RADIUS, C1_SEED = 2000, 30.0, 11
-
-
 def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> PrelimitConstants:
-    """Constants feeding the prelimit theta selection.
+    """theta0 and eps~ of the prelimit exp-linear family; needs varrho^n > 0.
 
-    The second-difference constant is a sample supremum refined once at the
-    selected parameters; the hazard/residual-life bound is analytic and
-    requires a bounded-hazard family; the allocation-range constants are
-    analytic caps over all feasible (x, z).
+    theta0 is a three-way minimum over constants: the second-difference
+    constant is a sample supremum refined once at the selected parameters;
+    the hazard/residual-life bound is analytic and requires a bounded-hazard
+    family; the allocation-range constants are analytic caps over all
+    feasible (x, z).
     """
+    if p.varrho_n <= 0:
+        raise PreconditionError("prelimit exp-linear bound needs varrho^n > 0")
     if not arr.bounded_hazard():
         raise PreconditionError("unbounded hazard family: prelimit constants unavailable")
     m = p.m
@@ -870,7 +857,7 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> Prelimit
     beta_max = float(p.beta_n.max())
     mu_max = float(p.mu_n.max())
 
-    def downstream(c1):
+    def theta_at(c1):
         tc0 = m * m * c0n * c1
         tc1 = c1 * (m * m * c0n * mu_max + m * (m - 1) * c0n**2
                     + float(np.sum(p.lambda_n / p.n)))
@@ -881,24 +868,19 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> Prelimit
         c2 = float(np.max((varrho_n * p.mu_n / m + p.mu_n * zhat_cap * rt
                            + p.gamma_n * rt) / rt))
         c3 = tc0 * float(p.gamma_n.max())
-        return tc0, tc1, c2, c3
+        term1 = 1.0 / (1.0 + max(beta_max - 1.0, 0.0))
+        term2 = 1.0 / (2.0 * mu_max * (tc0 + c1))
+        term3 = (varrho_n / m) / (m + 2.0 * varrho_n + 4.0 * (tc1 + m * c1 * c2 + m * c3))
+        return min(term1, term2, term3)
 
     prov = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=0.05, theta=0.25)
-    c1 = _estimate_c1(p, prov, C1_RADIUS, C1_STATES, np.random.default_rng(C1_SEED))
-    tc0, tc1, c2, c3 = downstream(c1)
-    theta0 = theta0_formula(varrho_n, m, mu_max, beta_max, c1, tc0, tc1, c2, c3) \
-        if varrho_n > 0 else float("nan")
-    if varrho_n > 0:
-        et0 = eps_tilde0(p, arr, theta0)
-        eps = 0.5 * min(theta0, et0)
-        final = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=eps, theta=theta0)
-        c1 = max(c1, _estimate_c1(p, final, C1_RADIUS, C1_STATES,
-                                  np.random.default_rng(C1_SEED + 1)))
-        tc0, tc1, c2, c3 = downstream(c1)
-        theta0 = theta0_formula(varrho_n, m, mu_max, beta_max, c1, tc0, tc1, c2, c3)
-    et0 = eps_tilde0(p, arr, theta0 if varrho_n > 0 else 0.5)
-    vartheta = rt * (1.0 - p.rho_n) - varrho_n / m
-    return PrelimitConstants(c1, c0n, tc0, tc1, c2, c3, theta0, et0, vartheta)
+    c1 = _estimate_c1(p, prov, C1_SEED)
+    theta0 = theta_at(c1)
+    eps = 0.5 * min(theta0, eps_tilde0(p, arr, theta0))
+    final = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=eps, theta=theta0)
+    c1 = max(c1, _estimate_c1(p, final, C1_SEED + 1))
+    theta0 = theta_at(c1)
+    return PrelimitConstants(theta0, eps_tilde0(p, arr, theta0))
 
 
 def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerConfig,
@@ -981,9 +963,7 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
         name = "prelimit_abandon_foster"
         consts = {"eta": eta, "theta": theta_n}
     else:
-        if p.varrho_n <= 0:
-            raise PreconditionError("prelimit exp-linear bound needs varrho^n > 0")
-        est = estimate_prelimit_constants(p, arr)      # rejects unbounded hazard rates
+        est = estimate_prelimit_constants(p, arr)      # rejects varrho^n <= 0, unbounded hazards
         spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
                                  epsilon=0.5 * min(est.theta0, est.eps_tilde), theta=est.theta0)
         decay_coeff = spec.epsilon * p.varrho_n / ((3.0 if arr.kind == "renewal" else 2.0) * p.m)

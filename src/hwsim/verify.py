@@ -2,16 +2,18 @@
 
 Every diffusion check draws its samples from ``_cloud``: a deterministic,
 seed-keyed cloud of states (enriched near the cone boundary, the coordinate
-axes and the curvature joints of the cutoff), one simplex control per state
-(the vertices, the barycenter, Dirichlet samples) and their ||x||_1.
-Consecutive checks on one region share one read-only cloud: ``_cloud`` keeps
-the last one it drew, and ``default_suite`` drops it when it returns.  The
-Foster bounds all read ``L V / V + decay(x) <= 0`` outside a compact set and
-end in one report: ``decay_report`` for a fixed decay term, ``slope_report``
-for a linear decay whose slope kappa1 ``fitted_slope`` takes from the far
-samples.  The n-server prelimit checks in ``queues`` share the last two.
-Each report counts violations and gives the worst margin and estimates of
-the existential constants the bounds leave implicit.
+axes and the curvature joints of the cutoff) and their ||x||_1.  Consecutive
+checks on one region share one read-only cloud: ``_cloud`` keeps the last one
+it drew, and ``default_suite`` drops it when it returns.  The bounds must hold
+for every control u in Delta; only the drift depends on u, and affinely, so
+each check evaluates every state at its worst control in closed form
+(``model.max_drift_along``) and a report depends on the state set only.  The
+Foster bounds all read ``max_u L_u V / V + decay(x) <= 0`` outside a compact
+set and end in one report: ``decay_report`` for a fixed decay term,
+``slope_report`` for a linear decay whose slope kappa1 ``fitted_slope`` takes
+from the far samples.  The n-server prelimit checks in ``queues`` share the
+last two.  Each report counts violations and gives the worst margin and
+estimates of the existential constants the bounds leave implicit.
 
 All margins are normalized by the Lyapunov value at the sample point, which
 keeps the arithmetic in log scale; the violation test is equivalent to the
@@ -28,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import lyapunov as lyap
-from .model import (DiffusionSpec, SystemParams, diffusion_spec, drift_truncated,
+from .model import (DiffusionSpec, SystemParams, diffusion_spec, max_drift_along,
                     spare_capacity)
 
 BASE_SLACK = 1e-9
@@ -160,31 +162,16 @@ def sample_states(region: Region, cfg: SamplerConfig, m: int,
     return np.concatenate(out, axis=0)[:n]
 
 
-def sample_controls(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Simplex cloud: every vertex, the barycenter, then Dirichlet(1,...,1)."""
-    block = max(1, n // (4 * (m + 1)))
-    parts = [np.tile(np.eye(m)[i], (block, 1)) for i in range(m)]
-    parts.append(np.tile(np.full(m, 1.0 / m), (block, 1)))
-    fixed = np.concatenate(parts, axis=0)[:n]
-    rest = n - fixed.shape[0]
-    if rest > 0:
-        fixed = np.concatenate([fixed, rng.dirichlet(np.ones(m), size=rest)], axis=0)
-    # the same draws as rng.shuffle(fixed, axis=0), without its row-by-row swaps
-    return fixed[rng.permutation(len(fixed))]
-
-
 @functools.lru_cache(maxsize=1)
 def _cloud(region: Region, sampler: SamplerConfig, m: int,
-           joint_values: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States, one control per state and ||x||_1, all from the sampler's seed.
+           joint_values: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """States from the sampler's seed and their ||x||_1.
 
     The last cloud is kept for the next check on the same arguments, so the
     arrays are read-only.
     """
-    rng = np.random.default_rng(sampler.seed)
-    x = sample_states(region, sampler, m, joint_values=joint_values, rng=rng)
-    u = sample_controls(x.shape[0], m, rng)
-    cloud = x, u, np.abs(x).sum(axis=-1)
+    x = sample_states(region, sampler, m, joint_values=joint_values)
+    cloud = x, np.abs(x).sum(axis=-1)
     for a in cloud:
         a.flags.writeable = False
     return cloud
@@ -292,7 +279,7 @@ def slope_report(name: str, q: np.ndarray, k1: float, r1: np.ndarray, log_v: np.
 def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
                             c: float, region: Region,
                             sampler: SamplerConfig) -> VerificationReport:
-    """Certify <grad V, b_c> against its branch bounds for V = exp(Psi*).
+    """Certify max_u <grad V, b_c(x, u)> against its branch bounds for V = exp(Psi*).
 
     On K_0^-:  eps (th rho + (m / 2 eps)(1 + eps th) - (th ^ 1) ||x||_1) V;
     on K_0^+ x Delta:  -eps (rho/m - th rho - th m/2 + th ||x^-||_1) V.
@@ -309,9 +296,9 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     if not c >= 1.0:
         raise PreconditionError(f"truncation level must be >= 1, got {c}")
 
-    x, u, r1 = _cloud(region, sampler, m, (0.0, 1.0, -1.0 / eps))
+    x, r1 = _cloud(region, sampler, m, (0.0, 1.0, -1.0 / eps))
     log_v, gl, _ = lyap.log_terms(spec, x)
-    lhs = np.sum(gl * drift_truncated(x, u, dspec, c, check=False), axis=-1)
+    lhs = max_drift_along(x, gl, dspec, c)
 
     s = x.sum(axis=-1)
     neg_part = np.maximum(-x, 0.0).sum(axis=-1)
@@ -332,10 +319,10 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
 # Foster-Lyapunov bounds
 # ---------------------------------------------------------------------------
 
-def _ratio(spec: lyap.LyapunovSpec, x, u, dspec: DiffusionSpec):
-    """(L_u f / f, log f) on the cloud from one ``log_terms`` evaluation."""
+def _ratio(spec: lyap.LyapunovSpec, x, dspec: DiffusionSpec):
+    """(max_u L_u f / f, log f) on the cloud from one ``log_terms`` evaluation."""
     terms = lyap.log_terms(spec, x)
-    return lyap.ratio_from_terms([terms], x, u, dspec, check=False), terms[0]
+    return lyap.worst_ratio_from_terms([terms], x, dspec), terms[0]
 
 
 # Weight w of the idleness decay in the exp-linear Foster bound.
@@ -355,8 +342,8 @@ def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     if dspec.varrho <= 0:
         raise PreconditionError("exp-linear Foster bound needs positive spare capacity")
     eps, th = spec.epsilon, spec.theta
-    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_v = _ratio(spec, x, u, dspec)
+    x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
+    q, log_v = _ratio(spec, x, dspec)
     neg_part = np.maximum(-x, 0.0).sum(axis=-1)
     decay = eps * (dspec.varrho / (2.0 * dspec.m) + neg_weight * th * neg_part)
     return decay_report("exp_linear_foster", q + decay, log_v, r1,
@@ -374,8 +361,8 @@ def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     beta_min = float(beta.min())
     coeff = (eps**2 * min(th, beta_min * min(beta_min, 0.5))
              * min(1.0, th) / (2.0 * float(dspec.mu.max())))
-    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_v = _ratio(spec, x, u, dspec)
+    x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
+    q, log_v = _ratio(spec, x, dspec)
     return decay_report("sub_gaussian_foster", q + coeff * r1**2, log_v, r1,
                         region.radius, sampler.seed,
                         {"epsilon": eps, "theta": th, "decay_coeff": coeff})
@@ -393,21 +380,25 @@ def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
         raise PreconditionError("abandonment family needs all abandonment rates positive")
     th = lyap.sub_gaussian_theta(float(beta.min()), float(beta.max()))
     spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, dspec.mu, eta=eta, theta=th)
-    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
-    q, log_v = _ratio(spec, x, u, dspec)
+    x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
+    q, log_v = _ratio(spec, x, dspec)
     k1 = fitted_slope(q, r1, r1 >= 0.5 * region.radius)
     return slope_report("abandonment_foster", q, k1, r1, log_v,
                         region.radius, sampler.seed, {"eta": eta, "theta": th})
 
 
-def _sum_ratio(spec_a: lyap.LyapunovSpec, spec_b: lyap.LyapunovSpec, x, u,
+def _sum_ratio(spec_a: lyap.LyapunovSpec, spec_b: lyap.LyapunovSpec, x,
                dspec: DiffusionSpec):
-    """Generator ratio of f_a + f_b via a stable log-weighted average."""
-    qa, la = _ratio(spec_a, x, u, dspec)
-    qb, lb = _ratio(spec_b, x, u, dspec)
-    w = 1.0 / (1.0 + np.exp(np.clip(lb - la, -700, 700)))
-    q = w * qa + (1.0 - w) * qb
-    return q, np.logaddexp(la, lb)
+    """(max_u L_u f / f, log f) for f = f_a + f_b from the log-scale terms of
+    the sum: grad log f = w grad L_a + (1 - w) grad L_b with the stable weight
+    w = f_a / f, so the worst control comes from the weighted gradient."""
+    la, ga, ha = lyap.log_terms(spec_a, x)
+    lb, gb, hb = lyap.log_terms(spec_b, x)
+    w = 1.0 / (1.0 + np.exp(np.clip(lb - la, -700, 700)))[:, None]
+    g = w * ga + (1.0 - w) * gb
+    h = w * (ga * ga + ha) + (1.0 - w) * (gb * gb + hb) - g * g
+    log_f = np.logaddexp(la, lb)
+    return lyap.worst_ratio_from_terms([(log_f, g, h)], x, dspec), log_f
 
 
 def verify_neg_part_foster(dspec: DiffusionSpec, neg_spec: lyap.LyapunovSpec,
@@ -425,8 +416,8 @@ def verify_neg_part_foster(dspec: DiffusionSpec, neg_spec: lyap.LyapunovSpec,
         raise PreconditionError(
             f"class_subset must be the gamma_i <= mu_i classes {expected}")
     eps = v_spec.epsilon
-    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_sum = _sum_ratio(neg_spec, v_spec, x, u, dspec)
+    x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
+    q, log_sum = _sum_ratio(neg_spec, v_spec, x, dspec)
     minus = x.sum(axis=-1) <= 0.0
     k1 = fitted_slope(q, r1, minus & (r1 >= 0.5 * region.radius))
     floor = eps * dspec.varrho / (8.0 * dspec.m)
@@ -451,14 +442,14 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
     """
     if dspec.varrho <= 0:
         raise PreconditionError("negative-part bound needs positive spare capacity")
-    x, u, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / v_spec.epsilon))
+    x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / v_spec.epsilon))
     far = r1 >= 0.5 * region.radius
     v_terms = lyap.log_terms(v_spec, x)
     for eta in ETA_GRID:
         ns = lyap.LyapunovSpec(lyap.Family.NEG_PART_SUB_GAUSSIAN, dspec.mu, eta=eta,
                                class_subset=class_subset)
         ns_terms = lyap.log_terms(ns, x)
-        q = lyap.ratio_from_terms([ns_terms, v_terms], x, u, dspec, check=False)
+        q = lyap.worst_ratio_from_terms([ns_terms, v_terms], x, dspec)
         c1_raw = float(-np.max(q[far]))
         if c1_raw <= 0:
             last = VerificationReport(
@@ -516,11 +507,16 @@ def default_suite(params: SystemParams, sampler: SamplerConfig,
     The drift checks, one per truncation level, sample the ball of radius
     50.  Each Foster check samples a ball sized by
     ``suggested_radius`` to its own family's expected attainment radius; the
-    abandonment check samples the cone of that radius.
+    abandonment check samples the cone of that radius.  A system with
+    spare capacity <= 0 and some gamma_i = 0 has no applicable check and
+    raises PreconditionError.
     """
+    varrho = spare_capacity(params)
+    if varrho <= 0 and not float(params.gamma.min()) > 0:
+        raise PreconditionError(f"no certificate applies: spare capacity {varrho:g} <= 0 "
+                                "and not every abandonment rate gamma_i is positive")
     dspec = diffusion_spec(params)
     reports = []
-    varrho = spare_capacity(params)
     # consecutive checks on one region share its cloud; none outlives the suite
     try:
         if varrho > 0:

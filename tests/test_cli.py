@@ -106,20 +106,51 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, section, line, named):
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
 
 
+def _demo_with(tmp_path, *edits):
+    text = EXAMPLE.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "edited.ini"
+    path.write_text(text)
+    return path
+
+
+NEGATIVE_SPARE = ("hat_lambda = -0.5, -0.5", "hat_lambda = 0.5, 0.5")
+
+
 def test_failed_verification_exits_1(tmp_path, capsys):
     # the demo's prelimit certificate fails at n = 1600: the empty state's
     # scaled norm sqrt(n) = 40 reaches the edge of the default radius-40 ball
-    text = EXAMPLE.read_text()
-    assert "\nn = 100, 400\n" in text and "\nsamples = 50000\n" in text
-    text = text.replace("n = 100, 400", "n = 1600").replace("samples = 50000", "samples = 3000")
-    path = tmp_path / "fail.ini"
-    path.write_text(text)
+    path = _demo_with(tmp_path, ("\nn = 100, 400\n", "\nn = 1600\n"),
+                      ("\nsamples = 50000\n", "\nsamples = 3000\n"))
     code = cli.main(["verify-drift", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL prelimit_exp_linear_foster violations=")
                for line in lines)
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_verification_with_no_applicable_check_exits_2(tmp_path, capsys):
+    # spare capacity -1 and no abandonment: no certificate applies, so there
+    # is nothing to pass
+    path = _demo_with(tmp_path, NEGATIVE_SPARE)
+    out = tmp_path / "out"
+    assert cli.main(["verify-drift", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no certificate applies" in err and "spare capacity -1 <= 0" in err
+    assert not any(out.glob("*"))
+
+
+def test_sub_gaussian_certificates_hold_at_negative_spare_capacity(tmp_path, capsys):
+    path = _demo_with(tmp_path, NEGATIVE_SPARE, ("gamma = 0.0, 0.0", "gamma = 0.5, 0.5"))
+    assert cli.main(["verify-drift", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "demo_verify_report.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["sub_gaussian_foster", "abandonment_foster",
+                                    "prelimit_abandon_foster"]
+    assert all(r[2] == "0" and r[5] == "1" and float(r[3]) > 0 for r in rows)
 
 
 def test_demo_verification_reproduces_the_committed_reports(tmp_path, capsys):
@@ -151,15 +182,10 @@ def test_demo_diffusion_reproduces_the_committed_files(tmp_path, capsys):
 
 def test_tails_flags_policies_that_trip_before_burn_in(tmp_path, capsys):
     # a transient system: every replica of every policy trips before burn-in
-    text = EXAMPLE.read_text()
-    for old, new in [("hat_lambda = -0.5, -0.5", "hat_lambda = 0.5, 0.5"),
-                     ("horizon = 200", "horizon = 400"), ("step = 0.005", "step = 0.05"),
-                     ("burn_in = 20", "burn_in = 300"), ("replicas = 16", "replicas = 4"),
-                     ("blowup = 1000", "blowup = 30")]:
-        assert old in text
-        text = text.replace(old, new)
-    path = tmp_path / "trip.ini"
-    path.write_text(text)
+    path = _demo_with(tmp_path, NEGATIVE_SPARE,
+                      ("horizon = 200", "horizon = 400"), ("step = 0.005", "step = 0.05"),
+                      ("burn_in = 20", "burn_in = 300"), ("replicas = 16", "replicas = 4"),
+                      ("blowup = 1000", "blowup = 30"))
     assert cli.main(["tails", "--config", str(path), "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "demo_tails.csv").read_text().splitlines()[1:]
     assert len(rows) == 6
