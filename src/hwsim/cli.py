@@ -2,21 +2,25 @@
 
 A single INI-style config file defines one experiment scenario.  These
 are its sections and keys, defaults in parentheses; ``parse_config`` rejects
-any other (``CONFIG_KEYS``).  Lists take commas or spaces.
+any other (``CONFIG_KEYS``) and any value that breaks the rule in brackets.
+Lists take commas or spaces; m is the number of classes (entries of lambda).
 
   [scenario]  id ("scenario"), seed (required: it drives every stream)
   [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
               of the [arrivals] laws)
-  [prelimit]  n: server counts, for sim-queue and the prelimit checks
+  [prelimit]  n: server counts, for sim-queue and prelimit checks [>= 1; rates > 0]
   [arrivals]  kind: poisson (default) or renewal, with dist: one law per
               class, each exponential, erlang:<k>, hyperexp2:<scv> or
               lognormal:<scv>
   [policy.<name>]  at least one; kind: constant or proportional_split (with
-              u), static_priority (with order), longest_queue_first,
+              u [m entries on the simplex]), static_priority (with order [a
+              permutation of 0..m-1]), longest_queue_first,
               random_work_conserving
   [sim]       horizon (200), step (0.001), burn_in (horizon / 10),
               replicas (16), thin (1), x0 (0), blowup (1000)
-  [verify]    samples (100000), truncations (1, 5, inf), eta (1)
+              [0 < step <= burn_in < horizon < inf, replicas >= 1,
+              0 < thin < inf, blowup > 0, x0 1 or m entries]
+  [verify]    samples (100000) [>= 1], truncations (1, 5, inf), eta (1) [> 0]
   [output]    dir (out)
 
 Subcommands write CSV artifacts plus a JSON detail file into the output
@@ -41,7 +45,8 @@ from . import diffusion as dif
 from . import lyapunov as lyap
 from . import queues as qs
 from . import verify as ver
-from .model import SystemParams, diffusion_spec, make_system, prelimit_params, spare_capacity
+from .model import (SystemParams, diffusion_spec, make_system, prelimit_params,
+                    project_simplex, spare_capacity)
 
 RESULTS_HEADER = "scenario,operation,seed,timestamp,metric,value,stderr,passed"
 HISTOGRAM_SCHEMA = "histogram CSV: bin_lo_1..m, bin_hi_1..m, weight"
@@ -162,6 +167,8 @@ def parse_config(text: str) -> ExperimentConfig:
         lam = _floats(sysb["lambda"])
         m = len(lam)
         n_list = _ints(cp["prelimit"]["n"]) if cp.has_section("prelimit") else ()
+        if any(n < 1 for n in n_list):
+            raise ConfigError(f"[prelimit] n must be >= 1, got {list(n_list)}")
         arr_kind = cp["arrivals"].get("kind", "poisson") if cp.has_section("arrivals") else "poisson"
         dists = ()
         if arr_kind == "renewal":
@@ -185,6 +192,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"[system] scv {system.scv.tolist()} does not match the SCVs "
                               f"{law_scv.tolist()} of the [arrivals] interarrival laws")
         diffusion_spec(system)             # sum_i lambda_i (1 + scv_i) / (2 mu_i) = 1
+        for n in n_list:                   # every n-server system has positive rates
+            prelimit_params(system, n)
         policies = []
         for sect in cp.sections():
             if not sect.startswith("policy."):
@@ -194,25 +203,38 @@ def parse_config(text: str) -> ExperimentConfig:
             pol = PolicyConfig(name=sect.split(".", 1)[1], kind=kind)
             if kind in ("constant", "proportional_split"):
                 pol.u = _floats(blk["u"])
+                if len(pol.u) != m:
+                    raise ConfigError(f"[{sect}] u needs {m} entries, got {len(pol.u)}")
+                project_simplex(pol.u)     # a SimplexError unless u is on the simplex
             elif kind == "static_priority":
                 pol.order = _ints(blk["order"])
+                if sorted(pol.order) != list(range(m)):
+                    raise ConfigError(f"[{sect}] order must be a permutation of "
+                                      f"0..{m - 1}, got {list(pol.order)}")
             elif kind not in ("longest_queue_first", "random_work_conserving"):
                 raise ConfigError(f"unknown policy kind {kind!r}")
             policies.append(pol)
         sim = dict(cp["sim"]) if cp.has_section("sim") else {}
+        x0 = _floats(sim["x0"]) if "x0" in sim else 0.0
+        if np.size(x0) not in (1, m):
+            raise ConfigError(f"[sim] x0 needs 1 or {m} entries, got {np.size(x0)}")
         sim_cfg = dif.SimConfig(
             horizon=float(sim.get("horizon", 200.0)),
             step=float(sim.get("step", 1e-3)),
             burn_in=float(sim["burn_in"]) if "burn_in" in sim else None,
             replicas=int(sim.get("replicas", 16)),
-            x0=_floats(sim["x0"]) if "x0" in sim else 0.0,
+            x0=x0,
             thin=float(sim.get("thin", 1.0)),
             blowup=float(sim.get("blowup", 1e3)),
         )
         vf = dict(cp["verify"]) if cp.has_section("verify") else {}
         samples = int(vf.get("samples", 100_000))
+        if samples < 1:
+            raise ConfigError(f"[verify] samples must be >= 1, got {samples}")
         truncations = _floats(vf.get("truncations", "1, 5, inf"))
         eta = float(vf.get("eta", 1.0))
+        if not eta > 0:
+            raise ConfigError(f"[verify] eta must be > 0, got {eta}")
         out_dir = cp["output"]["dir"] if cp.has_section("output") else "out"
     except (KeyError, ValueError) as err:
         if isinstance(err, ConfigError):
@@ -532,7 +554,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         return COMMANDS[args.command](cfg, args.overwrite)
-    except (ConfigError, ver.PreconditionError, lyap.InfeasibleGoal, FileNotFoundError) as err:
+    except (ConfigError, ver.PreconditionError, lyap.InfeasibleGoal, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

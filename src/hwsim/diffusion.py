@@ -3,7 +3,7 @@
 Every replica draws its noise from its own RNG substream, spawned from the
 seed, so runs are bit-reproducible and replicas can be merged in any order.
 Time averages are accumulated exactly (step-weighted) after burn-in; thinned
-snapshots feed histogram and tail queries.
+samples feed histogram, tail and mixing-rate queries.
 
 ``simulate_policies`` steps the replicas of several controls in lockstep, as
 the rows of one state array.  The replicas of control i are spawned from
@@ -131,29 +131,23 @@ class SimConfig:
     x0: tuple[float, ...] | float = 0.0
     thin: float = 1.0
     blowup: float = 1e3
-    debug_checks: bool = False
 
     def __post_init__(self):
         t0 = 0.1 * self.horizon if self.burn_in is None else self.burn_in
         object.__setattr__(self, "burn_in", float(t0))
-        if not 0 < self.step <= self.burn_in < self.horizon:
-            raise ValueError("need 0 < step <= burn_in < horizon")
+        if not 0 < self.step <= self.burn_in < self.horizon < math.inf:
+            raise ValueError("need 0 < step <= burn_in < horizon < inf")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
+        if not (0 < self.thin < math.inf and self.blowup > 0):
+            raise ValueError("need 0 < thin < inf and blowup > 0")
 
 
 @dataclass
 class DiffusionRun:
     measure: EmpiricalMeasure
     tripped: np.ndarray                   # (R,) bool, blow-up guard fired
-    trip_time: np.ndarray                 # (R,) time of trip (nan if none)
     terminal: np.ndarray                  # (R, m) state at end or at trip
-    snapshot_times: np.ndarray | None = None
-    snapshots: np.ndarray | None = None   # (K, R, m)
-
-    @property
-    def any_tripped(self) -> bool:
-        return bool(self.tripped.any())
 
 
 def _moment_names(m: int) -> list[str]:
@@ -183,19 +177,12 @@ def _accumulate(integrals, live_time, xs, alive, h):
     return _fold(live_time, w)
 
 
-def _thin_rows(k: int, lo: int, hi: int, thin_every: int) -> slice:
-    """Rows lo <= r < hi of a block that starts after step k whose step
-    k + r + 1 is a thinning step."""
-    return slice(-(-(k + lo + 1) // thin_every) * thin_every - k - 1, hi, thin_every)
-
-
 # The runs of the simulate_policies call in progress: a suspended
 # _lockstep_runs, stepped by the first simulate call that asks for a run.
 _pending = None
 
 
-def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
-             keep_snapshots: bool = False) -> DiffusionRun:
+def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig) -> DiffusionRun:
     """Fixed-step Euler-Maruyama paths under one stationary Markov control.
 
     Every run, of a control alone or of one in lockstep with others, is
@@ -206,11 +193,10 @@ def simulate(dspec: DiffusionSpec, policy, cfg: SimConfig,
     """
     if _pending is not None:
         return next(_pending)
-    return next(_lockstep_runs(dspec, [policy], cfg, keep_snapshots))
+    return next(_lockstep_runs(dspec, [policy], cfg))
 
 
-def simulate_policies(dspec: DiffusionSpec, policies, cfg: SimConfig,
-                      keep_snapshots: bool = False) -> list[DiffusionRun]:
+def simulate_policies(dspec: DiffusionSpec, policies, cfg: SimConfig) -> list[DiffusionRun]:
     """Fixed-step Euler-Maruyama paths under each of several stationary Markov
     controls, stepped in lockstep; one run per control.
 
@@ -222,16 +208,15 @@ def simulate_policies(dspec: DiffusionSpec, policies, cfg: SimConfig,
     global _pending
     if not policies:
         raise ValueError("need at least one policy")
-    _pending = _lockstep_runs(dspec, policies, cfg, keep_snapshots)
+    _pending = _lockstep_runs(dspec, policies, cfg)
     try:
-        return [simulate(dspec, pol, replace(cfg, seed=cfg.seed + i), keep_snapshots)
+        return [simulate(dspec, pol, replace(cfg, seed=cfg.seed + i))
                 for i, pol in enumerate(policies)]
     finally:
         _pending = None
 
 
-def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
-                   keep_snapshots: bool):
+def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     """Step the replicas of every control in lockstep, then yield one run per
     control, in order.
 
@@ -242,13 +227,14 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
     Replicas that exceed the blow-up guard ||x||_1 > cfg.blowup stop evolving
     and stop contributing to the measure; this is an expected outcome for
     transient configurations, not an error.  Once every replica has tripped
-    the paths are frozen, so the loop stops and the remaining snapshots repeat
-    the frozen states.
+    the paths are frozen, so the loop stops.
 
     Each step only updates the state and checks the guard.  States are kept
-    for a block of steps; the moment integrals, live time, thinned samples and
-    snapshots are then taken from the block, the integrals folded in time
-    order so that they equal per-step addition bit for bit.
+    for a block of steps; the moment integrals, live time and thinned samples
+    are then taken from the block, the integrals folded in time order so that
+    they equal per-step addition bit for bit.  The samples of a block are its
+    thinning steps past burn-in in step order, each step's live replicas in
+    replica order.
     """
     m = dspec.m
     h = cfg.step
@@ -265,7 +251,6 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
     X = np.tile(x0, (N, 1))
     alive = np.ones(N, dtype=bool)
     all_alive = True
-    trip_time = np.full(N, np.nan)
 
     base = -(dspec.varrho / m) * dspec.mu
     sqh_sigma = math.sqrt(h) * dspec.sigma_diag
@@ -279,8 +264,6 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
     integrals = {k: np.zeros(N) for k in _moment_names(m)}
     live_time = np.zeros(N)
     sample_rows = [[] for _ in groups]     # per control, one array per block
-    snaps = [] if keep_snapshots else None
-    snap_times = [] if keep_snapshots else None
 
     block = min(max(_BLOCK // G, 1), n_steps)
     xs = np.empty((block, N, m))           # the block's states, one row per step
@@ -302,7 +285,6 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
             l1 = np.abs(X).sum(axis=1)
             newly = l1 > cfg.blowup if all_alive else alive & (l1 > cfg.blowup)
             if newly.any():
-                trip_time[newly] = (k + j + 1) * h
                 alive = alive & ~newly
                 alive_rows[j:ksz] = alive
                 all_alive = False
@@ -313,19 +295,11 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
         if first < done:
             live_time = _accumulate(integrals, live_time, xs[first:done],
                                     alive_rows[first:done], h)
-            rows = _thin_rows(k, first, done, thin_every)
+            # the rows first <= r < done whose step k + r + 1 is a thinning step
+            rows = slice(first + -(k + first + 1) % thin_every, done, thin_every)
             for grp, parts in zip(groups, sample_rows):
                 parts.append(xs[rows, grp][alive_rows[rows, grp]])
-        if keep_snapshots:
-            rows = _thin_rows(k, 0, done, thin_every)
-            snaps.append(xs[rows].copy())
-            snap_times += [(k + r + 1) * h for r in range(*rows.indices(done))]
         k += done
-    if keep_snapshots:                     # frozen paths after the last trip
-        rest = range((k // thin_every + 1) * thin_every, n_steps + 1, thin_every)
-        snaps.append(np.broadcast_to(X, (len(rest), N, m)))
-        snap_times += [t * h for t in rest]
-    snapshots = np.concatenate(snaps, axis=0) if keep_snapshots and snap_times else None
 
     for grp, parts in zip(groups, sample_rows):
         samples = np.concatenate(parts, axis=0) if parts else np.empty((0, m))
@@ -338,10 +312,7 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig,
         yield DiffusionRun(
             measure=measure,
             tripped=~alive[grp],
-            trip_time=trip_time[grp],
             terminal=X[grp],
-            snapshot_times=np.asarray(snap_times) if keep_snapshots else None,
-            snapshots=None if snapshots is None else snapshots[:, grp],
         )
 
 
@@ -394,7 +365,7 @@ class RateEstimate:
         return self.gamma_hat is not None and not self.flag
 
 
-# bins per coordinate, and the late share of the snapshots taken as stationary
+# bins per coordinate, and the late share of the ensembles taken as stationary
 RATE_BINS, RATE_REF_FRACTION = 10, 0.2
 
 
@@ -405,27 +376,38 @@ def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig) -> RateEstimate:
     X_t (across replicas started at cfg.x0) and a late-time stationary
     estimate, over the window where the distance sits above the resolution
     floor (estimated by splitting the ensemble in half).
+
+    The ensembles are the thinned samples of one run with burn-in one step,
+    taken at every thinning step t = thin, 2 thin, ... up to the horizon; so
+    cfg.thin must span at least two steps (and fit in the horizon), and
+    cfg.burn_in is not used.
     """
-    run = simulate(dspec, policy, cfg, keep_snapshots=True)
-    if run.snapshots is None:
-        raise ValueError("horizon/thin too coarse: no snapshots collected")
-    snaps, times = run.snapshots, run.snapshot_times
-    K, R, m = snaps.shape
-    kref = max(2, int(math.ceil(RATE_REF_FRACTION * K)))
-    ref = snaps[-kref:].reshape(-1, m)
+    h = cfg.step
+    thin_every = int(round(cfg.thin / h))
+    times = np.arange(thin_every, int(round(cfg.horizon / h)) + 1, max(thin_every, 1)) * h
+    K, R, m = len(times), cfg.replicas, dspec.m
+    if thin_every < 2 or K == 0:
+        raise ValueError("thin must span at least two steps and at most the horizon")
+    run = simulate(dspec, policy, replace(cfg, burn_in=h))
 
     # the late-time reference is only meaningful if the ensemble has settled:
-    # a drifting mean or growing spread marks transience / too-short horizon
-    mid = snaps[int(0.6 * K)]
-    end = snaps[-1]
-    sd_end = float(end.std(axis=0).mean()) + 1e-12
-    drift_ratio = float(np.linalg.norm(end.mean(axis=0) - mid.mean(axis=0))) / sd_end
-    spread_ratio = sd_end / (float(mid.std(axis=0).mean()) + 1e-12)
-    if run.tripped.any() or drift_ratio > 0.5 or spread_ratio > 1.25:
-        dists = np.full(K, np.nan)
-        return RateEstimate(None, times, dists, math.nan, None,
+    # a tripped replica (it also leaves gaps in the samples, so it is checked
+    # before the reshape), a drifting mean or a growing spread marks
+    # transience / too-short horizon
+    settled = not run.tripped.any()
+    if settled:
+        snaps = run.measure.samples.reshape(K, R, m)
+        mid, end = snaps[int(0.6 * K)], snaps[-1]
+        sd_end = float(end.std(axis=0).mean()) + 1e-12
+        drift_ratio = float(np.linalg.norm(end.mean(axis=0) - mid.mean(axis=0))) / sd_end
+        spread_ratio = sd_end / (float(mid.std(axis=0).mean()) + 1e-12)
+        settled = not (drift_ratio > 0.5 or spread_ratio > 1.25)
+    if not settled:
+        return RateEstimate(None, times, np.full(K, np.nan), math.nan, None,
                             flag="ensemble not stationary by the horizon "
                                  "(transient configuration or horizon too short)")
+    kref = max(2, int(math.ceil(RATE_REF_FRACTION * K)))
+    ref = snaps[-kref:].reshape(-1, m)
 
     lo = ref.mean(axis=0) - 4.0 * ref.std(axis=0) - 1e-6
     hi = ref.mean(axis=0) + 4.0 * ref.std(axis=0) + 1e-6

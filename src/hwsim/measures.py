@@ -1,6 +1,6 @@
 """Empirical measures built from simulation output, with moment and tail queries.
 
-A measure carries (i) thinned state snapshots with weights, used for
+A measure carries (i) thinned state samples with weights, used for
 histograms and tail fits, and (ii) exact per-replica time integrals of a
 declared list of moment functionals, used for means with replica-level
 standard errors.  Replicas are combined in index order, so replays are
@@ -59,7 +59,7 @@ class EmpiricalMeasure:
         return est, se
 
     def tail_values(self) -> np.ndarray:
-        """||x||_1 of each snapshot, the functional the tail fits use."""
+        """||x||_1 of each sample, the functional the tail fits use."""
         return np.abs(self.samples).sum(axis=1)
 
     def histogram(self, bins_per_dim: int):
@@ -72,14 +72,6 @@ class EmpiricalMeasure:
         edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(self.m)]
         h, _ = np.histogramdd(self.samples, bins=edges, weights=self.normalized_weights())
         return edges, h
-
-
-def from_samples(samples, weights=None) -> EmpiricalMeasure:
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    return EmpiricalMeasure(samples, weights, replica_time=np.array([float(n)]),
-                            replica_integrals={})
 
 
 @dataclass

@@ -12,7 +12,9 @@ interarrival distribution while service/abandonment clocks stay exponential
 (re-drawn after every event, which is exact by memorylessness).  One event
 loop serves both and draws its variates in blocks from each replica's
 generator, so a seed gives other paths than the earlier loop that drew one
-variate per numpy call.  The same module evaluates the exact finite-difference
+variate per numpy call.  The built-in scheduling policies are work-conserving
+by construction; allocations from a user hook (``FunctionPolicy``) are checked
+at every decision.  The same module evaluates the exact finite-difference
 generators on Lyapunov functions, builds the age-augmented renewal Lyapunov
 function, and certifies the prelimit Foster-Lyapunov bounds over sampled
 states and all work-conserving allocations, or past ``Z_CUTOFF`` only the
@@ -28,14 +30,14 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lyapunov as lyap
 from .measures import EmpiricalMeasure
 from .model import (DiffusionSpec, PrelimitParams, allocation_to_control,
-                    prelimit_params, scale_state, unscale_state)
+                    prelimit_params, project_simplex, scale_state, unscale_state)
 from .verify import (PreconditionError, Region, SamplerConfig, VerificationReport,
                      decay_report, fitted_slope, sample_states, slope_report)
 
@@ -226,11 +228,12 @@ class ArrivalSpec:
 # work-conserving scheduling policies
 # ---------------------------------------------------------------------------
 
-def validate_allocation(x: np.ndarray, z: np.ndarray, n: int) -> None:
-    if np.any(z < 0) or np.any(z > x):
-        raise ValueError(f"allocation out of bounds: x={x}, z={z}")
-    if z.sum() != min(n, int(x.sum())):
-        raise ValueError(f"allocation not work-conserving: x={x}, z={z}, n={n}")
+def validate_allocation(x, z, n: int) -> None:
+    """Raise unless z is a work-conserving allocation of n servers at state x."""
+    if len(z) != len(x) or any(not 0 <= zi <= xi for xi, zi in zip(x, z)):
+        raise ValueError(f"allocation out of bounds: x={list(x)}, z={list(z)}")
+    if sum(z) != min(n, sum(x)):
+        raise ValueError(f"allocation not work-conserving: x={list(x)}, z={list(z)}, n={n}")
 
 
 def _greedy_list(x, n: int, order) -> list:
@@ -297,14 +300,14 @@ class SchedulingPolicy:
     """Base: a stationary Markov map (x, n) -> z in Z^n(x), on int lists
     (the event loop's state)."""
 
-    def allocate_list(self, x: list, n: int, rng=None) -> list:
+    def allocate_list(self, x: list, n: int) -> list:
         raise NotImplementedError
 
     def allocator(self, m: int, n: int, rng):
         """The map x -> z of one replica's event loop, drawing any
         randomness from that replica's rng."""
         allocate_list = self.allocate_list
-        return lambda x: allocate_list(x, n, rng)
+        return lambda x: allocate_list(x, n)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -315,8 +318,10 @@ class StaticPriorityPolicy(SchedulingPolicy):
 
     def __init__(self, order):
         self.order = tuple(int(i) for i in order)
+        if sorted(self.order) != list(range(len(self.order))):
+            raise ValueError("order must be a permutation of 0..m-1")
 
-    def allocate_list(self, x, n, rng=None):
+    def allocate_list(self, x, n):
         return _greedy_list(x, n, self.order)
 
     def describe(self):
@@ -326,7 +331,7 @@ class StaticPriorityPolicy(SchedulingPolicy):
 class LongestQueueFirstPolicy(SchedulingPolicy):
     """Serve the classes with the largest head counts first (ties by index)."""
 
-    def allocate_list(self, x, n, rng=None):
+    def allocate_list(self, x, n):
         order = sorted(range(len(x)), key=lambda i: (-x[i], i))
         return _greedy_list(x, n, order)
 
@@ -336,11 +341,6 @@ class LongestQueueFirstPolicy(SchedulingPolicy):
 
 class RandomWorkConservingPolicy(SchedulingPolicy):
     """Greedy fill along a freshly drawn priority permutation each decision."""
-
-    def allocate_list(self, x, n, rng=None):
-        if rng is None:
-            raise ValueError("random policy needs the replica RNG")
-        return _greedy_list(x, n, rng.permutation(len(x)))
 
     def allocator(self, m, n, rng):
         orders = _blocks(lambda k: np.argsort(rng.random((k, m)), axis=1))
@@ -355,10 +355,9 @@ class ProportionalSplitPolicy(SchedulingPolicy):
     mirror of a constant diffusion control)."""
 
     def __init__(self, u):
-        from .model import project_simplex
         self.u = list(map(float, project_simplex(u)))
 
-    def allocate_list(self, x, n, rng=None):
+    def allocate_list(self, x, n):
         q = _apportion_list(x, n, self.u)
         return [x[i] - q[i] for i in range(len(x))]
 
@@ -367,12 +366,17 @@ class ProportionalSplitPolicy(SchedulingPolicy):
 
 
 class FunctionPolicy(SchedulingPolicy):
+    """User hook fn(x, n) -> z; every allocation it returns is checked to be
+    work-conserving (``validate_allocation``)."""
+
     def __init__(self, fn, name="user"):
         self.fn = fn
         self.name = name
 
-    def allocate_list(self, x, n, rng=None):
-        return [int(v) for v in self.fn(np.asarray(x, dtype=np.int64), n)]
+    def allocate_list(self, x, n):
+        z = [int(v) for v in self.fn(np.asarray(x, dtype=np.int64), n)]
+        validate_allocation(x, z, n)
+        return z
 
     def describe(self):
         return f"user[{self.name}]"
@@ -391,27 +395,9 @@ _BLOCK = 256
 class QueueRun:
     measure: EmpiricalMeasure
     tripped: np.ndarray
-    trip_time: np.ndarray
     terminal: np.ndarray                    # (R, m) raw integer states
     event_counts: np.ndarray                # (R, 3, m): arrivals, services, abandonments
-    state_histograms: list[dict] = field(default_factory=list)
-    joint_samples: tuple[np.ndarray, np.ndarray] | None = None  # (xhat, ages)
-
-    @property
-    def any_tripped(self) -> bool:
-        return bool(self.tripped.any())
-
-    def state_probability(self, x) -> tuple[float, float]:
-        """Time-weighted probability of a raw state with replica-spread SE."""
-        key = tuple(int(v) for v in np.atleast_1d(x))
-        per = []
-        for hist in self.state_histograms:
-            tot = sum(hist.values())
-            per.append(hist.get(key, 0.0) / tot if tot > 0 else 0.0)
-        per = np.asarray(per)
-        est = float(per.mean())
-        se = float(per.std(ddof=1) / math.sqrt(len(per))) if len(per) > 1 else float("inf")
-        return est, se
+    state_histograms: list[dict]            # per replica when exact_histogram, else empty
 
 
 def _blocks(draw):
@@ -432,13 +418,12 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
     center, inv_rt, shift = p.fluid_center.tolist(), 1.0 / math.sqrt(n), p.varrho_n / m
     T, T0, thin, blowup = cfg.horizon, cfg.burn_in, cfg.thin, cfg.blowup
-    allocate, debug = pol.allocator(m, n, rng), cfg.debug_checks
+    allocate = pol.allocator(m, n, rng)
     poisson = arr.kind == "poisson"
     lam_cum = list(itertools.accumulate(lam))
     lam_sum = lam_cum[-1]                      # one total: r < lam_sum keeps bisect < m
     gaps = [] if poisson else [_blocks(functools.partial(d.sample, rng)) for d in arr.dists]
     next_arr = [next(g) / rate for g, rate in zip(gaps, lam)]
-    last_arr = [0.0] * m
     x0 = unscale_state(np.asarray(cfg.x0, dtype=float) * np.ones(m), p)
     x = np.maximum(np.rint(x0), 0).astype(np.int64).tolist()
     xhat = [(x[i] - center[i]) * inv_rt - shift for i in range(m)]
@@ -447,15 +432,13 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     int_l1 = int_neg = int_sum = 0.0
     int_coord, settled = [0.0] * m, [T0] * m
     counts = [[0] * m for _ in range(3)]       # arrivals, services, abandonments
-    samples, ages = [], []
+    samples = []
     hist = {} if exact_histogram else None
     t, next_thin, stop = 0.0, T0, T            # stop < T: the blow-up guard tripped
 
     clock = _blocks(lambda k: np.stack((rng.standard_exponential(k), rng.random(k)), axis=1))
     for e, u in clock:
         z = allocate(x)
-        if debug:
-            validate_allocation(np.asarray(x), np.asarray(z), n)
         death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
         death_sum = sum(death)
         if poisson:
@@ -482,8 +465,6 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
                 hist[key] = hist.get(key, 0.0) + w
             while next_thin <= seg_end:
                 samples.append(xhat.copy())
-                if not poisson:
-                    ages.append([next_thin - a for a in last_arr])
                 next_thin += thin
         if t_event >= T:
             break
@@ -493,7 +474,6 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
                 i = bisect.bisect_right(lam_cum, r)
             else:
                 i = next_arr.index(t_arr)
-                last_arr[i] = t_event
                 next_arr[i] = t_event + next(gaps[i]) / lam[i]
             x[i] += 1
             counts[0][i] += 1
@@ -526,8 +506,7 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     integrals = {"l1": int_l1, "neg_sum": int_neg, "sum": int_sum}
     integrals.update((f"coord{i}", v) for i, v in enumerate(int_coord))
     return {"integrals": integrals, "live": max(stop - T0, 0.0), "samples": samples,
-            "ages": ages, "hist": hist, "counts": counts, "tripped": stop < T,
-            "trip_at": stop if stop < T else math.nan, "terminal": x}
+            "hist": hist, "counts": counts, "tripped": stop < T, "terminal": x}
 
 
 def _simulate_queue(p, arr, pol, cfg, exact_histogram):
@@ -538,10 +517,8 @@ def _simulate_queue(p, arr, pol, cfg, exact_histogram):
     def stack(key):
         return np.array([r[key] for r in reps])
 
-    def rows(key):
-        return np.array([row for r in reps for row in r[key]], dtype=float).reshape(-1, p.m)
-
-    samples = rows("samples")
+    samples = np.array([row for r in reps for row in r["samples"]],
+                       dtype=float).reshape(-1, p.m)
     measure = EmpiricalMeasure(
         samples=samples,
         weights=np.full(samples.shape[0], cfg.thin),
@@ -552,11 +529,9 @@ def _simulate_queue(p, arr, pol, cfg, exact_histogram):
     return QueueRun(
         measure=measure,
         tripped=stack("tripped"),
-        trip_time=stack("trip_at"),
         terminal=stack("terminal").astype(np.int64),
         event_counts=stack("counts").astype(float),
         state_histograms=[r["hist"] for r in reps] if exact_histogram else [],
-        joint_samples=(samples, rows("ages")) if arr.kind == "renewal" else None,
     )
 
 
@@ -567,7 +542,8 @@ def simulate_ctmc(p: PrelimitParams, pol, cfg, exact_histogram: bool = False) ->
 
 def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
                      exact_histogram: bool = False) -> QueueRun:
-    """Event-driven renewal-input simulation with interarrival age tracking."""
+    """Event-driven renewal-input simulation: each class's next arrival is
+    scheduled from its interarrival law."""
     if arr.kind != "renewal":
         raise ValueError("simulate_renewal requires a renewal arrival spec")
     return _simulate_queue(p, arr, pol, cfg, exact_histogram)

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hwsim import cli
+from hwsim import diffusion as dif
 
 CONFIG = """\
 [scenario]
@@ -192,20 +194,48 @@ def test_tails_flags_policies_that_trip_before_burn_in(tmp_path, capsys):
     assert all(row.endswith(",0,insufficient tail samples") for row in rows)
 
 
+BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
+
+
 @pytest.mark.parametrize("old, new, named", [
     ("", "\n[verify]\nsamples = many\n", "many"),
+    ("", "\n[verify]\nsamples = 0\n", "samples must be >= 1"),
     ("", "step = 0\n", "step"),
     ("burn_in = 1\n", "burn_in = 4\n", "burn_in"),
     ("seed = 3\n", "", "seed is required"),
+    ("order = 0, 1\n", "order = 0, 0\n", "permutation of 0..1"),
+    ("order = 0, 1\n", "order = 0, 2\n", "permutation of 0..1"),
+    ("", BAD_U.format("0.3, 0.3, 0.4"), "u needs 2 entries"),
+    ("", BAD_U.format("0.3, 0.3"), "control sum deviates from 1"),
+    ("", BAD_U.format("1.5, -0.5"), "negative control coordinate"),
+    ("n = 20\n", "n = 0\n", "n must be >= 1"),
+    ("hat_lambda = -0.5, -0.5", "hat_lambda = -5, -5", "prelimit rates must be positive"),
+    ("", "x0 = 1, 2, 3\n", "x0 needs 1 or 2 entries"),
+    ("thin = 0.5\n", "thin = 0\n", "0 < thin"),
+    ("thin = 0.5\n", "thin = inf\n", "thin < inf"),
+    ("horizon = 4\n", "horizon = inf\n", "horizon < inf"),
+    ("", "blowup = -1\n", "blowup > 0"),
+    ("", "\n[verify]\neta = 0\n", "eta must be > 0"),
+    (None, None, "Is a directory"),
 ])
-@pytest.mark.parametrize("command", ["verify-drift", "sim-diffusion"])
+@pytest.mark.parametrize("command", ["verify-drift", "sim-diffusion", "sim-queue"])
 def test_bad_config_value_exits_2(tmp_path, capsys, old, new, named, command):
     text = _config(None, POISSON)
     path = tmp_path / "exp.ini"
-    path.write_text(text.replace(old, new) if old else text + new)
+    if new is None:                        # the config path names a directory
+        path.mkdir()
+    else:
+        path.write_text(text.replace(old, new) if old else text + new)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+def test_sim_config_has_exactly_the_config_keys():
+    # every SimConfig field is a [sim] key or the seed that each command sets,
+    # so the run config has no switch that a config file cannot reach
+    names = {f.name for f in fields(dif.SimConfig)}
+    assert names == set(cli.CONFIG_KEYS["sim"]) | {"seed"}
 
 
 def test_renewal_verification_passes_and_repeats(tmp_path, capsys):

@@ -120,7 +120,6 @@ class TestSimulate:
                             x0=0.0, blowup=500.0)
         run = dif.simulate(ds, dif.ConstantControl([1.0, 0.0]), cfg)
         assert run.tripped.all()
-        assert np.all(run.trip_time[run.tripped] < 4000.0)
 
     def test_burn_in_and_thinning_counts(self, dspec):
         cfg = dif.SimConfig(horizon=10.0, step=0.01, burn_in=2.0, replicas=3,
@@ -146,7 +145,7 @@ def _reference_accumulate(integrals, x, alive, h):
         integrals[f"coord{i}"] += w * x[:, i]
 
 
-def _reference_simulate(dspec, policy, cfg, keep_snapshots=False):
+def _reference_simulate(dspec, policy, cfg):
     m = dspec.m
     h = cfg.step
     n_steps = int(round(cfg.horizon / h))
@@ -158,15 +157,12 @@ def _reference_simulate(dspec, policy, cfg, keep_snapshots=False):
     x0 = np.asarray(cfg.x0, dtype=float) * np.ones(m)
     X = np.tile(x0, (R, 1))
     alive = np.ones(R, dtype=bool)
-    trip_time = np.full(R, np.nan)
 
     base = -(dspec.varrho / m) * dspec.mu
     sqh_sigma = math.sqrt(h) * dspec.sigma_diag
     integrals = {k: np.zeros(R) for k in dif._moment_names(m)}
     live_time = np.zeros(R)
     sample_rows = []
-    snaps = [] if keep_snapshots else None
-    snap_times = [] if keep_snapshots else None
 
     chunk = 8192
     k = 0
@@ -180,18 +176,12 @@ def _reference_simulate(dspec, policy, cfg, keep_snapshots=False):
             Xn = X + b * h + sqh_sigma * noise[:, j, :]
             X = np.where(alive[:, None], Xn, X)
             step_idx = k + j + 1
-            newly = alive & (np.abs(X).sum(axis=1) > cfg.blowup)
-            if newly.any():
-                trip_time[newly] = step_idx * h
-                alive = alive & ~newly
+            alive = alive & ~(np.abs(X).sum(axis=1) > cfg.blowup)
             if step_idx > burn_step:
                 _reference_accumulate(integrals, X, alive.astype(float), h)
                 live_time += alive * h
                 if step_idx % thin_every == 0 and alive.any():
                     sample_rows.append(X[alive].copy())
-            if keep_snapshots and step_idx % thin_every == 0:
-                snaps.append(X.copy())
-                snap_times.append(step_idx * h)
         k += ksz
 
     if sample_rows:
@@ -207,10 +197,7 @@ def _reference_simulate(dspec, policy, cfg, keep_snapshots=False):
     return dif.DiffusionRun(
         measure=measure,
         tripped=~alive,
-        trip_time=trip_time,
         terminal=X,
-        snapshot_times=np.asarray(snap_times) if keep_snapshots else None,
-        snapshots=np.stack(snaps, axis=0) if keep_snapshots and snaps else None,
     )
 
 
@@ -218,8 +205,7 @@ def _outputs(run):
     mea = run.measure
     fields = {"samples": mea.samples, "weights": mea.weights,
               "replica_time": mea.replica_time, "tripped": run.tripped,
-              "trip_time": run.trip_time, "terminal": run.terminal,
-              "snapshot_times": run.snapshot_times, "snapshots": run.snapshots}
+              "terminal": run.terminal}
     fields.update({f"integral {k}": v for k, v in mea.replica_integrals.items()})
     return fields
 
@@ -236,21 +222,21 @@ _SOFTMAX = dif.FunctionControl(lambda x: np.exp(x) / np.exp(x).sum(axis=1, keepd
 _CASES = {
     # m = 2, 1000 steps (not a multiple of the block)
     "constant": (None, dif.ConstantControl([0.3, 0.7]),
-                 dict(horizon=10.0, step=0.01, burn_in=1.37, replicas=5, thin=0.05), True),
+                 dict(horizon=10.0, step=0.01, burn_in=1.37, replicas=5, thin=0.05)),
     "table": (None, _TABLE,
-              dict(horizon=7.77, step=0.01, replicas=4, thin=0.3, x0=(1.0, -1.0)), True),
+              dict(horizon=7.77, step=0.01, replicas=4, thin=0.3, x0=(1.0, -1.0))),
     # m = 3 with abandonment, 8300 steps: past the reference's 8192-step noise chunk
     "priority_m3": (_THREE, dif.StaticPriorityControl((2, 0, 1)),
-                    dict(horizon=16.6, step=0.002, replicas=1, thin=0.25), False),
+                    dict(horizon=16.6, step=0.002, replicas=1, thin=0.25)),
     "function_m3": (_THREE, _SOFTMAX,
-                    dict(horizon=3.0, step=0.005, replicas=3, thin=0.1), True),
+                    dict(horizon=3.0, step=0.005, replicas=3, thin=0.1)),
     # some replicas trip before the horizon (4 of 6 at seed 0, 2 at seed 7)
     "some_trip": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
-                  dict(horizon=30.0, step=0.02, replicas=6, thin=0.5, blowup=33.0), True),
+                  dict(horizon=30.0, step=0.02, replicas=6, thin=0.5, blowup=33.0)),
     # every replica trips, some of them during burn-in
     "all_trip": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
                  dict(horizon=60.0, step=0.02, burn_in=5.0, replicas=5, thin=0.7,
-                      blowup=8.0), True),
+                      blowup=8.0)),
 }
 
 
@@ -263,23 +249,21 @@ class TestReferenceLoop:
         ("some_trip", 0), ("some_trip", 7), ("all_trip", 0), ("all_trip", 7),
     ])
     def test_outputs_equal_reference(self, dspec, name, seed):
-        ds, pol, kw, snaps = _CASES[name]
+        ds, pol, kw = _CASES[name]
         ds = dspec if ds is None else ds
         cfg = dif.SimConfig(seed=seed, **kw)
-        ref = _reference_simulate(ds, pol, cfg, keep_snapshots=snaps)
-        got = dif.simulate(ds, pol, cfg, keep_snapshots=snaps)
-        want, have = _outputs(ref), _outputs(got)
+        want = _outputs(_reference_simulate(ds, pol, cfg))
+        got = dif.simulate(ds, pol, cfg)
+        have = _outputs(got)
         assert have.keys() == want.keys()
         for field, value in want.items():
-            if value is None:
-                assert have[field] is None, field
-            else:
-                assert np.array_equal(have[field], value, equal_nan=True), field
+            assert np.array_equal(have[field], value, equal_nan=True), field
         if name == "some_trip":
             assert 0 < got.tripped.sum() < cfg.replicas
         if name == "all_trip":
             assert got.tripped.all()
-            assert np.nanmin(got.trip_time) <= cfg.burn_in < np.nanmax(got.trip_time)
+            live = got.measure.replica_time       # 0 for a replica that tripped in burn-in
+            assert live.min() == 0.0 < live.max() < cfg.horizon - cfg.burn_in
 
 
 _TRIP_CLASS0 = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 1.0], [1.0, 1.0])
@@ -311,23 +295,19 @@ _LOCKSTEP = {
 class TestLockstep:
     """Each run of simulate_policies equals simulate of its control alone."""
 
-    @pytest.mark.parametrize("snaps", [False, True])
     @pytest.mark.parametrize("name", list(_LOCKSTEP))
-    def test_runs_equal_one_policy_runs(self, dspec, name, snaps):
+    def test_runs_equal_one_policy_runs(self, dspec, name):
         ds, pols, kw = _LOCKSTEP[name]
         ds = dspec if ds is None else ds
         cfg = dif.SimConfig(seed=0, **kw)
-        runs = dif.simulate_policies(ds, pols, cfg, keep_snapshots=snaps)
+        runs = dif.simulate_policies(ds, pols, cfg)
         assert len(runs) == len(pols)
         for i, (pol, run) in enumerate(zip(pols, runs)):
-            alone = dif.simulate(ds, pol, replace(cfg, seed=cfg.seed + i), keep_snapshots=snaps)
+            alone = dif.simulate(ds, pol, replace(cfg, seed=cfg.seed + i))
             want, have = _outputs(alone), _outputs(run)
             assert have.keys() == want.keys()
             for field, value in want.items():
-                if value is None:
-                    assert have[field] is None, (i, field)
-                else:
-                    assert np.array_equal(have[field], value, equal_nan=True), (i, field)
+                assert np.array_equal(have[field], value, equal_nan=True), (i, field)
         if name == "one_group_trips":
             assert runs[0].tripped.all()
             assert not runs[1].tripped.any() and not runs[2].tripped.any()
@@ -344,8 +324,8 @@ class TestLockstep:
         seen = []
         inner = dif.simulate
 
-        def wrapped(ds, pol, cfg, keep_snapshots=False):
-            run = inner(ds, pol, cfg, keep_snapshots)
+        def wrapped(ds, pol, cfg):
+            run = inner(ds, pol, cfg)
             seen.append((pol, cfg.seed, run))
             return run
 
@@ -363,6 +343,13 @@ class TestLockstep:
         assert dif._pending is None
 
 
+def _from_samples(samples):
+    """A unit-weight measure over the rows of ``samples``, with no moments."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    return measures.EmpiricalMeasure(samples, np.ones(n), replica_time=np.array([float(n)]))
+
+
 class TestMeasure:
     def test_normalization(self, dspec):
         cfg = dif.SimConfig(horizon=20.0, step=0.01, replicas=4, seed=2)
@@ -376,13 +363,13 @@ class TestMeasure:
             m.normalized_weights()
 
     def test_moment_requires_accumulator(self):
-        m = measures.from_samples(np.zeros((3, 2)))
+        m = _from_samples(np.zeros((3, 2)))
         with pytest.raises(KeyError):
             m.moment("l1")
 
     def test_tail_directions(self):
         x = np.array([[1.0, -2.0], [-3.0, 0.5]])
-        m = measures.from_samples(x)
+        m = _from_samples(x)
         assert np.allclose(m.tail_values(), [3.0, 3.5])
 
 
@@ -401,7 +388,7 @@ class TestIdleness:
 
     def test_rejects_abandonment(self, dspec):
         ds = hwsim.DiffusionSpec(1.0, dspec.mu, np.array([0.5, 0.5]), dspec.a_diag)
-        m = measures.from_samples(np.zeros((3, 2)))
+        m = _from_samples(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             dif.check_idleness_identity(m, ds)
 
@@ -449,3 +436,18 @@ class TestRate:
                             seed=3, x0=0.0, thin=0.5, blowup=1e6)
         est = dif.estimate_rate(ds, dif.ConstantControl([0.5, 0.5]), cfg)
         assert not est.ok
+
+    def test_tripped_replicas_are_flagged(self):
+        ds = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        cfg = dif.SimConfig(horizon=25.0, step=0.02, replicas=50, seed=3, thin=0.5,
+                            blowup=5.0)
+        est = dif.estimate_rate(ds, dif.ConstantControl([0.5, 0.5]), cfg)
+        assert not est.ok and "not stationary" in est.flag
+        assert np.allclose(est.times, 0.5 * np.arange(1, 51))
+        assert np.isnan(est.distances).all() and len(est.distances) == 50
+
+    @pytest.mark.parametrize("thin", [0.01, 0.004, 2.0])
+    def test_thin_needs_two_steps_and_one_ensemble(self, dspec, thin):
+        cfg = dif.SimConfig(horizon=1.0, step=0.01, replicas=2, thin=thin)
+        with pytest.raises(ValueError, match="two steps and at most the horizon"):
+            dif.estimate_rate(dspec, dif.ConstantControl([0.5, 0.5]), cfg)

@@ -97,7 +97,7 @@ def test_diffusion_total_matches_the_law(gamma, k):
     cfg = dif.SimConfig(horizon=32.0, step=0.02, burn_in=2.0, replicas=200, seed=60 + k,
                         x0=(-0.5, -0.5), thin=1.0)
     run = dif.simulate(hwsim.diffusion_spec(_system(gamma)), _controls()[k], cfg)
-    assert not run.any_tripped
+    assert not run.tripped.any()
     _assert_matches(run.measure, diffusion_total_law(1.0, 1.0, gamma))
 
 
@@ -119,6 +119,6 @@ def test_queue_total_matches_the_birth_death_law(gamma, k):
     cfg = dif.SimConfig(horizon=50.0, burn_in=2.0, replicas=8, seed=40 + k,
                         x0=(-0.5, -0.5), thin=1.0)
     run = qs.simulate_ctmc(p, _policies()[k], cfg)
-    assert not run.any_tripped
+    assert not run.tripped.any()
     exact = birth_death_total_law(float(p.lambda_n.sum()), float(p.mu_n[0]), gamma, p.n)
     _assert_matches(run.measure, exact)
