@@ -13,14 +13,16 @@ interarrival distribution while service/abandonment clocks stay exponential
 loop serves both and draws its variates in blocks from each replica's
 generator, so a seed gives other paths than the earlier loop that drew one
 variate per numpy call.  The built-in scheduling policies are work-conserving
-by construction; allocations from a user hook (``FunctionPolicy``) are checked
-at every decision.  The same module evaluates the exact finite-difference
-generators on Lyapunov functions, builds the age-augmented renewal Lyapunov
-function, and certifies the prelimit Foster-Lyapunov bounds over sampled
-states and all work-conserving allocations, or past ``Z_CUTOFF`` only the
-priority vertices, exact as the generators are affine in the allocation; on
-both arrival kinds that check runs in numpy passes over all states, chunked
-by pair count.  Its reports, and the fit of the abandonment check's decay
+by construction, and the loop asks one only when sum(x) > n: below that,
+Z^n(x) = {x}, and between two such states only the death rate of the class
+that moved changes.  A user hook (``FunctionPolicy``) is called, and its
+allocation checked, at every event.  The same module evaluates the exact
+finite-difference generators on Lyapunov functions, builds the age-augmented
+renewal Lyapunov function, and certifies the prelimit Foster-Lyapunov bounds
+over sampled states and all work-conserving allocations, or past ``Z_CUTOFF``
+only the priority vertices, exact as the generators are affine in the
+allocation; on both arrival kinds that check runs in numpy passes over all
+states, chunked by pair count.  Its reports, and the fit of the abandonment check's decay
 slope, come from the Foster-check path in ``verify``.
 """
 
@@ -248,14 +250,10 @@ def _greedy_list(x, n: int, order) -> list:
     return z
 
 
-def _apportion_list(x, n: int, u) -> list:
-    """Integer queue vector splitting (sum x - n)^+ proportionally to u with
-    q_i <= x_i (exact water-filling, then largest-remainder rounding)."""
+def _water_fill(x, Q: int, u) -> list:
+    """Real queue vector q_i = min(x_i, u_i L) at the level L where it sums
+    to Q, saturating classes in increasing x_i / u_i."""
     m = len(x)
-    total = sum(x)
-    Q = total - n
-    if Q <= 0:
-        return [0] * m
     q = [0.0] * m
     items = sorted((x[i] / u[i], i) for i in range(m) if u[i] > 0)
     w = sum(u[i] for _, i in items)
@@ -270,6 +268,31 @@ def _apportion_list(x, n: int, u) -> list:
     for i in range(m):
         if u[i] > 0:
             q[i] = min(x[i], u[i] * level) if level < math.inf else x[i]
+    return q
+
+
+def _apportion_list(x, n: int, u) -> list:
+    """Integer queue vector splitting (sum x - n)^+ proportionally to u with
+    q_i <= x_i (exact water-filling, then largest-remainder rounding).  When
+    no class saturates at level Q / w, the level needs no sort."""
+    m = len(x)
+    Q = sum(x) - n
+    if Q <= 0:
+        return [0] * m
+    w = 0
+    for ui in u:
+        if ui > 0:
+            w += ui
+    level = Q / w if w > 0 else math.inf
+    q = []
+    for xi, ui in zip(x, u):
+        if ui <= 0:
+            q.append(0.0)
+        elif xi / ui * w >= Q:             # class i is not saturated at level
+            q.append(min(xi, ui * level))
+        else:
+            q = _water_fill(x, Q, u)
+            break
     short = Q - sum(q)
     if short > 1e-9:  # weighted classes saturated; spill by index
         for i in range(m):
@@ -298,16 +321,18 @@ def apportion_queue(x: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
 
 class SchedulingPolicy:
     """Base: a stationary Markov map (x, n) -> z in Z^n(x), on int lists
-    (the event loop's state)."""
+    (the event loop's state).  A built-in policy is asked only when
+    sum(x) > n: otherwise Z^n(x) = {x} and there is no choice to make."""
 
     def allocate_list(self, x: list, n: int) -> list:
         raise NotImplementedError
 
     def allocator(self, m: int, n: int, rng):
         """The map x -> z of one replica's event loop, drawing any
-        randomness from that replica's rng."""
+        randomness from that replica's rng; it returns x itself when
+        sum(x) <= n."""
         allocate_list = self.allocate_list
-        return lambda x: allocate_list(x, n)
+        return lambda x: x if sum(x) <= n else allocate_list(x, n)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -340,11 +365,12 @@ class LongestQueueFirstPolicy(SchedulingPolicy):
 
 
 class RandomWorkConservingPolicy(SchedulingPolicy):
-    """Greedy fill along a freshly drawn priority permutation each decision."""
+    """Greedy fill along a freshly drawn priority permutation at each
+    decision, that is, at each event with a queue."""
 
     def allocator(self, m, n, rng):
         orders = _blocks(lambda k: np.argsort(rng.random((k, m)), axis=1))
-        return lambda x: _greedy_list(x, n, next(orders))
+        return lambda x: x if sum(x) <= n else _greedy_list(x, n, next(orders))
 
     def describe(self):
         return "random_work_conserving"
@@ -366,8 +392,9 @@ class ProportionalSplitPolicy(SchedulingPolicy):
 
 
 class FunctionPolicy(SchedulingPolicy):
-    """User hook fn(x, n) -> z; every allocation it returns is checked to be
-    work-conserving (``validate_allocation``)."""
+    """User hook fn(x, n) -> z, called at every event, queue or not; every
+    allocation it returns is checked to be work-conserving
+    (``validate_allocation``)."""
 
     def __init__(self, fn, name="user"):
         self.fn = fn
@@ -377,6 +404,10 @@ class FunctionPolicy(SchedulingPolicy):
         z = [int(v) for v in self.fn(np.asarray(x, dtype=np.int64), n)]
         validate_allocation(x, z, n)
         return z
+
+    def allocator(self, m, n, rng):
+        allocate_list = self.allocate_list
+        return lambda x: allocate_list(x, n)
 
     def describe(self):
         return f"user[{self.name}]"
@@ -412,7 +443,9 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     Plain Python floats and ints, with variates drawn in blocks: at a few
     classes numpy's per-call cost would dominate.  An event rescales only the
     coordinate it changed; the l1 norm and sum of xhat follow from its old and
-    new values (an O(1) blow-up guard) and its integral is settled then.
+    new values (an O(1) blow-up guard) and its integral is settled then.  The
+    death rates follow the same rule between two states with no queue: there
+    mu_i x_i is the same double as mu_i z_i + gamma_i (x_i - z_i) at z = x.
     """
     m, n = p.m, p.n
     lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
@@ -437,9 +470,14 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     t, next_thin, stop = 0.0, T0, T            # stop < T: the blow-up guard tripped
 
     clock = _blocks(lambda k: np.stack((rng.standard_exponential(k), rng.random(k)), axis=1))
+    free = False                               # death holds mu * x of the last state
     for e, u in clock:
         z = allocate(x)
-        death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
+        if z is x and free:                    # no queue now or before: only class i moved
+            death[i] = mu[i] * x[i]
+        else:
+            death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
+        free = z is x
         death_sum = sum(death)
         if poisson:
             total = lam_sum + death_sum

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -135,6 +137,58 @@ class TestReplay:
             else:
                 qs.simulate_ctmc(demo_n20, pol, cfg)
 
+    # SHA-256 of the integrals, samples, event counts and terminal states of
+    # 3 replicas over horizon 20 at n = 20: a change to the loop's arithmetic,
+    # to a policy's allocations or to the random policy's draws shows here.
+    PINNED = {
+        ("static_priority[0,1]", False):
+            "8a8d07a6955ff033b4b98773d0d143fe1623f16da32b83d1a702ad8353bd20a2",
+        ("static_priority[0,1]", True):
+            "c7f817f015077b270e9e9d9c5c605622aa2d44e8b400e35e83095e59df56b527",
+        ("longest_queue_first", False):
+            "1de7705957c665bf57bd99b1b303178f15b3afa90a72ddb44113f9f40852c4a2",
+        ("longest_queue_first", True):
+            "45c2392c7e4712095088c5677729c34a79352ceba2181612925b7f32c4639e44",
+        ("proportional_split[0.3,0.7]", False):
+            "3bed30fe1ca8bdabb29fc126c196de379e7fcba0a56d3e2365065c80601a40fd",
+        ("proportional_split[0.3,0.7]", True):
+            "ccec49b3c41dbf38b65e388ae4c5cd635e1ca97cb86a94d8f0c4dc0bdc272856",
+        ("random_work_conserving", False):
+            "2d44edfb672a142f3f812ab5bbf8e215d866634aa69aed2880aa7e80c8c3bacc",
+        ("random_work_conserving", True):
+            "c78bb10861817215357c7c81bf5eb72a8628c0ada222203d76ac318a5aa576be",
+    }
+
+    @pytest.mark.parametrize("pol", _policies()[:4], ids=lambda p: p.describe())
+    @pytest.mark.parametrize("renewal", [False, True])
+    def test_pinned_output(self, demo_n20, pol, renewal):
+        cfg = SimConfig(horizon=20.0, burn_in=2.0, replicas=3, seed=7, x0=(-0.5, -0.5),
+                        thin=0.5)
+        run = (qs.simulate_renewal(demo_n20, RENEWAL, pol, cfg) if renewal
+               else qs.simulate_ctmc(demo_n20, pol, cfg))
+        h = hashlib.sha256()
+        for key in sorted(run.measure.replica_integrals):
+            h.update(run.measure.replica_integrals[key].tobytes())
+        for arr in (run.measure.samples, run.event_counts, run.terminal):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == self.PINNED[pol.describe(), renewal]
+
+    @pytest.mark.parametrize("renewal", [False, True])
+    def test_function_policy_is_asked_at_every_event(self, demo_n20, renewal):
+        calls = []
+
+        def hook(x, n):
+            calls.append(1)
+            return _serve_second_first(x, n)
+
+        cfg = SimConfig(horizon=20.0, replicas=3, seed=9, x0=(-0.5, -0.5))
+        pol = qs.FunctionPolicy(hook)
+        run = (qs.simulate_renewal(demo_n20, RENEWAL, pol, cfg) if renewal
+               else qs.simulate_ctmc(demo_n20, pol, cfg))
+        assert not run.tripped.any()
+        # one call per event, and one more per replica for the event past the horizon
+        assert len(calls) == run.event_counts.sum() + cfg.replicas
+
     @pytest.mark.parametrize("order", [(0, 0), (0, 2), (1,), (1, 2)])
     def test_static_priority_needs_a_permutation(self, order):
         with pytest.raises(ValueError, match="permutation"):
@@ -212,3 +266,80 @@ class TestAllocations:
         for i in order:                    # each class takes what the ones before it left
             assert z[i] == min(x[i], free)
             free -= z[i]
+
+    @pytest.mark.parametrize("m, n", [(1, 7), (2, 20), (3, 6)])
+    def test_builtin_policies_return_the_state_without_a_queue(self, m, n):
+        rng = np.random.default_rng(3)
+        pols = [qs.StaticPriorityPolicy(range(m)[::-1]), qs.LongestQueueFirstPolicy(),
+                qs.RandomWorkConservingPolicy(), qs.ProportionalSplitPolicy(np.ones(m) / m)]
+        for pol in pols:
+            allocate = pol.allocator(m, n, rng)
+            for x in itertools.product(range(n + 1), repeat=m):
+                x = list(x)
+                if sum(x) <= n:
+                    assert allocate(x) is x, (pol.describe(), x)
+                else:
+                    assert allocate(x) is not x
+
+
+def _reference_apportion(x, n, u):
+    """The sort-based water-filling that ``_apportion_list`` replaced in the
+    common case, kept as its oracle."""
+    m = len(x)
+    Q = sum(x) - n
+    if Q <= 0:
+        return [0] * m
+    q = [0.0] * m
+    items = sorted((x[i] / u[i], i) for i in range(m) if u[i] > 0)
+    w = sum(u[i] for _, i in items)
+    sat = 0.0
+    level = math.inf
+    for ratio, i in items:
+        if w > 0 and sat + ratio * w >= Q:
+            level = (Q - sat) / w
+            break
+        sat += x[i]
+        w -= u[i]
+    for i in range(m):
+        if u[i] > 0:
+            q[i] = min(x[i], u[i] * level) if level < math.inf else x[i]
+    short = Q - sum(q)
+    if short > 1e-9:
+        for i in range(m):
+            add = min(x[i] - q[i], short)
+            q[i] += add
+            short -= add
+            if short <= 1e-9:
+                break
+    qi = [min(int(q[i]), x[i]) for i in range(m)]
+    rem = Q - sum(qi)
+    while rem > 0:
+        best, best_frac = -1, -1.0
+        for i in range(m):
+            if qi[i] < x[i] and q[i] - qi[i] > best_frac:
+                best, best_frac = i, q[i] - qi[i]
+        qi[best] += 1
+        rem -= 1
+    return qi
+
+
+class TestApportion:
+    @pytest.mark.parametrize("u", [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (0.0, 1.0),
+                                   (1 / 3, 2 / 3)])
+    @pytest.mark.parametrize("n", [1, 5, 20, 100])
+    def test_equals_the_reference_on_a_grid(self, n, u):
+        xs = list(itertools.product(range(160), repeat=2))
+        got = [qs._apportion_list(x, n, u) for x in xs]
+        want = [_reference_apportion(x, n, u) for x in xs]
+        assert got == want, next(x for x, a, b in zip(xs, got, want) if a != b)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reference_on_more_classes(self, data):
+        m = data.draw(st.integers(3, 4))
+        x = data.draw(st.lists(st.integers(0, 200), min_size=m, max_size=m))
+        n = data.draw(st.integers(1, 400))
+        w = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                               min_size=m, max_size=m).filter(lambda w: sum(w) > 0))
+        u = [float(v) for v in hwsim.model.project_simplex(np.asarray(w) / sum(w))]
+        assert qs._apportion_list(x, n, u) == _reference_apportion(x, n, u)
