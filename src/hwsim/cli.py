@@ -8,7 +8,8 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
   [scenario]  id ("scenario"), seed (required: it drives every stream)
   [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
               of the [arrivals] laws)
-  [prelimit]  n: server counts, for sim-queue and prelimit checks [>= 1; rates > 0]
+  [prelimit]  n: server counts [>= 1; rates > 0]; sim-queue runs each,
+              verify-drift certifies the prelimit bounds at the first only
   [arrivals]  kind: poisson (default) or renewal, with dist: one law per
               class, each exponential, erlang:<k>, hyperexp2:<scv> or
               lognormal:<scv>
@@ -19,7 +20,8 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
   [sim]       horizon (200), step (0.001), burn_in (horizon / 10),
               replicas (16), thin (1), x0 (0), blowup (1000)
               [0 < step <= burn_in < horizon < inf, replicas >= 1,
-              0 < thin < inf, blowup > 0, x0 1 or m entries]
+              0 < thin < inf, a thinning step past burn_in, blowup > 0,
+              x0 1 or m entries]
   [verify]    samples (100000) [>= 1], truncations (1, 5, inf), eta (1) [> 0]
   [output]    dir (out)
 
@@ -227,6 +229,10 @@ def parse_config(text: str) -> ExperimentConfig:
             thin=float(sim.get("thin", 1.0)),
             blowup=float(sim.get("blowup", 1e3)),
         )
+        n_steps, burn_step, thin = sim_cfg.step_counts()
+        if n_steps // thin <= burn_step // thin:     # no sample for sim-diffusion or tails
+            raise ConfigError(f"[sim] thin = {sim_cfg.thin:g} leaves no thinning step "
+                              "past burn_in")
         vf = dict(cp["verify"]) if cp.has_section("verify") else {}
         samples = int(vf.get("samples", 100_000))
         if samples < 1:

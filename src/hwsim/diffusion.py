@@ -142,6 +142,13 @@ class SimConfig:
         if not (0 < self.thin < math.inf and self.blowup > 0):
             raise ValueError("need 0 < thin < inf and blowup > 0")
 
+    def step_counts(self) -> tuple[int, int, int]:
+        """Euler-Maruyama steps in all, in burn-in and per thinning: a run samples
+        the state after each step k with burn-in < k <= all that thinning divides."""
+        h = self.step
+        return (int(round(self.horizon / h)), int(round(self.burn_in / h)),
+                max(1, int(round(self.thin / h))))
+
 
 @dataclass
 class DiffusionRun:
@@ -238,9 +245,7 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     """
     m = dspec.m
     h = cfg.step
-    n_steps = int(round(cfg.horizon / h))
-    burn_step = int(round(cfg.burn_in / h))
-    thin_every = max(1, int(round(cfg.thin / h)))
+    n_steps, burn_step, thin_every = cfg.step_counts()
     G, R = len(policies), cfg.replicas
     N = G * R
     groups = [slice(g * R, (g + 1) * R) for g in range(G)]
@@ -383,8 +388,8 @@ def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig) -> RateEstimate:
     cfg.burn_in is not used.
     """
     h = cfg.step
-    thin_every = int(round(cfg.thin / h))
-    times = np.arange(thin_every, int(round(cfg.horizon / h)) + 1, max(thin_every, 1)) * h
+    n_steps, _, thin_every = cfg.step_counts()
+    times = np.arange(thin_every, n_steps + 1, thin_every) * h
     K, R, m = len(times), cfg.replicas, dspec.m
     if thin_every < 2 or K == 0:
         raise ValueError("thin must span at least two steps and at most the horizon")

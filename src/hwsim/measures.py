@@ -115,8 +115,7 @@ def fit_tail(values: np.ndarray, weights: np.ndarray, form: str) -> TailFit:
     if hi <= lo:
         return TailFit(form, 0.0, 0.0, 0.0, lo, hi, 0, flag="tail range empty")
     grid = np.linspace(lo, hi, TAIL_LEVELS)
-    mass = np.array([float(surv[np.searchsorted(v, r)]) if np.searchsorted(v, r) < len(v) else 0.0
-                     for r in grid])
+    mass = np.append(surv, 0.0)[np.searchsorted(v, grid)]     # P(X >= r), 0 past the max
     keep = mass > 0
     grid, mass = grid[keep], mass[keep]
     if len(grid) < 4:

@@ -4,26 +4,29 @@ Interarrival laws are unit-mean families.  Each says through ``sup_hazard``
 (None when unbounded) whether the prelimit certification accepts it; the
 bounded ones (exponential, two-phase hyperexponential, Erlang) have
 closed-form hazard and mean residual life, computed with numpy alone, and the
-lognormal, whose hazard is unbounded, is only simulated.
+lognormal is only simulated.  Poisson input is the case of exponential laws:
+an ``ArrivalSpec`` carries the laws on both kinds, and its ``kind`` decides
+only what differs in the process: the event loop's clock, which per-state
+terms feed the prelimit pair stage, and that check's report name and decay
+(the abandonment check is a Poisson-input result).
 
-Poisson-input systems evolve as a CTMC with competing exponential clocks;
-renewal-input systems schedule the next arrival of each class from its
-interarrival distribution while service/abandonment clocks stay exponential
-(re-drawn after every event, which is exact by memorylessness).  One event
-loop serves both and draws its variates in blocks from each replica's
-generator, so a seed gives other paths than the earlier loop that drew one
-variate per numpy call.  The built-in scheduling policies are work-conserving
-by construction, and the loop asks one only when sum(x) > n: below that,
+One event loop serves both kinds: a CTMC with competing exponential clocks,
+or each class's next arrival scheduled from its law while the service and
+abandonment clocks stay exponential (re-drawn after every event, exact by
+memorylessness).  It draws its variates in blocks from each replica's
+generator.  The built-in scheduling policies are work-conserving by
+construction, and the loop asks one only when sum(x) > n: below that,
 Z^n(x) = {x}, and between two such states only the death rate of the class
 that moved changes.  A user hook (``FunctionPolicy``) is called, and its
-allocation checked, at every event.  The same module evaluates the exact
-finite-difference generators on Lyapunov functions, builds the age-augmented
-renewal Lyapunov function, and certifies the prelimit Foster-Lyapunov bounds
-over sampled states and all work-conserving allocations, or past ``Z_CUTOFF``
-only the priority vertices, exact as the generators are affine in the
-allocation; on both arrival kinds that check runs in numpy passes over all
-states, chunked by pair count.  Its reports, and the fit of the abandonment check's decay
-slope, come from the Foster-check path in ``verify``.
+allocation checked, at every event.
+
+The same module evaluates the exact finite-difference generators on Lyapunov
+functions, builds the age-augmented renewal Lyapunov function, and certifies
+the prelimit Foster-Lyapunov bounds over sampled states and all
+work-conserving allocations, or past ``Z_CUTOFF`` only the priority vertices,
+exact as the generators are affine in the allocation, in numpy passes over
+all states chunked by pair count.  Its reports, and the fit of the
+abandonment check's decay slope, come from ``verify``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ class Exponential:
     def hazard(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
-    def mrl(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
+    mrl = hazard                                # both are 1 at every age
 
     def sup_hazard(self):
         return 1.0
@@ -197,33 +199,32 @@ class LogNormal:
 @dataclass(frozen=True)
 class ArrivalSpec:
     kind: str                                 # "poisson" | "renewal"
-    m: int
-    dists: tuple | None = None
+    dists: tuple                              # unit-mean laws, Exponential on Poisson input
 
     def __post_init__(self):
         if self.kind not in ("poisson", "renewal"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
-        if self.kind == "renewal":
-            if self.dists is None or len(self.dists) != self.m:
-                raise ValueError("renewal arrivals need one distribution per class")
+        if self.kind == "poisson" and not all(isinstance(d, Exponential) for d in self.dists):
+            raise ValueError("Poisson arrivals need exponential interarrival laws")
 
     @classmethod
     def poisson(cls, m: int) -> "ArrivalSpec":
-        return cls("poisson", m)
+        return cls("poisson", (Exponential(),) * m)
 
     @classmethod
     def renewal(cls, dists) -> "ArrivalSpec":
-        dists = tuple(dists)
-        return cls("renewal", len(dists), dists)
+        return cls("renewal", tuple(dists))
+
+    @property
+    def m(self) -> int:
+        return len(self.dists)
 
     @property
     def scv(self) -> np.ndarray:
-        if self.kind == "poisson":
-            return np.ones(self.m)
         return np.array([d.scv for d in self.dists])
 
     def bounded_hazard(self) -> bool:
-        return self.kind == "poisson" or all(d.sup_hazard() is not None for d in self.dists)
+        return all(d.sup_hazard() is not None for d in self.dists)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +273,13 @@ def _water_fill(x, Q: int, u) -> list:
 
 
 def _apportion_list(x, n: int, u) -> list:
-    """Integer queue vector splitting (sum x - n)^+ proportionally to u with
-    q_i <= x_i (exact water-filling, then largest-remainder rounding).  When
-    no class saturates at level Q / w, the level needs no sort."""
+    """The allocation z = x - q, q the integer queue splitting (sum x - n)^+
+    proportionally to u with q_i <= x_i (exact water-filling, then largest-
+    remainder rounding); the level needs no sort when no class saturates."""
     m = len(x)
     Q = sum(x) - n
     if Q <= 0:
-        return [0] * m
+        return list(x)
     w = 0
     for ui in u:
         if ui > 0:
@@ -310,13 +311,7 @@ def _apportion_list(x, n: int, u) -> list:
                 best, best_frac = i, q[i] - qi[i]
         qi[best] += 1
         rem -= 1
-    return qi
-
-
-def apportion_queue(x: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
-    """Array wrapper around the exact proportional queue split."""
-    return np.asarray(_apportion_list([int(v) for v in x], n, list(map(float, u))),
-                      dtype=np.int64)
+    return [x[i] - qi[i] for i in range(m)]
 
 
 class SchedulingPolicy:
@@ -384,8 +379,7 @@ class ProportionalSplitPolicy(SchedulingPolicy):
         self.u = list(map(float, project_simplex(u)))
 
     def allocate_list(self, x, n):
-        q = _apportion_list(x, n, self.u)
-        return [x[i] - q[i] for i in range(len(x))]
+        return _apportion_list(x, n, self.u)
 
     def describe(self):
         return f"proportional_split[{','.join(f'{v:g}' for v in self.u)}]"
@@ -581,9 +575,7 @@ def simulate_ctmc(p: PrelimitParams, pol, cfg, exact_histogram: bool = False) ->
 def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
                      exact_histogram: bool = False) -> QueueRun:
     """Event-driven renewal-input simulation: each class's next arrival is
-    scheduled from its interarrival law."""
-    if arr.kind != "renewal":
-        raise ValueError("simulate_renewal requires a renewal arrival spec")
+    scheduled from its interarrival law (a Poisson spec runs ``simulate_ctmc``)."""
     return _simulate_queue(p, arr, pol, cfg, exact_histogram)
 
 
@@ -601,15 +593,8 @@ def _log_v(spec: lyap.LyapunovSpec, p: PrelimitParams):
 def ctmc_generator_ratio(spec: lyap.LyapunovSpec, x, z, p: PrelimitParams) -> np.ndarray:
     """A^n_z V(xhat(x)) / V(xhat(x)) via exact finite differences (Poisson input)."""
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    logv = _log_v(spec, p)
-    base = logv(x)
-    m = p.m
-    eye = np.eye(m)
-    up = np.exp(logv(x[..., None, :] + eye) - base[..., None]) - 1.0
-    dn = np.exp(logv(x[..., None, :] - eye) - base[..., None]) - 1.0
-    q = x - z
-    return np.sum(p.lambda_n * up, axis=-1) + np.sum((p.mu_n * z + p.gamma_n * q) * dn, axis=-1)
+    arrivals, dn, _, _ = _poisson_terms(p, spec, x)
+    return arrivals + np.sum((p.mu_n * z + p.gamma_n * (x - z)) * dn, axis=-1)
 
 
 def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
@@ -623,10 +608,8 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
     """
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
-    q = x - z
-    death = p.mu_n * z + p.gamma_n * q
-    m = p.m
-    eye = np.eye(m, dtype=np.int64)
+    death = p.mu_n * z + p.gamma_n * (x - z)
+    m, eye = p.m, np.eye(p.m, dtype=np.int64)
     if arr.kind == "poisson":
         val = f(x)
         up = np.array([f(x + eye[i]) for i in range(m)])
@@ -639,9 +622,7 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
     out = f.ds_sum(x, s)
     for i in range(m):
         r_i = float(p.lambda_n[i] * arr.dists[i].hazard(p.lambda_n[i] * s[i]))
-        s_reset = s.copy()
-        s_reset[i] = 0.0
-        out += r_i * (f.value(x + eye[i], s_reset) - val)
+        out += r_i * (f.value(x + eye[i], s * (1 - eye[i])) - val)     # s_i reset to 0
     for i in range(m):
         out += death[i] * (f.value(x - eye[i], s) - val)
     return float(out)
@@ -649,9 +630,7 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
 
 def eps_tilde0(p: PrelimitParams, arr: ArrivalSpec, theta: float) -> float:
     """Largest eps keeping the age-correction term below V/2 (first-order bound,
-    uniform over n and ages)."""
-    if arr.kind == "poisson":
-        return math.inf
+    uniform over n and ages); inf on Poisson input, where every mrl is 1."""
     sups = [d.sup_abs_one_minus_mrl() for d in arr.dists]
     if any(v is None for v in sups):
         raise PreconditionError("unbounded mean residual life: sandwich bound unavailable")
@@ -659,46 +638,33 @@ def eps_tilde0(p: PrelimitParams, arr: ArrivalSpec, theta: float) -> float:
     return math.inf if denom == 0 else 0.5 / denom
 
 
-# The sampled sandwich check draws its states and ages from this seed.
-SANDWICH_SEED = 7
-
-
 class RenewalLyapunov:
     """Age-augmented Lyapunov function G^n(xhat, s) + V(xhat) with
 
         G^n = sum_i (1 - zeta^n_i(s_i)) (V(xhat + e_i/sqrt(n)) - V(xhat)),
 
-    zeta^n_i(s) the mean residual life at scaled age.  Requires eps small
-    enough that 1/2 V <= value <= 3/2 V (checked analytically to first order
-    and by sampling at construction)."""
+    zeta^n_i(s) the mean residual life at scaled age (1 on Poisson input,
+    where G^n = 0).  Requires eps at most ``eps_tilde0``, small enough that
+    1/2 V <= value <= 3/2 V (to first order)."""
 
-    def __init__(self, p: PrelimitParams, arr: ArrivalSpec, spec: lyap.LyapunovSpec,
-                 check: bool = True):
-        if arr.kind != "renewal":
-            raise ValueError("renewal Lyapunov needs a renewal arrival spec")
+    def __init__(self, p: PrelimitParams, arr: ArrivalSpec, spec: lyap.LyapunovSpec):
         self.p, self.arr, self.spec = p, arr, spec
         self.delta = 1.0 / math.sqrt(p.n)
         bound = eps_tilde0(p, arr, spec.theta)
         if spec.epsilon > bound:
             raise ValueError(f"epsilon {spec.epsilon} too large for the sandwich bound {bound}")
-        if check:
-            rng = np.random.default_rng(SANDWICH_SEED)
-            xh = rng.uniform(-20, 20, size=(2000, p.m))
-            ages = rng.exponential(1.0, size=(2000, p.m)) / p.lambda_n
-            ratio = self.value_scaled(xh, ages) * np.exp(-lyap.log_value(spec, xh))
-            if np.any(ratio < 0.5 - 1e-12) or np.any(ratio > 1.5 + 1e-12):
-                raise ValueError("sampled sandwich check failed; decrease epsilon")
+
+    def _per_class(self, law, s) -> np.ndarray:
+        """law(d_i)(lambda^n_i s_i) for each class i, stacked on the last axis."""
+        s = np.asarray(s, dtype=float)
+        return np.stack([np.asarray(law(d)(lam * s[..., i])) for i, (d, lam)
+                         in enumerate(zip(self.arr.dists, self.p.lambda_n))], axis=-1)
 
     def zeta_n(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.stack([np.asarray(self.arr.dists[i].mrl(self.p.lambda_n[i] * s[..., i]))
-                         for i in range(self.p.m)], axis=-1)
+        return self._per_class(lambda d: d.mrl, s)
 
     def hazard_n(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.stack([self.p.lambda_n[i]
-                         * np.asarray(self.arr.dists[i].hazard(self.p.lambda_n[i] * s[..., i]))
-                         for i in range(self.p.m)], axis=-1)
+        return self.p.lambda_n * self._per_class(lambda d: d.hazard, s)
 
     def _steps(self, xhat):
         """V(xhat) and V(xhat + e_i/sqrt(n)) - V(xhat) for each class i."""
@@ -708,31 +674,39 @@ class RenewalLyapunov:
         lifted = np.exp(lyap.log_value(self.spec, xhat[..., None, :] + self.delta * eye))
         return base, lifted - base[..., None]
 
-    def value_scaled(self, xhat, s) -> np.ndarray:
+    def _lift(self, xhat, s):
+        """V~ at (xhat, s), with the steps of V and the zeta^n(s) it is built from."""
         base, steps = self._steps(xhat)
-        return base + np.sum((1.0 - self.zeta_n(s)) * steps, axis=-1)
+        zeta = self.zeta_n(s)
+        return base + np.sum((1.0 - zeta) * steps, axis=-1), steps, zeta
+
+    def _age_term(self, steps, zeta, hazard) -> np.ndarray:
+        # d zeta^n/ds = r^n zeta^n - lambda^n
+        return np.sum(-(hazard * zeta - self.p.lambda_n) * steps, axis=-1)
+
+    def value_scaled(self, xhat, s) -> np.ndarray:
+        return self._lift(xhat, s)[0]
 
     def value(self, x, s) -> float:
         return float(self.value_scaled(scale_state(np.asarray(x, dtype=float), self.p), s))
 
     def ds_sum(self, x, s) -> np.ndarray:
-        """sum_i d/ds_i of the age correction, via d zeta^n/ds = r^n zeta^n - lambda^n,
-        at a state or at each of a stack of states."""
-        _, steps = self._steps(scale_state(np.asarray(x, dtype=float), self.p))
-        dzeta = self.hazard_n(s) * self.zeta_n(s) - self.p.lambda_n
-        return np.sum(-dzeta * steps, axis=-1)
+        """sum_i d/ds_i of the age correction, at a state or each of a stack."""
+        _, steps, zeta = self._lift(scale_state(np.asarray(x, dtype=float), self.p), s)
+        return self._age_term(steps, zeta, self.hazard_n(s))
 
     def pair_terms(self, states: np.ndarray, ages: np.ndarray):
         """``_poisson_terms`` of the extended generator over V~ = V~(x, s): the
         arrivals are (ds_sum + sum_i r^n_i (V~(x + e_i, s with s_i = 0) - V~)) / V~."""
         x = states.astype(float)
         xhat, eye = scale_state(x, self.p), np.eye(self.p.m)
-        val = self.value_scaled(xhat, ages)
+        val, steps, zeta = self._lift(xhat, ages)
+        hazard = self.hazard_n(ages)
         up = self.value_scaled(scale_state(x[:, None, :] + eye, self.p),
                                ages[:, None, :] * (1.0 - eye))
         down = self.value_scaled(scale_state(x[:, None, :] - eye, self.p), ages[:, None, :])
-        arrivals = (self.ds_sum(x, ages)
-                    + np.sum(self.hazard_n(ages) * (up - val[:, None]), axis=1)) / val
+        arrivals = (self._age_term(steps, zeta, hazard)
+                    + np.sum(hazard * (up - val[:, None]), axis=1)) / val
         dn = (down - val[:, None]) / val[:, None]
         return arrivals, dn, np.log(val), np.abs(xhat).sum(axis=1)
 
@@ -807,12 +781,6 @@ def enumerate_allocations(x: np.ndarray, n: int) -> np.ndarray:
 # prelimit Foster-Lyapunov verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PrelimitConstants:
-    theta0: float
-    eps_tilde: float
-
-
 # The second-difference constant is a supremum over this many states, drawn
 # uniformly from the cube of this half-width in xhat with this seed (and the
 # next one for the refinement at the selected parameters).
@@ -844,8 +812,9 @@ def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, seed: int) -> float
     return p.n * worst / (spec.epsilon * (spec.epsilon + spec.theta))
 
 
-def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> PrelimitConstants:
-    """theta0 and eps~ of the prelimit exp-linear family; needs varrho^n > 0.
+def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> lyap.LyapunovSpec:
+    """The prelimit exp-linear family at theta0 and eps = min(theta0, eps~0) / 2;
+    needs varrho^n > 0.
 
     theta0 is a three-way minimum over constants: the second-difference
     constant is a sample supremum refined once at the selected parameters;
@@ -859,12 +828,8 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> Prelimit
         raise PreconditionError("unbounded hazard family: prelimit constants unavailable")
     m = p.m
     rt = math.sqrt(p.n)
-    if arr.kind == "poisson":
-        sup_h = np.ones(p.m)
-        sup_zeta = np.ones(p.m)
-    else:
-        sup_h = np.array([d.sup_hazard() for d in arr.dists])
-        sup_zeta = np.array([1.0 + d.sup_abs_one_minus_mrl() for d in arr.dists])
+    sup_h = np.array([d.sup_hazard() for d in arr.dists])
+    sup_zeta = np.array([1.0 + d.sup_abs_one_minus_mrl() for d in arr.dists])
     c0n = float(np.max(np.maximum(p.lambda_n * sup_h / p.n, 1.0 + sup_zeta)))
 
     varrho_n = p.varrho_n
@@ -887,14 +852,14 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> Prelimit
         term3 = (varrho_n / m) / (m + 2.0 * varrho_n + 4.0 * (tc1 + m * c1 * c2 + m * c3))
         return min(term1, term2, term3)
 
+    def spec_at(theta0):
+        eps = 0.5 * min(theta0, eps_tilde0(p, arr, theta0))
+        return lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=eps, theta=theta0)
+
     prov = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=0.05, theta=0.25)
     c1 = _estimate_c1(p, prov, C1_SEED)
-    theta0 = theta_at(c1)
-    eps = 0.5 * min(theta0, eps_tilde0(p, arr, theta0))
-    final = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=eps, theta=theta0)
-    c1 = max(c1, _estimate_c1(p, final, C1_SEED + 1))
-    theta0 = theta_at(c1)
-    return PrelimitConstants(theta0, eps_tilde0(p, arr, theta0))
+    c1 = max(c1, _estimate_c1(p, spec_at(theta_at(c1)), C1_SEED + 1))
+    return spec_at(theta_at(c1))
 
 
 def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerConfig,
@@ -910,15 +875,16 @@ _CHUNK_PAIRS = 4096
 
 
 def _poisson_terms(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarray):
-    """Per-state terms of A^n_z V / V = arrivals + rates(z) @ dn on Poisson input:
-    arrivals, dn_i = V(x - e_i) / V - 1, log V and ||xhat||_1."""
+    """Per-state terms of A^n_z V / V = arrivals + rates(z) @ dn on Poisson input,
+    at a state or each of a stack of states: arrivals, dn_i = V(x - e_i) / V - 1,
+    log V and ||xhat||_1."""
     logv = _log_v(spec, p)
     eye = np.eye(p.m, dtype=np.int64)
     base = logv(states)
-    up = np.exp(logv(states[:, None, :] + eye) - base[:, None]) - 1.0
-    dn = np.exp(logv(states[:, None, :] - eye) - base[:, None]) - 1.0
-    arrivals = np.sum(p.lambda_n * up, axis=1)
-    return arrivals, dn, base, np.abs(scale_state(states.astype(float), p)).sum(axis=1)
+    up = np.exp(logv(states[..., None, :] + eye) - base[..., None]) - 1.0
+    dn = np.exp(logv(states[..., None, :] - eye) - base[..., None]) - 1.0
+    arrivals = np.sum(p.lambda_n * up, axis=-1)
+    return arrivals, dn, base, np.abs(scale_state(states.astype(float), p)).sum(axis=-1)
 
 
 def _pair_stage(p: PrelimitParams, states: np.ndarray, terms):
@@ -956,7 +922,7 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
     work-conserving allocations (``enumerate_allocations``: all, or the
     priority vertices that hold the generator's maximum).
 
-    target "exp_linear": the exp-linear family at the theta and eps of
+    target "exp_linear": the exp-linear family of
     ``estimate_prelimit_constants``; Poisson input checks the V-decay with
     constant eps varrho^n/2m, renewal input checks the age-augmented function
     (``RenewalLyapunov``, one age vector per state drawn after the states)
@@ -971,26 +937,23 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
             raise PreconditionError("abandonment-decay check is a Poisson-input result")
         if float(p.gamma_n.min()) <= 0:
             raise PreconditionError("abandonment-decay check needs all gamma^n_i > 0")
-        beta = p.beta_n
-        theta_n = min(1.0, max(1.0 - float(beta.min()), 0.5) / float(beta.max()))
+        theta_n = min(1.0, lyap.sub_gaussian_theta(float(p.beta_n.min()), float(p.beta_n.max())))
         spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, p.mu_n, eta=eta, theta=theta_n)
         name = "prelimit_abandon_foster"
         consts = {"eta": eta, "theta": theta_n}
     else:
-        est = estimate_prelimit_constants(p, arr)      # rejects varrho^n <= 0, unbounded hazards
-        spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
-                                 epsilon=0.5 * min(est.theta0, est.eps_tilde), theta=est.theta0)
-        decay_coeff = spec.epsilon * p.varrho_n / ((3.0 if arr.kind == "renewal" else 2.0) * p.m)
-        name = ("prelimit_renewal_foster" if arr.kind == "renewal"
-                else "prelimit_exp_linear_foster")
-        consts = {"epsilon": spec.epsilon, "theta": spec.theta, "decay": decay_coeff}
+        spec = estimate_prelimit_constants(p, arr)     # rejects varrho^n <= 0, unbounded hazards
+        renewal = arr.kind == "renewal"
+        decay = spec.epsilon * p.varrho_n / ((3.0 if renewal else 2.0) * p.m)
+        name = "prelimit_renewal_foster" if renewal else "prelimit_exp_linear_foster"
+        consts = {"epsilon": spec.epsilon, "theta": spec.theta, "decay": decay}
 
     states = _sample_prelimit_states(p, region, sampler, rng)
     if arr.kind == "poisson":
         terms = _poisson_terms(p, spec, states)
     else:
         ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
-        terms = RenewalLyapunov(p, arr, spec, check=False).pair_terms(states, ages)
+        terms = RenewalLyapunov(p, arr, spec).pair_terms(states, ages)
     t, log_v, r1 = _pair_stage(p, states, terms)
 
     if target == "abandon":
@@ -1020,14 +983,11 @@ def generator_consistency_errors(params, dspec: DiffusionSpec, spec: lyap.Lyapun
         p = prelimit_params(params, int(n))
         for ip, (xh0, u) in enumerate(zip(points, controls)):
             x = np.maximum(np.rint(unscale_state(xh0, p)), 0.0).astype(np.int64)
-            q = apportion_queue(x, p.n, u)
-            z = x - q
+            z = np.array(_apportion_list(x.tolist(), p.n, u.tolist()), dtype=float)
             xhat = scale_state(x.astype(float), p)
-            zhat = scale_state(z.astype(float), p)
-            u_real = allocation_to_control(xhat, zhat)
-            if u_real is None:
-                u_real = u
-            gen = ctmc_generator_ratio(spec, x.astype(float), z.astype(float), p)
-            lim = lyap.generator_ratio(spec, xhat, u_real, dspec, check=False)
+            u_real = allocation_to_control(xhat, scale_state(z, p))
+            gen = ctmc_generator_ratio(spec, x, z, p)
+            lim = lyap.generator_ratio(spec, xhat, u if u_real is None else u_real, dspec,
+                                       check=False)
             out[ip, jn] = abs(float(gen) - float(lim))
     return out

@@ -330,14 +330,14 @@ NEG_WEIGHT = 0.5
 
 
 def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
-                             region: Region, sampler: SamplerConfig,
-                             neg_weight: float = NEG_WEIGHT) -> VerificationReport:
-    """L_u V <= kappa_0 - eps (rho/2m + w th ||x^-||_1) V with estimated kappa_0.
+                             region: Region, sampler: SamplerConfig) -> VerificationReport:
+    """L_u V <= kappa_0 - eps (rho/2m + w th ||x^-||_1) V with estimated kappa_0
+    and w = ``NEG_WEIGHT``.
 
     On the far negative orthant the drift supplies idleness decay at rate
     exactly eps th ||x^-||_1, so the full-weight form (w = 1) misses by the
     constant eps (th rho + rho/2m) + eps^2 th^2 C and cannot hold with any
-    finite kappa_0; any w < 1 leaves slack.  Default w = 1/2.
+    finite kappa_0; any w < 1 leaves slack.
     """
     if dspec.varrho <= 0:
         raise PreconditionError("exp-linear Foster bound needs positive spare capacity")
@@ -345,10 +345,10 @@ def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
     q, log_v = _ratio(spec, x, dspec)
     neg_part = np.maximum(-x, 0.0).sum(axis=-1)
-    decay = eps * (dspec.varrho / (2.0 * dspec.m) + neg_weight * th * neg_part)
+    decay = eps * (dspec.varrho / (2.0 * dspec.m) + NEG_WEIGHT * th * neg_part)
     return decay_report("exp_linear_foster", q + decay, log_v, r1,
                         region.radius, sampler.seed,
-                        {"epsilon": eps, "theta": th, "neg_weight": neg_weight})
+                        {"epsilon": eps, "theta": th, "neg_weight": NEG_WEIGHT})
 
 
 def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,

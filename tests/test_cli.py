@@ -215,6 +215,10 @@ BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
     ("thin = 0.5\n", "thin = inf\n", "thin < inf"),
     ("horizon = 4\n", "horizon = inf\n", "horizon < inf"),
     ("", "blowup = -1\n", "blowup > 0"),
+    ("thin = 0.5\n", "thin = 500\n", "no thinning step past burn_in"),
+    ("thin = 0.5\n", "thin = 4.5\n", "no thinning step past burn_in"),
+    ("burn_in = 1\nreplicas = 2\nthin = 0.5\n", "burn_in = 3\nreplicas = 2\nthin = 2.5\n",
+     "no thinning step past burn_in"),
     ("", "\n[verify]\neta = 0\n", "eta must be > 0"),
     (None, None, "Is a directory"),
 ])

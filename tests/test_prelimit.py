@@ -117,9 +117,7 @@ class TestPrelimitCheck:
             spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, p.mu_n, eta=1.0, theta=theta)
             decay = 0.0
         else:
-            c = qs.estimate_prelimit_constants(p, POISSON)
-            spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
-                                     epsilon=0.5 * min(c.theta0, c.eps_tilde), theta=c.theta0)
+            spec = qs.estimate_prelimit_constants(p, POISSON)
             decay = spec.epsilon * p.varrho_n / (2.0 * p.m)
             assert rep.constants["decay"] == decay
         assert rep.constants["theta"] == spec.theta
@@ -181,10 +179,7 @@ class TestPrelimitCheck:
 
     def test_every_renewal_pair_matches_the_scalar_generator(self, certify_n10):
         p, sampler = certify_n10, ver.SamplerConfig(n_samples=20, seed=7)
-        c = qs.estimate_prelimit_constants(p, RENEWAL)
-        spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
-                                 epsilon=0.5 * min(c.theta0, c.eps_tilde), theta=c.theta0)
-        lifted = qs.RenewalLyapunov(p, RENEWAL, spec, check=False)
+        lifted = qs.RenewalLyapunov(p, RENEWAL, qs.estimate_prelimit_constants(p, RENEWAL))
         rng = np.random.default_rng(sampler.seed)
         states = qs._sample_prelimit_states(p, REGION, sampler, rng)
         ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
@@ -265,3 +260,55 @@ class TestGenerators:
             fd = sum((lifted.value(x, s + h * e) - lifted.value(x, s - h * e)) / (2 * h)
                      for e in np.eye(3))
             assert lifted.ds_sum(x, s) == pytest.approx(fd, rel=1e-6, abs=1e-9 * lifted.value(x, s))
+
+
+class TestArrivalLaws:
+    def test_poisson_input_is_renewal_input_of_exponential_laws(self, certify_n10):
+        p = certify_n10
+        exponential = qs.ArrivalSpec.renewal([qs.Exponential()] * 3)
+        a = qs.estimate_prelimit_constants(p, POISSON)
+        b = qs.estimate_prelimit_constants(p, exponential)
+        assert (a.family, a.epsilon, a.theta) == (b.family, b.epsilon, b.theta)
+        assert np.array_equal(a.mu, b.mu)
+        assert qs.eps_tilde0(p, POISSON, a.theta) == math.inf
+        assert qs.eps_tilde0(p, exponential, a.theta) == math.inf
+        assert POISSON.m == 3 and np.array_equal(POISSON.scv, np.ones(3))
+
+    def test_poisson_input_rejects_other_laws(self):
+        with pytest.raises(ValueError, match="exponential"):
+            qs.ArrivalSpec("poisson", (qs.Exponential(), qs.Erlang(2), qs.Exponential()))
+
+    @pytest.mark.parametrize("theta", [0.05, 0.25, 1.0])
+    @pytest.mark.parametrize("dists", [
+        (qs.Erlang(2), qs.HyperExp2.from_scv(1.5), qs.Exponential()),
+        (qs.HyperExp2.from_scv(4.0),) * 3,
+    ], ids=["mixed", "hyperexp"])
+    def test_lifted_function_is_sandwiched_at_the_eps_bound(self, certify_n10, dists, theta):
+        # eps = eps~0, the largest the constructor accepts, keeps
+        # 1/2 V <= V~ <= 3/2 V on sampled scaled states and ages
+        p, arr = certify_n10, qs.ArrivalSpec.renewal(dists)
+        spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
+                                 epsilon=qs.eps_tilde0(p, arr, theta), theta=theta)
+        lifted = qs.RenewalLyapunov(p, arr, spec)
+        rng = np.random.default_rng(7)
+        xh = rng.uniform(-20, 20, size=(2000, 3))
+        ages = rng.exponential(1.0, size=(2000, 3)) / p.lambda_n
+        ratio = lifted.value_scaled(xh, ages) * np.exp(-lyap.log_value(spec, xh))
+        assert np.all((0.5 <= ratio) & (ratio <= 1.5))
+
+    def test_lifted_function_on_poisson_input_is_v(self, certify_n10):
+        # every zeta^n is 1 and every r^n is lambda^n: V~ = V, and the
+        # extended generator's terms are the Poisson ones
+        p = certify_n10
+        spec = qs.estimate_prelimit_constants(p, POISSON)
+        lifted = qs.RenewalLyapunov(p, POISSON, spec)
+        rng = np.random.default_rng(SAMPLER.seed)
+        states = qs._sample_prelimit_states(p, REGION, SAMPLER, rng)
+        ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
+        xhat = scale_state(states.astype(float), p)
+        assert np.array_equal(lifted.value_scaled(xhat, ages),
+                              np.exp(lyap.log_value(spec, xhat)))
+        assert np.all(lifted.ds_sum(states, ages) == 0.0)
+        got, want = lifted.pair_terms(states, ages), qs._poisson_terms(p, spec, states)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)

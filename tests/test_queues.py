@@ -90,6 +90,12 @@ class TestReplay:
                 for _ in range(2)]
         _assert_same_run(*runs)
 
+    def test_a_poisson_spec_runs_the_ctmc_through_either_entry(self, demo_n20):
+        cfg = _sim_cfg(6, horizon=20.0, replicas=3)
+        pol = qs.ProportionalSplitPolicy((0.3, 0.7))
+        _assert_same_run(qs.simulate_ctmc(demo_n20, pol, cfg),
+                         qs.simulate_renewal(demo_n20, qs.ArrivalSpec.poisson(2), pol, cfg))
+
     def test_builtin_policy_matches_its_rule_as_a_function(self, demo_n20):
         # the list fast path of StaticPriorityPolicy and the same rule behind
         # FunctionPolicy's array path must give the same run
@@ -323,13 +329,18 @@ def _reference_apportion(x, n, u):
     return qi
 
 
+def _queue(x, n, u):
+    """x - z of the allocation z that ``_apportion_list`` returns."""
+    return [xi - zi for xi, zi in zip(x, qs._apportion_list(x, n, u))]
+
+
 class TestApportion:
     @pytest.mark.parametrize("u", [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (0.0, 1.0),
                                    (1 / 3, 2 / 3)])
     @pytest.mark.parametrize("n", [1, 5, 20, 100])
     def test_equals_the_reference_on_a_grid(self, n, u):
         xs = list(itertools.product(range(160), repeat=2))
-        got = [qs._apportion_list(x, n, u) for x in xs]
+        got = [_queue(x, n, u) for x in xs]
         want = [_reference_apportion(x, n, u) for x in xs]
         assert got == want, next(x for x, a, b in zip(xs, got, want) if a != b)
 
@@ -342,4 +353,4 @@ class TestApportion:
         w = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
                                min_size=m, max_size=m).filter(lambda w: sum(w) > 0))
         u = [float(v) for v in hwsim.model.project_simplex(np.asarray(w) / sum(w))]
-        assert qs._apportion_list(x, n, u) == _reference_apportion(x, n, u)
+        assert _queue(x, n, u) == _reference_apportion(x, n, u)

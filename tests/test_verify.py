@@ -111,14 +111,16 @@ class TestFosterBounds:
         assert rep.constants["kappa_estimate"] > 0
         assert rep.constants["attainment_radius"] < 0.8 * region.radius
 
-    def test_full_idleness_weight_fails_far_out(self, stable_system):
+    def test_full_idleness_weight_fails_far_out(self, stable_system, monkeypatch):
         # with weight 1.0 the decay margin stays positive on the deep negative
         # orthant at every radius; the halved weight closes it
         ds = hwsim.diffusion_spec(stable_system)
         spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
         region = ver.Region.ball(ver.suggested_radius(ds, spec))
-        full = ver.verify_exp_linear_foster(ds, spec, region, SAMP, neg_weight=1.0)
+        monkeypatch.setattr(ver, "NEG_WEIGHT", 1.0)
+        full = ver.verify_exp_linear_foster(ds, spec, region, SAMP)
         assert not full.passed
+        assert full.constants["neg_weight"] == 1.0
 
     def test_kappa_stable_under_radius_doubling(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
