@@ -10,9 +10,10 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
               of the [arrivals] laws)
   [prelimit]  n: server counts [>= 1; rates > 0]; sim-queue runs each,
               verify-drift certifies the prelimit bounds at the first only
-  [arrivals]  kind: poisson (default) or renewal, with dist: one law per
-              class, each exponential, erlang:<k>, hyperexp2:<scv> or
-              lognormal:<scv>
+  [arrivals]  dist: one law per class (m exponentials), each exponential,
+              erlang:<k>, hyperexp2:<scv> or lognormal:<scv>; the input is
+              Poisson when every law is exponential; kind: poisson or renewal
+              [poisson: every law exponential]
   [policy.<name>]  at least one; kind: constant or proportional_split (with
               u [m entries on the simplex]), static_priority (with order [a
               permutation of 0..m-1]), longest_queue_first,
@@ -102,8 +103,7 @@ class ExperimentConfig:
     seed: int
     system: SystemParams
     n_list: tuple[int, ...]
-    arrival_kind: str
-    arrival_dists: tuple[str, ...]
+    arrivals: qs.ArrivalSpec
     policies: list[PolicyConfig]
     sim: dif.SimConfig                     # seed 0: each command sets its own
     samples: int
@@ -111,10 +111,12 @@ class ExperimentConfig:
     eta: float
     out_dir: str
 
+    @property
+    def arrival_kind(self) -> str:
+        return "poisson" if self.arrivals.is_poisson else "renewal"
+
     def arrival_spec(self, m: int) -> qs.ArrivalSpec:
-        if self.arrival_kind == "poisson":
-            return qs.ArrivalSpec.poisson(m)
-        return qs.ArrivalSpec.renewal([_parse_dist(s) for s in self.arrival_dists])
+        return self.arrivals               # the m laws parse_config checked
 
 
 def _parse_dist(token: str):
@@ -171,28 +173,28 @@ def parse_config(text: str) -> ExperimentConfig:
         n_list = _ints(cp["prelimit"]["n"]) if cp.has_section("prelimit") else ()
         if any(n < 1 for n in n_list):
             raise ConfigError(f"[prelimit] n must be >= 1, got {list(n_list)}")
-        arr_kind = cp["arrivals"].get("kind", "poisson") if cp.has_section("arrivals") else "poisson"
-        dists = ()
-        if arr_kind == "renewal":
-            dists = tuple(t.strip() for t in cp["arrivals"]["dist"].split(","))
-            if len(dists) != m:
-                raise ConfigError("need one interarrival family per class")
-        elif arr_kind != "poisson":
+        arr = dict(cp["arrivals"]) if cp.has_section("arrivals") else {}
+        arrivals = (qs.ArrivalSpec(tuple(map(_parse_dist, arr["dist"].split(","))))
+                    if "dist" in arr else qs.ArrivalSpec.poisson(m))
+        if arrivals.m != m:
+            raise ConfigError("need one interarrival family per class")
+        arr_kind = arr.get("kind", "renewal")     # without kind, the laws alone decide
+        if arr_kind not in ("poisson", "renewal"):
             raise ConfigError(f"unknown arrival kind {arr_kind!r}")
+        if arr_kind == "poisson" and not arrivals.is_poisson:
+            raise ConfigError("[arrivals] kind = poisson needs exponential laws")
         # the diffusion's covariance comes from the interarrival laws the
         # queue simulator runs; an explicit [system] scv must agree with them
-        law_scv = (qs.ArrivalSpec.renewal(map(_parse_dist, dists)) if dists
-                   else qs.ArrivalSpec.poisson(m)).scv
         system = make_system(
             lam, _floats(sysb["mu"]),
             gamma=_floats(sysb["gamma"]) if "gamma" in sysb else None,
             hat_lambda=_floats(sysb["hat_lambda"]) if "hat_lambda" in sysb else None,
             hat_mu=_floats(sysb["hat_mu"]) if "hat_mu" in sysb else None,
-            scv=_floats(sysb["scv"]) if "scv" in sysb else law_scv,
+            scv=_floats(sysb["scv"]) if "scv" in sysb else arrivals.scv,
         )
-        if not np.allclose(system.scv, law_scv):
+        if not np.allclose(system.scv, arrivals.scv):
             raise ConfigError(f"[system] scv {system.scv.tolist()} does not match the SCVs "
-                              f"{law_scv.tolist()} of the [arrivals] interarrival laws")
+                              f"{arrivals.scv.tolist()} of the [arrivals] interarrival laws")
         diffusion_spec(system)             # sum_i lambda_i (1 + scv_i) / (2 mu_i) = 1
         for n in n_list:                   # every n-server system has positive rates
             prelimit_params(system, n)
@@ -248,7 +250,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config error: {err!r}") from err
     if not policies:
         raise ConfigError("at least one [policy.<name>] block is required")
-    return ExperimentConfig(scenario, seed, system, n_list, arr_kind, dists, policies,
+    return ExperimentConfig(scenario, seed, system, n_list, arrivals, policies,
                             sim_cfg, samples, truncations, eta, out_dir)
 
 
@@ -350,12 +352,12 @@ def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
     if cfg.n_list:
         n = cfg.n_list[0]
         p = prelimit_params(cfg.system, n)
-        arr = cfg.arrival_spec(cfg.system.m)
+        arr = cfg.arrivals
         pre_sampler = ver.SamplerConfig(min(cfg.samples, PRELIMIT_SAMPLES), cfg.seed)
         pre_region = ver.Region.ball(PRELIMIT_RADIUS)
         if p.varrho_n > 0 and arr.bounded_hazard():
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler))
-        if arr.kind == "poisson" and float(p.gamma_n.min()) > 0:
+        if arr.is_poisson and float(p.gamma_n.min()) > 0:
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler,
                                                      target="abandon", eta=cfg.eta))
     report_path = out / f"{cfg.scenario}_verify_report.csv"
@@ -397,6 +399,7 @@ def cmd_sim_diffusion(cfg: ExperimentConfig, overwrite: bool) -> int:
                 records.append(ResultRecord(cfg.scenario, "sim-diffusion", cfg.seed + i,
                                             f"{polcfg.name}.idleness", idl.estimate,
                                             idl.stderr, idl.passed))
+        if len(run.measure.samples):       # none when all trip before the first thin step
             write_samples_csv(out / f"{cfg.scenario}_{polcfg.name}_diffusion_samples.csv",
                               run.measure)
             write_histogram_csv(out / f"{cfg.scenario}_{polcfg.name}_diffusion_hist.csv",
@@ -414,15 +417,13 @@ def cmd_sim_queue(cfg: ExperimentConfig, overwrite: bool) -> int:
     if not cfg.n_list:
         raise ConfigError("sim-queue needs a [prelimit] n list")
     out = _prepare_out(cfg, f"{cfg.scenario}_queue_summary.json", overwrite)
-    arr = cfg.arrival_spec(cfg.system.m)
     records, summary = [], {}
     for n in cfg.n_list:
         p = prelimit_params(cfg.system, n)
         for i, polcfg in enumerate(cfg.policies):
             pol = queue_policy(polcfg)
             scfg = replace(cfg.sim, seed=cfg.seed + i)
-            run = (qs.simulate_ctmc(p, pol, scfg) if arr.kind == "poisson"
-                   else qs.simulate_renewal(p, arr, pol, scfg))
+            run = qs.simulate_renewal(p, cfg.arrivals, pol, scfg)
             key = f"n{n}.{polcfg.name}"
             entry = {"policy": pol.describe(), "n": n, "varrho_n": p.varrho_n,
                      "tripped": int(run.tripped.sum()),

@@ -1,16 +1,17 @@
 """Exact event-driven simulation of the n-server systems and prelimit checks.
 
-Interarrival laws are unit-mean families.  Each says through ``sup_hazard``
-(None when unbounded) whether the prelimit certification accepts it; the
-bounded ones (exponential, two-phase hyperexponential, Erlang) have
-closed-form hazard and mean residual life, computed with numpy alone, and the
-lognormal is only simulated.  Poisson input is the case of exponential laws:
-an ``ArrivalSpec`` carries the laws on both kinds, and its ``kind`` decides
-only what differs in the process: the event loop's clock, which per-state
-terms feed the prelimit pair stage, and that check's report name and decay
-(the abandonment check is a Poisson-input result).
+The arrival input (``ArrivalSpec``) is one unit-mean interarrival law per
+class.  Each says through ``sup_hazard`` (None for an excluded family) whether
+the prelimit certification accepts it; the accepted ones (exponential, two-phase
+hyperexponential, Erlang) have closed-form hazard and mean residual life,
+computed with numpy alone, and the lognormal is only simulated.  Poisson
+input is derived, not declared: it is the case where every law is
+exponential (``is_poisson``), and it decides only what differs in the
+process: the event loop's clock, which per-state terms feed the prelimit pair
+stage, and that check's report name and decay (the abandonment check is a
+Poisson-input result).
 
-One event loop serves both kinds: a CTMC with competing exponential clocks,
+One event loop serves both cases: a CTMC with competing exponential clocks,
 or each class's next arrival scheduled from its law while the service and
 abandonment clocks stay exponential (re-drawn after every event, exact by
 memorylessness).  It draws its variates in blocks from each replica's
@@ -52,7 +53,6 @@ from .verify import (PreconditionError, Region, SamplerConfig, VerificationRepor
 # ---------------------------------------------------------------------------
 
 class Exponential:
-    kind = "exponential"
     scv = 1.0
 
     def sample(self, rng, size=None):
@@ -72,8 +72,6 @@ class Exponential:
 
 class HyperExp2:
     """Two-phase hyperexponential with unit mean (SCV > 1, decreasing hazard)."""
-
-    kind = "hyperexp2"
 
     def __init__(self, p: float, r1: float, r2: float):
         if not (0 < p < 1 and r1 > 0 and r2 > 0):
@@ -125,8 +123,6 @@ class HyperExp2:
 class Erlang:
     """Erlang(k) with stage rate k (unit mean, SCV = 1/k, increasing hazard)."""
 
-    kind = "erlang"
-
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("shape must be >= 1")
@@ -167,10 +163,9 @@ class Erlang:
 
 
 class LogNormal:
-    """Unit-mean lognormal.  Its hazard and mean residual life are unbounded,
-    so no certification mode accepts it; it is simulated only."""
-
-    kind = "lognormal"
+    """Unit-mean lognormal.  Its hazard is bounded (sup ~ 1.36 at SCV 1) but its
+    mean residual life is not, so no eps keeps the sandwich of ``eps_tilde0``:
+    no certification mode accepts it, and it is simulated only."""
 
     def __init__(self, sigma: float):
         if sigma <= 0:
@@ -198,22 +193,16 @@ class LogNormal:
 
 @dataclass(frozen=True)
 class ArrivalSpec:
-    kind: str                                 # "poisson" | "renewal"
-    dists: tuple                              # unit-mean laws, Exponential on Poisson input
-
-    def __post_init__(self):
-        if self.kind not in ("poisson", "renewal"):
-            raise ValueError(f"unknown arrival kind {self.kind!r}")
-        if self.kind == "poisson" and not all(isinstance(d, Exponential) for d in self.dists):
-            raise ValueError("Poisson arrivals need exponential interarrival laws")
+    dists: tuple                              # one unit-mean interarrival law per class
 
     @classmethod
     def poisson(cls, m: int) -> "ArrivalSpec":
-        return cls("poisson", (Exponential(),) * m)
+        return cls((Exponential(),) * m)
 
-    @classmethod
-    def renewal(cls, dists) -> "ArrivalSpec":
-        return cls("renewal", tuple(dists))
+    @property
+    def is_poisson(self) -> bool:
+        """Poisson input: every interarrival law is exponential."""
+        return all(isinstance(d, Exponential) for d in self.dists)
 
     @property
     def m(self) -> int:
@@ -446,7 +435,7 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     center, inv_rt, shift = p.fluid_center.tolist(), 1.0 / math.sqrt(n), p.varrho_n / m
     T, T0, thin, blowup = cfg.horizon, cfg.burn_in, cfg.thin, cfg.blowup
     allocate = pol.allocator(m, n, rng)
-    poisson = arr.kind == "poisson"
+    poisson = arr.is_poisson
     lam_cum = list(itertools.accumulate(lam))
     lam_sum = lam_cum[-1]                      # one total: r < lam_sum keeps bisect < m
     gaps = [] if poisson else [_blocks(functools.partial(d.sample, rng)) for d in arr.dists]
@@ -541,7 +530,11 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
             "hist": hist, "counts": counts, "tripped": stop < T, "terminal": x}
 
 
-def _simulate_queue(p, arr, pol, cfg, exact_histogram):
+def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
+                     exact_histogram: bool = False) -> QueueRun:
+    """Event-driven simulation of any arrival input: each class's next arrival
+    is scheduled from its interarrival law, or on Poisson input (every law
+    exponential) drawn from competing exponential clocks, as in ``simulate_ctmc``."""
     gens = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)]
     reps = [_run_queue_replica(p, arr, pol, cfg, g, exact_histogram) for g in gens]
@@ -569,14 +562,7 @@ def _simulate_queue(p, arr, pol, cfg, exact_histogram):
 
 def simulate_ctmc(p: PrelimitParams, pol, cfg, exact_histogram: bool = False) -> QueueRun:
     """Exact CTMC simulation with Poisson arrivals."""
-    return _simulate_queue(p, ArrivalSpec.poisson(p.m), pol, cfg, exact_histogram)
-
-
-def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
-                     exact_histogram: bool = False) -> QueueRun:
-    """Event-driven renewal-input simulation: each class's next arrival is
-    scheduled from its interarrival law (a Poisson spec runs ``simulate_ctmc``)."""
-    return _simulate_queue(p, arr, pol, cfg, exact_histogram)
+    return simulate_renewal(p, ArrivalSpec.poisson(p.m), pol, cfg, exact_histogram)
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +587,16 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
     """Exact extended generator applied to a lifted function at (x, s) under
     allocation z.
 
-    On Poisson input f is a state function f(x); on renewal input it has
-    methods value(x, s) and ds_sum(x, s), the latter supplying the analytic
-    age-derivative term (RenewalLyapunov), and every interarrival law must
-    have a bounded hazard.
+    On Poisson input (every law exponential) f is a state function f(x);
+    otherwise it has methods value(x, s) and ds_sum(x, s), the latter
+    supplying the analytic age-derivative term (RenewalLyapunov), and every
+    interarrival law must have a bounded hazard.
     """
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
     death = p.mu_n * z + p.gamma_n * (x - z)
     m, eye = p.m, np.eye(p.m, dtype=np.int64)
-    if arr.kind == "poisson":
+    if arr.is_poisson:
         val = f(x)
         up = np.array([f(x + eye[i]) for i in range(m)])
         dn = np.array([f(x - eye[i]) for i in range(m)])
@@ -923,17 +909,18 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
     priority vertices that hold the generator's maximum).
 
     target "exp_linear": the exp-linear family of
-    ``estimate_prelimit_constants``; Poisson input checks the V-decay with
-    constant eps varrho^n/2m, renewal input checks the age-augmented function
-    (``RenewalLyapunov``, one age vector per state drawn after the states)
-    with constant eps varrho^n/3m (bounded hazard required).  target
-    "abandon": Poisson input, all gamma^n_i > 0, linear-in-||xhat||_1 decay
-    with the slope from ``verify.fitted_slope``.  Both arrival kinds feed
-    per-state terms into one pair stage (``_pair_stage``).
+    ``estimate_prelimit_constants``; Poisson input (``ArrivalSpec.is_poisson``)
+    checks the V-decay with constant eps varrho^n/2m, any other input checks
+    the age-augmented function (``RenewalLyapunov``, one age vector per state
+    drawn after the states) with constant eps varrho^n/3m (bounded hazard
+    required).  target "abandon": Poisson input, all gamma^n_i > 0,
+    linear-in-||xhat||_1 decay with the slope from ``verify.fitted_slope``.
+    Both cases feed per-state terms into one pair stage (``_pair_stage``).
     """
     rng = np.random.default_rng(sampler.seed)
+    poisson = arr.is_poisson
     if target == "abandon":
-        if arr.kind != "poisson":
+        if not poisson:
             raise PreconditionError("abandonment-decay check is a Poisson-input result")
         if float(p.gamma_n.min()) <= 0:
             raise PreconditionError("abandonment-decay check needs all gamma^n_i > 0")
@@ -943,13 +930,12 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
         consts = {"eta": eta, "theta": theta_n}
     else:
         spec = estimate_prelimit_constants(p, arr)     # rejects varrho^n <= 0, unbounded hazards
-        renewal = arr.kind == "renewal"
-        decay = spec.epsilon * p.varrho_n / ((3.0 if renewal else 2.0) * p.m)
-        name = "prelimit_renewal_foster" if renewal else "prelimit_exp_linear_foster"
+        decay = spec.epsilon * p.varrho_n / ((2.0 if poisson else 3.0) * p.m)
+        name = "prelimit_exp_linear_foster" if poisson else "prelimit_renewal_foster"
         consts = {"epsilon": spec.epsilon, "theta": spec.theta, "decay": decay}
 
     states = _sample_prelimit_states(p, region, sampler, rng)
-    if arr.kind == "poisson":
+    if poisson:
         terms = _poisson_terms(p, spec, states)
     else:
         ages = rng.exponential(1.0, size=states.shape) / p.lambda_n

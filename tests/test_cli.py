@@ -7,6 +7,7 @@ import pytest
 
 from hwsim import cli
 from hwsim import diffusion as dif
+from hwsim import queues as qs
 
 CONFIG = """\
 [scenario]
@@ -84,6 +85,30 @@ def test_parse_config_raises_config_error():
 def test_omitted_scv_comes_from_the_interarrival_laws(arrivals):
     cfg = cli.parse_config(_config(None, arrivals))
     assert np.array_equal(cfg.system.scv, cfg.arrival_spec(cfg.system.m).scv)
+
+
+def test_a_dist_without_kind_gives_renewal_laws():
+    cfg = cli.parse_config(_config(None, "dist = erlang:2, hyperexp2:1.5"))
+    assert cfg.arrival_kind == "renewal"
+    assert [type(d) for d in cfg.arrival_spec(2).dists] == [qs.Erlang, qs.HyperExp2]
+    assert np.allclose(cfg.system.scv, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("command", ["sim-queue", "verify-drift"])
+def test_renewal_input_of_exponential_laws_is_poisson_input(tmp_path, capsys, command):
+    # the laws decide: the CTMC clock and the Poisson prelimit checks, file for file
+    outs = [tmp_path / "poisson", tmp_path / "renewal"]
+    for out, arrivals in zip(outs, (POISSON, "kind = renewal\ndist = exponential, exponential")):
+        out.mkdir()
+        assert _run(out, None, arrivals, command) == 0
+    names = sorted(p.name for p in (outs[0] / "out").glob("tiny_*"))
+    assert names == sorted(p.name for p in (outs[1] / "out").glob("tiny_*"))
+    assert len(names) == 2
+    for name in names:
+        assert ((outs[0] / "out" / name).read_bytes()
+                == (outs[1] / "out" / name).read_bytes()), name
+    if command == "verify-drift":
+        assert "prelimit_exp_linear_foster," in (outs[1] / "out" / names[1]).read_text()
 
 
 @pytest.mark.parametrize("section, line, named", [
@@ -182,6 +207,22 @@ def test_demo_diffusion_reproduces_the_committed_files(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
 
 
+def test_sim_diffusion_with_no_sample_writes_the_moments(tmp_path, capsys):
+    # every replica trips past burn_in (t = 3) but before the first thinning
+    # step (t = 20): moments, no samples or histogram files
+    path = _demo_with(tmp_path, NEGATIVE_SPARE, ("\nn = 100, 400\n", "\nn = 100\n"),
+                      ("horizon = 200", "horizon = 30"), ("burn_in = 20", "burn_in = 3"),
+                      ("thin = 0.5", "thin = 20"), ("replicas = 16", "replicas = 4"),
+                      ("blowup = 1000", "blowup = 8"))
+    out = tmp_path / "out"
+    assert cli.main(["sim-diffusion", "--config", str(path), "--out", str(out)]) == 0
+    policies = json.loads((out / "demo_diffusion_summary.json").read_text())["policies"]
+    assert len(policies) == 3
+    assert all(e["tripped"] == 4 and len(e["l1"]) == 2 for e in policies.values())
+    assert sorted(p.name for p in out.iterdir()) == ["demo_diffusion_summary.json",
+                                                     "results.csv"]
+
+
 def test_tails_flags_policies_that_trip_before_burn_in(tmp_path, capsys):
     # a transient system: every replica of every policy trips before burn-in
     path = _demo_with(tmp_path, NEGATIVE_SPARE,
@@ -220,6 +261,8 @@ BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
     ("burn_in = 1\nreplicas = 2\nthin = 0.5\n", "burn_in = 3\nreplicas = 2\nthin = 2.5\n",
      "no thinning step past burn_in"),
     ("", "\n[verify]\neta = 0\n", "eta must be > 0"),
+    ("kind = poisson\n", "kind = poisson\ndist = erlang:2, hyperexp2:1.5\n",
+     "kind = poisson needs exponential laws"),
     (None, None, "Is a directory"),
 ])
 @pytest.mark.parametrize("command", ["verify-drift", "sim-diffusion", "sim-queue"])

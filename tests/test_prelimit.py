@@ -17,8 +17,7 @@ from hwsim import verify as ver
 from hwsim.model import prelimit_params, scale_state
 
 POISSON = qs.ArrivalSpec.poisson(3)
-RENEWAL = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5),
-                                  qs.Exponential()])
+RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5), qs.Exponential()))
 REGION = ver.Region.ball(40.0)
 SAMPLER = ver.SamplerConfig(n_samples=500, seed=3)
 
@@ -242,15 +241,14 @@ class TestGenerators:
             def ds_sum(self, x, s):
                 return 0.0
 
-        arr = qs.ArrivalSpec.renewal([qs.LogNormal(0.5), qs.Exponential(), qs.Exponential()])
+        arr = qs.ArrivalSpec((qs.LogNormal(0.5), qs.Exponential(), qs.Exponential()))
         x, s = np.array([3, 4, 5]), np.ones(3)
         with pytest.raises(ver.PreconditionError, match="unbounded hazard"):
             qs.prelimit_generator_apply(Flat(), x, s, x, certify_n10, arr)
 
     def test_age_derivative_matches_a_central_difference(self, certify_n10):
         p = certify_n10
-        arr = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5),
-                                      qs.Erlang(3)])
+        arr = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5), qs.Erlang(3)))
         spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=0.1, theta=0.25)
         lifted = qs.RenewalLyapunov(p, arr, spec)
         rng = np.random.default_rng(8)
@@ -265,7 +263,7 @@ class TestGenerators:
 class TestArrivalLaws:
     def test_poisson_input_is_renewal_input_of_exponential_laws(self, certify_n10):
         p = certify_n10
-        exponential = qs.ArrivalSpec.renewal([qs.Exponential()] * 3)
+        exponential = qs.ArrivalSpec((qs.Exponential(),) * 3)
         a = qs.estimate_prelimit_constants(p, POISSON)
         b = qs.estimate_prelimit_constants(p, exponential)
         assert (a.family, a.epsilon, a.theta) == (b.family, b.epsilon, b.theta)
@@ -273,10 +271,7 @@ class TestArrivalLaws:
         assert qs.eps_tilde0(p, POISSON, a.theta) == math.inf
         assert qs.eps_tilde0(p, exponential, a.theta) == math.inf
         assert POISSON.m == 3 and np.array_equal(POISSON.scv, np.ones(3))
-
-    def test_poisson_input_rejects_other_laws(self):
-        with pytest.raises(ValueError, match="exponential"):
-            qs.ArrivalSpec("poisson", (qs.Exponential(), qs.Erlang(2), qs.Exponential()))
+        assert exponential.is_poisson and not RENEWAL.is_poisson
 
     @pytest.mark.parametrize("theta", [0.05, 0.25, 1.0])
     @pytest.mark.parametrize("dists", [
@@ -286,7 +281,7 @@ class TestArrivalLaws:
     def test_lifted_function_is_sandwiched_at_the_eps_bound(self, certify_n10, dists, theta):
         # eps = eps~0, the largest the constructor accepts, keeps
         # 1/2 V <= V~ <= 3/2 V on sampled scaled states and ages
-        p, arr = certify_n10, qs.ArrivalSpec.renewal(dists)
+        p, arr = certify_n10, qs.ArrivalSpec(dists)
         spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
                                  epsilon=qs.eps_tilde0(p, arr, theta), theta=theta)
         lifted = qs.RenewalLyapunov(p, arr, spec)

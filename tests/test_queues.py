@@ -38,7 +38,7 @@ def _policies():
             qs.FunctionPolicy(_serve_second_first, "second_first")]
 
 
-RENEWAL = qs.ArrivalSpec.renewal([qs.Erlang(2), qs.HyperExp2.from_scv(1.5)])
+RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5)))
 
 
 def _assert_same_run(a, b):
@@ -93,8 +93,9 @@ class TestReplay:
     def test_a_poisson_spec_runs_the_ctmc_through_either_entry(self, demo_n20):
         cfg = _sim_cfg(6, horizon=20.0, replicas=3)
         pol = qs.ProportionalSplitPolicy((0.3, 0.7))
-        _assert_same_run(qs.simulate_ctmc(demo_n20, pol, cfg),
-                         qs.simulate_renewal(demo_n20, qs.ArrivalSpec.poisson(2), pol, cfg))
+        ctmc = qs.simulate_ctmc(demo_n20, pol, cfg)
+        for arr in (qs.ArrivalSpec.poisson(2), qs.ArrivalSpec((qs.Exponential(),) * 2)):
+            _assert_same_run(ctmc, qs.simulate_renewal(demo_n20, arr, pol, cfg))
 
     def test_builtin_policy_matches_its_rule_as_a_function(self, demo_n20):
         # the list fast path of StaticPriorityPolicy and the same rule behind
