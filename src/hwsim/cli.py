@@ -5,7 +5,8 @@ are its sections and keys, defaults in parentheses; ``parse_config`` rejects
 any other (``CONFIG_KEYS``) and any value that breaks the rule in brackets.
 Lists take commas or spaces; m is the number of classes (entries of lambda).
 
-  [scenario]  id ("scenario"), seed (required: it drives every stream)
+  [scenario]  id ("scenario") [a plain name, ``NAME``], seed (required: it
+              drives every stream)
   [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
               of the [arrivals] laws)
   [prelimit]  n: server counts [>= 1; rates > 0]; sim-queue runs each,
@@ -14,10 +15,10 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
               erlang:<k>, hyperexp2:<scv> or lognormal:<scv>; the input is
               Poisson when every law is exponential; kind: poisson or renewal
               [poisson: every law exponential]
-  [policy.<name>]  at least one; kind: constant or proportional_split (with
-              u [m entries on the simplex]), static_priority (with order [a
-              permutation of 0..m-1]), longest_queue_first,
-              random_work_conserving
+  [policy.<name>]  at least one [<name> a plain name, as id]; kind:
+              constant or proportional_split (with u [m entries on the
+              simplex]), static_priority (with order [a permutation of
+              0..m-1]), longest_queue_first, random_work_conserving
   [sim]       horizon (200), step (0.001), burn_in (horizon / 10),
               replicas (16), thin (1), x0 (0), blowup (1000)
               [0 < step <= burn_in < horizon < inf, replicas >= 1,
@@ -37,6 +38,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -48,6 +50,7 @@ from . import diffusion as dif
 from . import lyapunov as lyap
 from . import queues as qs
 from . import verify as ver
+from .measures import MOMENTS
 from .model import (SystemParams, diffusion_spec, make_system, prelimit_params,
                     project_simplex, spare_capacity)
 
@@ -77,6 +80,8 @@ CONFIG_KEYS = {
     "verify": ("samples", "truncations", "eta"),
     "output": ("dir",),
 }
+# A scenario id or policy name, a part of file names and of CSV fields.
+NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 # The prelimit checks sample the ball of this radius in scaled states, at
 # most this many states.
 PRELIMIT_RADIUS, PRELIMIT_SAMPLES = 40.0, 10_000
@@ -250,6 +255,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config error: {err!r}") from err
     if not policies:
         raise ConfigError("at least one [policy.<name>] block is required")
+    for name in [scenario] + [pol.name for pol in policies]:
+        if not NAME.fullmatch(name):
+            raise ConfigError(f"{name!r} is not a plain name ({NAME.pattern})")
     return ExperimentConfig(scenario, seed, system, n_list, arrivals, policies,
                             sim_cfg, samples, truncations, eta, out_dir)
 
@@ -332,12 +340,12 @@ def write_histogram_csv(path: Path, measure) -> None:
             fh.write(",".join(f"{v:.9g}" for v in lo + hi) + f",{w:.12g}\n")
 
 
-def write_samples_csv(path: Path, measure) -> None:
+def write_samples_csv(path: Path, measure, thin: float) -> None:
+    """One row per sample: its state and the time it stands for, ``thin``."""
     with path.open("w") as fh:
-        m = measure.m
-        fh.write(",".join(f"x{i + 1}" for i in range(m)) + ",weight\n")
-        for row, w in zip(measure.samples, measure.weights):
-            fh.write(",".join(f"{v:.9g}" for v in row) + f",{w:.9g}\n")
+        fh.write(",".join(f"x{i + 1}" for i in range(measure.m)) + ",weight\n")
+        for row in measure.samples:
+            fh.write(",".join(f"{v:.9g}" for v in row) + f",{thin:.9g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
         arr = cfg.arrivals
         pre_sampler = ver.SamplerConfig(min(cfg.samples, PRELIMIT_SAMPLES), cfg.seed)
         pre_region = ver.Region.ball(PRELIMIT_RADIUS)
-        if p.varrho_n > 0 and arr.bounded_hazard():
+        if p.varrho_n > 0 and not arr.missing_bound():
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler))
         if arr.is_poisson and float(p.gamma_n.min()) > 0:
             reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler,
@@ -387,7 +395,7 @@ def cmd_sim_diffusion(cfg: ExperimentConfig, overwrite: bool) -> int:
     for i, (polcfg, pol, run) in enumerate(zip(cfg.policies, pols, runs)):
         entry = {"policy": pol.describe(), "tripped": int(run.tripped.sum())}
         if run.measure.replica_time.sum() > 0:
-            for key in ("l1", "neg_sum", "sum"):
+            for key in MOMENTS:
                 est, se = run.measure.moment(key)
                 entry[key] = [est, se]
                 records.append(ResultRecord(cfg.scenario, "sim-diffusion", cfg.seed + i,
@@ -401,7 +409,7 @@ def cmd_sim_diffusion(cfg: ExperimentConfig, overwrite: bool) -> int:
                                             idl.stderr, idl.passed))
         if len(run.measure.samples):       # none when all trip before the first thin step
             write_samples_csv(out / f"{cfg.scenario}_{polcfg.name}_diffusion_samples.csv",
-                              run.measure)
+                              run.measure, cfg.sim.thin)
             write_histogram_csv(out / f"{cfg.scenario}_{polcfg.name}_diffusion_hist.csv",
                                 run.measure)
         summary[polcfg.name] = entry
@@ -429,7 +437,7 @@ def cmd_sim_queue(cfg: ExperimentConfig, overwrite: bool) -> int:
                      "tripped": int(run.tripped.sum()),
                      "events": float(run.event_counts.sum())}
             if run.measure.replica_time.sum() > 0:
-                for mkey in ("l1", "neg_sum", "sum"):
+                for mkey in MOMENTS:
                     est, se = run.measure.moment(mkey)
                     entry[mkey] = [est, se]
                     records.append(ResultRecord(cfg.scenario, "sim-queue", scfg.seed,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, TailFit, fit_tail, tv_distance
+from .measures import EmpiricalMeasure, TailFit, fit_tail, moment_names, tv_distance
 from .model import DiffusionSpec, project_simplex
 
 
@@ -157,10 +157,6 @@ class DiffusionRun:
     terminal: np.ndarray                  # (R, m) state at end or at trip
 
 
-def _moment_names(m: int) -> list[str]:
-    return ["l1", "neg_sum", "sum"] + [f"coord{i}" for i in range(m)]
-
-
 def _fold(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """total + terms[0] + terms[1] + ..., added one row at a time in order.
 
@@ -177,9 +173,8 @@ def _accumulate(integrals, live_time, xs, alive, h):
     l1 = np.abs(xs).sum(axis=2)
     s = xs.sum(axis=2)
     w = alive * h
-    values = [("l1", l1), ("neg_sum", np.maximum(-s, 0.0)), ("sum", s)]
-    values += [(f"coord{i}", xs[:, :, i]) for i in range(xs.shape[2])]
-    for name, v in values:
+    values = [l1, np.maximum(-s, 0.0), s] + [xs[:, :, i] for i in range(xs.shape[2])]
+    for name, v in zip(moment_names(xs.shape[2]), values):
         integrals[name] = _fold(integrals[name], w * v)
     return _fold(live_time, w)
 
@@ -266,7 +261,7 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
             u[grp] = pol.u
         else:
             varying.append((grp, pol))
-    integrals = {k: np.zeros(N) for k in _moment_names(m)}
+    integrals = {k: np.zeros(N) for k in moment_names(m)}
     live_time = np.zeros(N)
     sample_rows = [[] for _ in groups]     # per control, one array per block
 
@@ -310,7 +305,6 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
         samples = np.concatenate(parts, axis=0) if parts else np.empty((0, m))
         measure = EmpiricalMeasure(
             samples=samples,
-            weights=np.full(samples.shape[0], cfg.thin),
             replica_time=live_time[grp],
             replica_integrals={name: v[grp] for name, v in integrals.items()},
         )
@@ -353,7 +347,7 @@ def check_idleness_identity(measure: EmpiricalMeasure, dspec: DiffusionSpec) -> 
 
 def estimate_tail(measure: EmpiricalMeasure, form: str) -> TailFit:
     """Tail fit of ||x||_1 under the measure."""
-    return fit_tail(measure.tail_values(), measure.weights, form)
+    return fit_tail(measure.tail_values(), form)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Empirical measures built from simulation output, with moment and tail queries.
 
-A measure carries (i) thinned state samples with weights, used for
-histograms and tail fits, and (ii) exact per-replica time integrals of a
-declared list of moment functionals, used for means with replica-level
+A measure carries (i) thinned state samples, taken at equal time steps and
+so weighed equally (1/N each), used for histograms and tail fits, and (ii)
+exact per-replica time integrals of the moment functionals ``MOMENTS`` and
+of each coordinate (``moment_names``), used for means with replica-level
 standard errors.  Replicas are combined in index order, so replays are
 bit-identical.  Histograms span the samples' padded bounding box, and tail
 fits use fixed level counts and ranges (the module constants).
@@ -15,34 +16,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORMALIZATION_TOL = 1e-12
+# The moment functionals both simulators integrate: ||x||_1, (sum_i x_i)^-
+# and sum_i x_i; each coordinate x_i is integrated too, as "coord<i>".
+MOMENTS = ("l1", "neg_sum", "sum")
+
+
+def moment_names(m: int) -> list[str]:
+    """Every integral of an m-class run: ``MOMENTS``, then coord0..coord<m-1>."""
+    return [*MOMENTS, *(f"coord{i}" for i in range(m))]
 
 
 @dataclass
 class EmpiricalMeasure:
-    """Weighted sample representation of a time-average or terminal-time law."""
+    """Equal-weight sample representation of a time-average law."""
 
     samples: np.ndarray                    # (N, m) thinned states
-    weights: np.ndarray                    # (N,)
     replica_time: np.ndarray               # (R,) accumulated (post burn-in) time
     replica_integrals: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (R,)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
         self.replica_time = np.asarray(self.replica_time, dtype=float)
 
     @property
     def m(self) -> int:
         return self.samples.shape[1]
-
-    def normalized_weights(self) -> np.ndarray:
-        w = self.weights / self.weights.sum()
-        if not abs(w.sum() - 1.0) <= NORMALIZATION_TOL:
-            raise ValueError(f"weights do not normalize: total weight {self.weights.sum()}")
-        return w
 
     def moment(self, name: str) -> tuple[float, float]:
         """Time-average of a declared functional with a replica-spread SE."""
@@ -64,13 +62,14 @@ class EmpiricalMeasure:
 
     def histogram(self, bins_per_dim: int):
         """Fixed-width histogram over the samples' bounding box, padded by 1%;
-        returns (edges list, weights array)."""
+        returns (edges list, bin masses), each sample weighing 1/N."""
         lo = self.samples.min(axis=0)
         hi = self.samples.max(axis=0)
         pad = 1e-9 + 0.01 * (hi - lo)
         lo, hi = lo - pad, hi + pad
         edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(self.m)]
-        h, _ = np.histogramdd(self.samples, bins=edges, weights=self.normalized_weights())
+        n = len(self.samples)
+        h, _ = np.histogramdd(self.samples, bins=edges, weights=np.full(n, 1.0 / n))
         return edges, h
 
 
@@ -95,17 +94,16 @@ class TailFit:
 MIN_TAIL_COUNT, TAIL_LEVELS, TAIL_START = 50, 40, 0.5
 
 
-def fit_tail(values: np.ndarray, weights: np.ndarray, form: str) -> TailFit:
-    """Least-squares slope of log tail mass against r (or r^2) over the
-    resolvable range [quantile(TAIL_START), largest r with >= MIN_TAIL_COUNT
-    samples beyond]."""
+def fit_tail(values: np.ndarray, form: str) -> TailFit:
+    """Least-squares slope of log tail mass against r (or r^2), each value
+    weighing 1/N, over the resolvable range [quantile(TAIL_START), largest r
+    with >= MIN_TAIL_COUNT samples beyond]."""
     if form not in ("exponential", "sub_gaussian"):
         raise ValueError(f"unknown tail form {form!r}")
     values = np.asarray(values, dtype=float)
     order = np.argsort(values)
     v = values[order]
-    w = np.asarray(weights, dtype=float)[order]
-    w = w / w.sum()
+    w = np.full(len(v), 1.0 / max(len(v), 1))
     surv = np.concatenate([[1.0], 1.0 - np.cumsum(w)[:-1]])  # P(X >= v_k)
 
     lo = float(np.interp(TAIL_START, np.cumsum(w), v)) if len(v) else math.nan

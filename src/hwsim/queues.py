@@ -1,10 +1,10 @@
 """Exact event-driven simulation of the n-server systems and prelimit checks.
 
 The arrival input (``ArrivalSpec``) is one unit-mean interarrival law per
-class.  Each says through ``sup_hazard`` (None for an excluded family) whether
-the prelimit certification accepts it; the accepted ones (exponential, two-phase
-hyperexponential, Erlang) have closed-form hazard and mean residual life,
-computed with numpy alone, and the lognormal is only simulated.  Poisson
+class.  The prelimit certification needs each law to bound its hazard and
+|1 - mean residual life| (``sup_hazard``, ``sup_abs_one_minus_mrl``; None for
+no bound): exponential, two-phase hyperexponential and Erlang laws do, in
+closed form with numpy alone, and the lognormal is only simulated.  Poisson
 input is derived, not declared: it is the case where every law is
 exponential (``is_poisson``), and it decides only what differs in the
 process: the event loop's clock, which per-state terms feed the prelimit pair
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov as lyap
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, moment_names
 from .model import (DiffusionSpec, PrelimitParams, allocation_to_control,
                     prelimit_params, project_simplex, scale_state, unscale_state)
 from .verify import (PreconditionError, Region, SamplerConfig, VerificationReport,
@@ -185,7 +185,7 @@ class LogNormal:
         return rng.lognormal(self.mu_ln, self.sigma, size=size)
 
     def sup_hazard(self):
-        return None
+        return None  # bounded, but with no closed form; the mrl bound is missing anyway
 
     def sup_abs_one_minus_mrl(self):
         return None
@@ -212,8 +212,14 @@ class ArrivalSpec:
     def scv(self) -> np.ndarray:
         return np.array([d.scv for d in self.dists])
 
-    def bounded_hazard(self) -> bool:
-        return all(d.sup_hazard() is not None for d in self.dists)
+    def missing_bound(self) -> str:
+        """The bound some law lacks that the renewal certificate needs, "" when
+        every law bounds its hazard and |1 - mean residual life|."""
+        if any(d.sup_abs_one_minus_mrl() is None for d in self.dists):
+            return "unbounded mean residual life"
+        if any(d.sup_hazard() is None for d in self.dists):
+            return "unbounded hazard"
+        return ""
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +413,10 @@ _BLOCK = 256
 
 @dataclass
 class QueueRun:
-    measure: EmpiricalMeasure
+    measure: EmpiricalMeasure               # equal-weight states every cfg.thin past burn-in
     tripped: np.ndarray
     terminal: np.ndarray                    # (R, m) raw integer states
     event_counts: np.ndarray                # (R, 3, m): arrivals, services, abandonments
-    state_histograms: list[dict]            # per replica when exact_histogram, else empty
 
 
 def _blocks(draw):
@@ -420,7 +425,7 @@ def _blocks(draw):
         yield from draw(_BLOCK).tolist()
 
 
-def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
+def _run_queue_replica(p, arr, pol, cfg, rng):
     """One replica of the event loop; renewal and Poisson input share it.
 
     Plain Python floats and ints, with variates drawn in blocks: at a few
@@ -449,7 +454,6 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
     int_coord, settled = [0.0] * m, [T0] * m
     counts = [[0] * m for _ in range(3)]       # arrivals, services, abandonments
     samples = []
-    hist = {} if exact_histogram else None
     t, next_thin, stop = 0.0, T0, T            # stop < T: the blow-up guard tripped
 
     clock = _blocks(lambda k: np.stack((rng.standard_exponential(k), rng.random(k)), axis=1))
@@ -481,9 +485,6 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
             int_sum += w * ssum
             if ssum < 0.0:
                 int_neg -= w * ssum
-            if hist is not None:
-                key = tuple(x)
-                hist[key] = hist.get(key, 0.0) + w
             while next_thin <= seg_end:
                 samples.append(xhat.copy())
                 next_thin += thin
@@ -524,20 +525,18 @@ def _run_queue_replica(p, arr, pol, cfg, rng, exact_histogram):
 
     for k in range(m):
         int_coord[k] += max(stop - settled[k], 0.0) * xhat[k]
-    integrals = {"l1": int_l1, "neg_sum": int_neg, "sum": int_sum}
-    integrals.update((f"coord{i}", v) for i, v in enumerate(int_coord))
+    integrals = dict(zip(moment_names(m), [int_l1, int_neg, int_sum, *int_coord]))
     return {"integrals": integrals, "live": max(stop - T0, 0.0), "samples": samples,
-            "hist": hist, "counts": counts, "tripped": stop < T, "terminal": x}
+            "counts": counts, "tripped": stop < T, "terminal": x}
 
 
-def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
-                     exact_histogram: bool = False) -> QueueRun:
+def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg) -> QueueRun:
     """Event-driven simulation of any arrival input: each class's next arrival
     is scheduled from its interarrival law, or on Poisson input (every law
     exponential) drawn from competing exponential clocks, as in ``simulate_ctmc``."""
     gens = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)]
-    reps = [_run_queue_replica(p, arr, pol, cfg, g, exact_histogram) for g in gens]
+    reps = [_run_queue_replica(p, arr, pol, cfg, g) for g in gens]
 
     def stack(key):
         return np.array([r[key] for r in reps])
@@ -546,7 +545,6 @@ def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
                        dtype=float).reshape(-1, p.m)
     measure = EmpiricalMeasure(
         samples=samples,
-        weights=np.full(samples.shape[0], cfg.thin),
         replica_time=stack("live"),
         replica_integrals={k: np.array([r["integrals"][k] for r in reps])
                            for k in reps[0]["integrals"]},
@@ -556,13 +554,12 @@ def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg,
         tripped=stack("tripped"),
         terminal=stack("terminal").astype(np.int64),
         event_counts=stack("counts").astype(float),
-        state_histograms=[r["hist"] for r in reps] if exact_histogram else [],
     )
 
 
-def simulate_ctmc(p: PrelimitParams, pol, cfg, exact_histogram: bool = False) -> QueueRun:
+def simulate_ctmc(p: PrelimitParams, pol, cfg) -> QueueRun:
     """Exact CTMC simulation with Poisson arrivals."""
-    return simulate_renewal(p, ArrivalSpec.poisson(p.m), pol, cfg, exact_histogram)
+    return simulate_renewal(p, ArrivalSpec.poisson(p.m), pol, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +587,7 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
     On Poisson input (every law exponential) f is a state function f(x);
     otherwise it has methods value(x, s) and ds_sum(x, s), the latter
     supplying the analytic age-derivative term (RenewalLyapunov), and every
-    interarrival law must have a bounded hazard.
+    interarrival law must bound its hazard and mean residual life.
     """
     x = np.asarray(x, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
@@ -601,8 +598,8 @@ def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
         up = np.array([f(x + eye[i]) for i in range(m)])
         dn = np.array([f(x - eye[i]) for i in range(m)])
         return float(np.sum(p.lambda_n * (up - val)) + np.sum(death * (dn - val)))
-    if not arr.bounded_hazard():
-        raise PreconditionError("unbounded hazard family: renewal generator unavailable")
+    if missing := arr.missing_bound():
+        raise PreconditionError(f"{missing}: renewal generator unavailable")
     s = np.asarray(s, dtype=float)
     val = f.value(x, s)
     out = f.ds_sum(x, s)
@@ -804,14 +801,14 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> lyap.Lya
 
     theta0 is a three-way minimum over constants: the second-difference
     constant is a sample supremum refined once at the selected parameters;
-    the hazard/residual-life bound is analytic and requires a bounded-hazard
-    family; the allocation-range constants are analytic caps over all
+    the hazard/residual-life bound is analytic and requires laws that bound
+    both; the allocation-range constants are analytic caps over all
     feasible (x, z).
     """
     if p.varrho_n <= 0:
         raise PreconditionError("prelimit exp-linear bound needs varrho^n > 0")
-    if not arr.bounded_hazard():
-        raise PreconditionError("unbounded hazard family: prelimit constants unavailable")
+    if missing := arr.missing_bound():
+        raise PreconditionError(f"{missing}: prelimit constants unavailable")
     m = p.m
     rt = math.sqrt(p.n)
     sup_h = np.array([d.sup_hazard() for d in arr.dists])
@@ -912,9 +909,9 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
     ``estimate_prelimit_constants``; Poisson input (``ArrivalSpec.is_poisson``)
     checks the V-decay with constant eps varrho^n/2m, any other input checks
     the age-augmented function (``RenewalLyapunov``, one age vector per state
-    drawn after the states) with constant eps varrho^n/3m (bounded hazard
-    required).  target "abandon": Poisson input, all gamma^n_i > 0,
-    linear-in-||xhat||_1 decay with the slope from ``verify.fitted_slope``.
+    drawn after the states) with constant eps varrho^n/3m (every law must
+    bound its hazard and mean residual life).  target "abandon": Poisson
+    input, all gamma^n_i > 0, linear-in-||xhat||_1 decay with the slope from ``verify.fitted_slope``.
     Both cases feed per-state terms into one pair stage (``_pair_stage``).
     """
     rng = np.random.default_rng(sampler.seed)
@@ -929,7 +926,7 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
         name = "prelimit_abandon_foster"
         consts = {"eta": eta, "theta": theta_n}
     else:
-        spec = estimate_prelimit_constants(p, arr)     # rejects varrho^n <= 0, unbounded hazards
+        spec = estimate_prelimit_constants(p, arr)     # rejects varrho^n <= 0, a missing bound
         decay = spec.epsilon * p.varrho_n / ((2.0 if poisson else 3.0) * p.m)
         name = "prelimit_exp_linear_foster" if poisson else "prelimit_renewal_foster"
         consts = {"epsilon": spec.epsilon, "theta": spec.theta, "decay": decay}

@@ -263,6 +263,10 @@ BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
     ("", "\n[verify]\neta = 0\n", "eta must be > 0"),
     ("kind = poisson\n", "kind = poisson\ndist = erlang:2, hyperexp2:1.5\n",
      "kind = poisson needs exponential laws"),
+    # ids and policy names become file names and CSV fields
+    ("id = tiny\n", "id = de,mo\n", "'de,mo' is not a plain name"),
+    ("id = tiny\n", "id = ../escaped\n", "'../escaped' is not a plain name"),
+    ("[policy.pri01]", "[policy.p,12]", "'p,12' is not a plain name"),
     (None, None, "Is a directory"),
 ])
 @pytest.mark.parametrize("command", ["verify-drift", "sim-diffusion", "sim-queue"])
@@ -276,6 +280,23 @@ def test_bad_config_value_exits_2(tmp_path, capsys, old, new, named, command):
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+def test_report_consolidates_the_results(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(_config(None, POISSON))
+    out = tmp_path / "out"
+    for command in ("sim-queue", "generator-check", "report"):
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    results = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
+    report = [r.split(",") for r in (out / "report.csv").read_text().splitlines()[1:]]
+    # scenario, operation, metric, value, stderr, passed: the results without
+    # seed and timestamp, row for row
+    assert report == [r[:2] + r[4:] for r in results]
+    assert {r[1] for r in report} == {"sim-queue", "generator-check"}
+    scenarios = json.loads((out / "report.json").read_text())["scenarios"]
+    assert list(scenarios) == ["tiny"] and len(scenarios["tiny"]) == len(results)
+    assert "scenario tiny: " in capsys.readouterr().out
 
 
 def test_sim_config_has_exactly_the_config_keys():

@@ -160,7 +160,7 @@ def _reference_simulate(dspec, policy, cfg):
 
     base = -(dspec.varrho / m) * dspec.mu
     sqh_sigma = math.sqrt(h) * dspec.sigma_diag
-    integrals = {k: np.zeros(R) for k in dif._moment_names(m)}
+    integrals = {k: np.zeros(R) for k in measures.moment_names(m)}
     live_time = np.zeros(R)
     sample_rows = []
 
@@ -190,7 +190,6 @@ def _reference_simulate(dspec, policy, cfg):
         samples = np.empty((0, m))
     measure = measures.EmpiricalMeasure(
         samples=samples,
-        weights=np.full(samples.shape[0], cfg.thin),
         replica_time=live_time,
         replica_integrals=integrals,
     )
@@ -203,7 +202,7 @@ def _reference_simulate(dspec, policy, cfg):
 
 def _outputs(run):
     mea = run.measure
-    fields = {"samples": mea.samples, "weights": mea.weights,
+    fields = {"samples": mea.samples,
               "replica_time": mea.replica_time, "tripped": run.tripped,
               "terminal": run.terminal}
     fields.update({f"integral {k}": v for k, v in mea.replica_integrals.items()})
@@ -344,23 +343,20 @@ class TestLockstep:
 
 
 def _from_samples(samples):
-    """A unit-weight measure over the rows of ``samples``, with no moments."""
+    """A measure over the rows of ``samples``, with no moments."""
     samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    return measures.EmpiricalMeasure(samples, np.ones(n), replica_time=np.array([float(n)]))
+    return measures.EmpiricalMeasure(samples, replica_time=np.array([float(len(samples))]))
 
 
 class TestMeasure:
     def test_normalization(self, dspec):
+        # every sample weighs 1/N: the histogram masses are bin counts over N
         cfg = dif.SimConfig(horizon=20.0, step=0.01, replicas=4, seed=2)
         run = dif.simulate(dspec, dif.ConstantControl([0.5, 0.5]), cfg)
-        w = run.measure.normalized_weights()
-        assert abs(w.sum() - 1.0) <= 1e-12
-
-    def test_normalization_failure_raises(self):
-        m = measures.EmpiricalMeasure(np.zeros((2, 2)), np.zeros(2), np.ones(1))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="normalize"):
-            m.normalized_weights()
+        edges, h = run.measure.histogram(5)
+        counts, _ = np.histogramdd(run.measure.samples, bins=edges)
+        assert np.allclose(h * len(run.measure.samples), counts, rtol=1e-12, atol=0.0)
+        assert abs(h.sum() - 1.0) <= 1e-12
 
     def test_moment_requires_accumulator(self):
         m = _from_samples(np.zeros((3, 2)))
@@ -397,26 +393,26 @@ class TestTails:
     def test_standard_normal_sub_gaussian_slope(self):
         rng = np.random.default_rng(8)
         v = np.abs(rng.standard_normal(200_000))
-        fit = measures.fit_tail(v, np.ones_like(v), "sub_gaussian")
+        fit = measures.fit_tail(v, "sub_gaussian")
         assert -0.65 < fit.slope < -0.40
         assert fit.r2 > 0.99
 
     def test_exponential_slope(self):
         rng = np.random.default_rng(9)
         v = rng.exponential(2.0, size=200_000)
-        fit = measures.fit_tail(v, np.ones_like(v), "exponential")
+        fit = measures.fit_tail(v, "exponential")
         assert fit.slope == pytest.approx(-0.5, rel=0.1)
 
     def test_insufficient_samples_flagged(self):
-        fit = measures.fit_tail(np.arange(10.0), np.ones(10), "exponential")
+        fit = measures.fit_tail(np.arange(10.0), "exponential")
         assert not fit.ok
         # every replica tripped before burn-in: no samples at all
-        fit = measures.fit_tail(np.empty(0), np.empty(0), "exponential")
+        fit = measures.fit_tail(np.empty(0), "exponential")
         assert fit.flag == "insufficient tail samples" and fit.n_levels == 0
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
-            measures.fit_tail(np.arange(100.0), np.ones(100), "cauchy")
+            measures.fit_tail(np.arange(100.0), "cauchy")
 
 
 class TestRate:

@@ -243,7 +243,7 @@ class TestGenerators:
 
         arr = qs.ArrivalSpec((qs.LogNormal(0.5), qs.Exponential(), qs.Exponential()))
         x, s = np.array([3, 4, 5]), np.ones(3)
-        with pytest.raises(ver.PreconditionError, match="unbounded hazard"):
+        with pytest.raises(ver.PreconditionError, match="unbounded mean residual life"):
             qs.prelimit_generator_apply(Flat(), x, s, x, certify_n10, arr)
 
     def test_age_derivative_matches_a_central_difference(self, certify_n10):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import hwsim
 from hwsim import queues as qs
 from hwsim.diffusion import SimConfig
-from hwsim.model import prelimit_params
+from hwsim.model import prelimit_params, unscale_state
 
 IDENTITY_SE = 4.0
 
@@ -20,6 +21,12 @@ def demo_n20():
     # varrho = 1, equal service rates: E[(sum_i xhat_i)^-] = varrho_n exactly
     system = hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
     return prelimit_params(system, 20)
+
+
+@pytest.fixture(scope="module")
+def erlang_a():
+    # M/M/n+M at n = 10, one class with abandonment
+    return prelimit_params(hwsim.make_system([1.0], [1.0], gamma=[0.5]), 10)
 
 
 def _sim_cfg(seed, horizon=100.0, replicas=16):
@@ -39,6 +46,14 @@ def _policies():
 
 
 RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5)))
+
+
+def _raw_samples(run, p):
+    """The thinned samples as raw integer states, (R, K, m); every replica
+    ran to the horizon, so each has the same K samples."""
+    assert not run.tripped.any()
+    x = np.rint(unscale_state(run.measure.samples, p)).astype(np.int64)
+    return x.reshape(len(run.tripped), -1, p.m)
 
 
 def _assert_same_run(a, b):
@@ -69,14 +84,12 @@ class TestIdlenessIdentity:
                                      qs.ProportionalSplitPolicy((0.3, 0.7))],
                              ids=lambda p: p.describe())
     def test_each_class_departs_at_its_arrival_rate(self, demo_n20, pol):
-        # rate conservation per class at gamma = 0: E[mu_i z_i(x)] = lambda_i
-        run = qs.simulate_ctmc(demo_n20, pol, _sim_cfg(33), exact_histogram=True)
-        per = []
-        for hist in run.state_histograms:
-            w = np.array(list(hist.values()))
-            z = np.array([pol.allocate_list(list(x), demo_n20.n) for x in hist])
-            per.append(w @ (demo_n20.mu_n * z) / w.sum())
-        per = np.array(per)
+        # rate conservation per class at gamma = 0: E[mu_i z_i(x)] = lambda_i,
+        # the mean over the states sampled every 0.1 time units
+        cfg = replace(_sim_cfg(33), thin=0.1)
+        x = _raw_samples(qs.simulate_ctmc(demo_n20, pol, cfg), demo_n20)
+        z = np.array([pol.allocate_list(row, demo_n20.n) for row in x.reshape(-1, 2).tolist()])
+        per = (demo_n20.mu_n * z).reshape(x.shape).mean(axis=1)
         se = per.std(axis=0, ddof=1) / math.sqrt(len(per))
         assert np.all(np.abs(per.mean(axis=0) - demo_n20.lambda_n) <= IDENTITY_SE * se)
 
@@ -105,21 +118,22 @@ class TestReplay:
         fresh = qs.simulate_ctmc(demo_n20, qs.FunctionPolicy(_serve_second_first), cfg)
         _assert_same_run(kept, fresh)
 
-    def test_integrals_match_the_state_histogram(self, demo_n20):
+    def test_integrals_keep_the_moment_identities(self, demo_n20, erlang_a):
         # the loop updates l1 and sum incrementally and settles coordinates
-        # lazily; the time spent in each state gives every integral directly
+        # lazily: sum_i x_i integrates to the sum of the coordinate integrals
+        # at any m, and at m = 1 |x| = x + 2 x^- integrates likewise
         cfg = SimConfig(horizon=20.0, burn_in=2.0, replicas=3, seed=10, x0=(-0.5, -0.5))
-        run = qs.simulate_renewal(demo_n20, RENEWAL, qs.LongestQueueFirstPolicy(), cfg,
-                                  exact_histogram=True)
-        for r, hist in enumerate(run.state_histograms):
-            w = np.array(list(hist.values()))
-            xhat = hwsim.model.scale_state(np.array(list(hist), dtype=float), demo_n20)
-            l1, s = np.abs(xhat).sum(axis=1), xhat.sum(axis=1)
-            expect = {"l1": l1, "sum": s, "neg_sum": np.maximum(-s, 0.0),
-                      "coord0": xhat[:, 0], "coord1": xhat[:, 1]}
-            for key, f in expect.items():
-                assert run.measure.replica_integrals[key][r] == pytest.approx(w @ f, rel=1e-9)
-            assert run.measure.replica_time[r] == pytest.approx(w.sum(), rel=1e-12)
+        two = qs.simulate_renewal(demo_n20, RENEWAL, qs.LongestQueueFirstPolicy(), cfg)
+        one = qs.simulate_ctmc(erlang_a, qs.StaticPriorityPolicy((0,)), replace(cfg, x0=0.0))
+        for run in (two, one):
+            ints = run.measure.replica_integrals
+            tol = 1e-9 * ints["l1"]
+            coords = sum(ints[f"coord{i}"] for i in range(run.terminal.shape[1]))
+            assert np.all(np.abs(ints["sum"] - coords) <= tol)
+            assert np.all(run.measure.replica_time == cfg.horizon - cfg.burn_in)
+        ints = one.measure.replica_integrals
+        assert np.all(ints["neg_sum"] > 0) and np.all(ints["sum"] + ints["neg_sum"] > 0)
+        assert np.all(np.abs(ints["l1"] - ints["sum"] - 2 * ints["neg_sum"]) <= 1e-9 * ints["l1"])
 
     def test_counts_balance_the_state(self, demo_n20):
         cfg = SimConfig(horizon=20.0, replicas=3, seed=9, x0=(-0.5, -0.5))
@@ -202,29 +216,23 @@ class TestReplay:
             qs.StaticPriorityPolicy(order)
 
 
-def _state_probability(run, key):
-    """Time share of the raw state ``key``, averaged over the replicas'
-    exact histograms, with its replica-spread standard error."""
-    per = np.array([hist.get(key, 0.0) / sum(hist.values()) for hist in run.state_histograms])
-    return float(per.mean()), float(per.std(ddof=1) / math.sqrt(len(per)))
-
-
 class TestErlangA:
-    def test_state_probabilities_match_birth_death_law(self):
+    def test_state_probabilities_match_birth_death_law(self, erlang_a):
         # M/M/n+M (Garnett, Mandelbaum & Reiman 2002): birth rate lambda,
         # death rate mu min(k, n) + gamma (k - n)^+ in state k
-        system = hwsim.make_system([1.0], [1.0], gamma=[0.5])
-        p = prelimit_params(system, 10)
+        p = erlang_a
         lam, mu, gam, n = float(p.lambda_n[0]), float(p.mu_n[0]), float(p.gamma_n[0]), p.n
         log_pi = np.zeros(200)
         for k in range(1, 200):
             log_pi[k] = log_pi[k - 1] + math.log(lam / (mu * min(k, n) + gam * max(k - n, 0)))
         pi = np.exp(log_pi - log_pi.max())
         pi /= pi.sum()
-        cfg = SimConfig(horizon=200.0, burn_in=10.0, replicas=16, seed=5, x0=0.0)
-        run = qs.simulate_ctmc(p, qs.StaticPriorityPolicy((0,)), cfg, exact_histogram=True)
+        # the share of the states sampled every 0.1 time units, per replica
+        cfg = SimConfig(horizon=200.0, burn_in=10.0, replicas=16, seed=5, x0=0.0, thin=0.1)
+        x = _raw_samples(qs.simulate_ctmc(p, qs.StaticPriorityPolicy((0,)), cfg), p)
         for k in (5, 8, 10, 12, 15):
-            est, se = _state_probability(run, (k,))
+            per = (x[:, :, 0] == k).mean(axis=1)
+            est, se = per.mean(), per.std(ddof=1) / math.sqrt(len(per))
             assert abs(est - pi[k]) <= IDENTITY_SE * se, (k, est, se, pi[k])
 
 

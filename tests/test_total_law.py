@@ -60,8 +60,7 @@ def birth_death_total_law(arrival_rate, mu, gamma, n):
 def _total_moments(measure):
     """(E[S], SE) and (E[S^+], SE), with S^+ = S + S^- integrated per replica."""
     pos = measure.replica_integrals["sum"] + measure.replica_integrals["neg_sum"]
-    plus = EmpiricalMeasure(measure.samples, measure.weights, measure.replica_time,
-                            {"plus": pos})
+    plus = EmpiricalMeasure(measure.samples, measure.replica_time, {"plus": pos})
     return measure.moment("sum"), plus.moment("plus")
 
 
