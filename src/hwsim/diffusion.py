@@ -8,11 +8,15 @@ samples feed histogram, tail and mixing-rate queries.
 ``simulate_policies`` steps the replicas of several controls in lockstep, as
 the rows of one state array.  The replicas of control i are spawned from
 seed + i, so each control's run equals a run of that control alone bit for
-bit.  The step loop does only the state update and the blow-up guard.  The
-states of each block of steps are kept, and the moment integrals are folded
-from the block in time order, one step's terms after the other, so they
-equal per-step addition bit for bit.  Once every replica has tripped the
-guard the loop stops.
+bit.  The step loop does only the state update, with the drift written
+into preallocated buffers in the order of the drift expression.  The states
+of each block of steps are kept.  The blow-up guard is checked once per
+block: at the first step that trips a replica the state is reset to that
+step and the rest of the block is stepped again with the replica frozen, on
+the noise already drawn, so the paths equal a per-step guard bit for bit.
+The moment integrals are folded from the block in time order, one step's
+terms after the other, so they equal per-step addition bit for bit.  Once
+every replica has tripped the guard the loop stops.
 """
 
 from __future__ import annotations
@@ -84,9 +88,9 @@ class StateTableControl:
         self._strides = [math.prod(cells[d + 1:]) for d in range(len(cells))]
 
     def controls(self, x: np.ndarray) -> np.ndarray:
-        cell = np.searchsorted(self._inner[-1], x[..., -1])
+        cell = self._inner[-1].searchsorted(x[..., -1])
         for d in range(len(self._inner) - 1):
-            cell += np.searchsorted(self._inner[d], x[..., d]) * self._strides[d]
+            cell += self._inner[d].searchsorted(x[..., d]) * self._strides[d]
         return self._flat.take(cell, axis=0)
 
     def describe(self) -> str:
@@ -113,8 +117,8 @@ class FunctionControl:
 
 # Steps per noise draw and per fold of the moment integrals for one control;
 # G controls in lockstep take _BLOCK // G.  The block's (B, G * R, m) state and
-# noise buffers then keep one control's byte size, 64 KB each at 16 replicas
-# and m = 2, under glibc's 128 KB mmap threshold.  Past it each block's
+# (G * R, B, m) noise buffers then keep one control's byte size, 64 KB each at
+# 16 replicas and m = 2, under glibc's 128 KB mmap threshold.  Past it the
 # buffers are mapped afresh and the peak RSS of repeated runs creeps up
 # (~0.4 MB for one control at 512 steps, ~1.2 MB for three at 256) while the
 # step cost stays the same.
@@ -231,12 +235,19 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     transient configurations, not an error.  Once every replica has tripped
     the paths are frozen, so the loop stops.
 
-    Each step only updates the state and checks the guard.  States are kept
-    for a block of steps; the moment integrals, live time and thinned samples
-    are then taken from the block, the integrals folded in time order so that
-    they equal per-step addition bit for bit.  The samples of a block are its
-    thinning steps past burn-in in step order, each step's live replicas in
-    replica order.
+    Each step only updates the state.  States are kept for a block of steps,
+    and the guard is checked on the block's rows once they are stepped.  If
+    row jt trips a replica, the replica is dead from row jt on, and the rows
+    after jt are stepped again from the state of row jt with the tripped
+    replicas frozen; the block's noise is already drawn, so this replay
+    gives the states of a per-step guard exactly, at the cost of at most one
+    more pass over the rest of the block per trip.  (Between its trip and
+    the replay a replica is stepped on past the guard, so a control sees
+    its state there once.)  The moment integrals, live time and thinned
+    samples are then taken from the block, the integrals folded in time
+    order so that they equal per-step addition bit for bit.  The samples of
+    a block are its thinning steps past burn-in in step order, each step's
+    live replicas in replica order.
     """
     m = dspec.m
     h = cfg.step
@@ -268,29 +279,64 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     block = min(max(_BLOCK // G, 1), n_steps)
     xs = np.empty((block, N, m))           # the block's states, one row per step
     alive_rows = np.empty((block, N), dtype=bool)
+    noise = np.empty((N, block, m))        # the block's increments, per replica
+    # the drift's operands and work buffers at the state's shape: same-shape ufuncs
+    # into preallocated buffers give the broadcast expression's values
+    mu, gamma, base, hs = (np.tile(v, (N, 1)) for v in (dspec.mu, dspec.gamma, base,
+                                                        np.full(m, h)))
+    pos, tmp, b = np.empty((N, 1)), np.empty((N, m)), np.empty((N, m))
+
+    def step(X, j):
+        """xs[j] = X + b(X) h + noise, in the order of
+        X + (base - mu (X - pos u) - pos gamma u) h + noise; replicas that
+        have tripped keep X."""
+        for grp, pol in varying:
+            u[grp] = pol.controls(X[grp])
+        np.add.reduce(X, 1, keepdims=True, out=pos)
+        np.maximum(pos, 0.0, out=pos)
+        np.multiply(pos, u, out=tmp)
+        np.subtract(X, tmp, out=tmp)
+        np.multiply(mu, tmp, out=tmp)
+        np.subtract(base, tmp, out=b)
+        np.multiply(pos, gamma, out=tmp)
+        np.multiply(tmp, u, out=tmp)
+        np.subtract(b, tmp, out=b)
+        np.multiply(b, hs, out=b)
+        if not all_alive:
+            xs[j] = np.where(alive[:, None], (X + b) + noise[:, j], X)
+        else:
+            np.add(X, b, out=xs[j])
+            np.add(xs[j], noise[:, j], out=xs[j])
+        return xs[j]
+
     k = 0                                  # steps done
     while k < n_steps and alive.any():
         ksz = min(block, n_steps - k)
-        noise = np.stack([g.standard_normal((ksz, m)) for g in gens], axis=1)  # (ksz, N, m)
-        noise *= sqh_sigma
+        for r, gen in enumerate(gens):
+            gen.standard_normal(out=noise[r, :ksz])
+        noise[:, :ksz] *= sqh_sigma
         alive_rows[:ksz] = alive
-        for j in range(ksz):
-            for grp, pol in varying:
-                u[grp] = pol.controls(X[grp])
-            pos = np.maximum(X.sum(axis=1, keepdims=True), 0.0)
-            b = base - dspec.mu * (X - pos * u) - pos * dspec.gamma * u
-            Xn = X + b * h + noise[j]
-            X = Xn if all_alive else np.where(alive[:, None], Xn, X)
-            xs[j] = X
-            l1 = np.abs(X).sum(axis=1)
-            newly = l1 > cfg.blowup if all_alive else alive & (l1 > cfg.blowup)
-            if newly.any():
-                alive = alive & ~newly
-                alive_rows[j:ksz] = alive
+        # step the rows done.. of the block, then check the guard on them; at
+        # the first row jt that trips a replica, mark it dead from jt on and
+        # re-step the rows after jt from xs[jt] with the masked step, on the
+        # noise already drawn
+        done = 0                           # rows of the block stepped and checked
+        while done < ksz and alive.any():
+            for j in range(done, ksz):
+                X = step(X, j)
+            l1 = np.abs(xs[done:ksz].reshape(-1, m)).sum(axis=1).reshape(ksz - done, N)
+            over = (l1 > cfg.blowup) & alive
+            hit = over.any(axis=1)
+            if not hit.any():
+                done = ksz
+            else:
+                jt = done + int(hit.argmax())
+                alive = alive & ~over[jt - done]
+                alive_rows[jt:ksz] = alive
                 all_alive = False
-                if not alive.any():
-                    break
-        done = j + 1                       # rows of the block that were stepped
+                X = xs[jt]
+                done = jt + 1
+        X = X.copy()                       # xs is overwritten by the next block
         first = max(burn_step - k, 0)      # first post-burn-in row
         if first < done:
             live_time = _accumulate(integrals, live_time, xs[first:done],

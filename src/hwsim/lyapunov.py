@@ -37,9 +37,12 @@ def _shifted(t: np.ndarray) -> np.ndarray:
 def psi(t):
     """Piecewise cutoff: -1/2 for t <= -1, (t+1)^3 - (t+1)^4/2 - 1/2 on [-1,0], t for t >= 0."""
     t = np.asarray(t, dtype=float)
-    s = _shifted(t)
-    mid = s**3 - 0.5 * s**4 - 0.5
-    out = np.where(t > 0.0, t, mid)
+    # the polynomial only on (-1, 0) and NaN; it is -1/2 at t <= -1 and 0 at 0
+    right, left = t > 0.0, t <= -1.0
+    out = np.where(right, t, np.where(left, -0.5, 0.0))
+    mid = ~(right | left | (t == 0.0))
+    s = _shifted(t[mid])
+    out[mid] = s**3 - 0.5 * s**4 - 0.5
     return out if out.ndim else float(out)
 
 

@@ -342,6 +342,92 @@ class TestLockstep:
         assert dif._pending is None
 
 
+# ---------------------------------------------------------------------------
+# the blow-up guard is checked once per block and the rows after a trip are
+# re-stepped; each trip pattern below must still equal the per-step reference
+# ---------------------------------------------------------------------------
+
+def _first_trips(ds, pol, cfg):
+    """For each guard level, the step at which each replica first exceeds it
+    (0 for never): yields (level, steps), lowest level first.
+
+    The l1 paths come from one unguarded reference run sampled at every step
+    from step 2 on; the levels are the sampled values above every replica's
+    value at step 2, which in these cases lies well above step 1's.
+    """
+    h, n = cfg.step, cfg.step_counts()[0]
+    run = _reference_simulate(ds, pol, replace(cfg, burn_in=h, thin=h, blowup=math.inf))
+    l1 = np.abs(run.measure.samples).sum(axis=1).reshape(n - 1, cfg.replicas)
+    for level in np.unique(l1[l1 > l1[0].max()]):
+        over = l1 > level
+        yield level, np.where(over.any(axis=0), over.argmax(axis=0) + 2, 0)
+
+
+def _rows(steps):
+    """Block and row of each tripping step (steps count from 1)."""
+    return [divmod(int(s) - 1, dif._BLOCK) for s in steps if s]
+
+
+_QUIET = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 0.0], [1e-6, 1e-6])
+_TRANSIENT3 = hwsim.DiffusionSpec(-1.0, [1.0, 2.0, 0.5], [0.0, 0.3, 0.0], [1.0, 2.0, 0.5])
+
+_TRIPS = {
+    # a replica trips on row B - 1 of its block, so nothing is re-stepped
+    "last_row": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
+                 dict(horizon=12.0, step=0.02, burn_in=1.0, replicas=4, thin=0.5),
+                 lambda s: any(row == dif._BLOCK - 1 for _, row in _rows(s))),
+    # two replicas trip past burn-in at different rows of one block: a second replay
+    "different_rows": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
+                       dict(horizon=12.0, step=0.02, burn_in=1.0, replicas=4, thin=0.5),
+                       lambda s: any(a[0] == b[0] and 50 <= a[1] < b[1]
+                                     for a in _rows(s) for b in _rows(s))),
+    # with noise 1e-3 the replicas stay within a step's drift of each other, so
+    # two of them trip on one step past burn-in, mid-block
+    "same_step": (_QUIET, dif.ConstantControl([1.0, 0.0]),
+                  dict(horizon=12.0, step=0.02, burn_in=1.0, replicas=3, thin=0.5),
+                  lambda s: any(s[a] == s[b] > 50 and 0 < (s[a] - 1) % dif._BLOCK < 200
+                                for a in range(3) for b in range(a))),
+    # a replica trips in burn-in, in the block where burn-in ends at row 150
+    "burn_in": (_TRANSIENT, dif.ConstantControl([0.5, 0.5]),
+                dict(horizon=12.0, step=0.02, burn_in=3.0, replicas=4, thin=0.5),
+                lambda s: any(s[r] and s[r] <= 150 for r in range(4))
+                and any(not s[r] or s[r] > 256 for r in range(4))),
+    # m = 3 under a state table: the control is evaluated on the frozen rows
+    "m3": (_TRANSIENT3, _TABLE3,
+           dict(horizon=12.0, step=0.02, burn_in=1.0, replicas=4, thin=0.5),
+           lambda s: 0 < len(_rows(s)) < 4 and all(0 < row < dif._BLOCK - 1
+                                                   for _, row in _rows(s))),
+}
+
+
+class TestGuardReplay:
+    @pytest.mark.parametrize("name", list(_TRIPS))
+    def test_trips_equal_reference(self, name):
+        ds, pol, kw, wanted = _TRIPS[name]
+        cfg = dif.SimConfig(seed=3, **kw)
+        level = next(level for level, steps in _first_trips(ds, pol, cfg) if wanted(steps))
+        cfg = replace(cfg, blowup=level)
+        want = _outputs(_reference_simulate(ds, pol, cfg))
+        have = _outputs(dif.simulate(ds, pol, cfg))
+        for field, value in want.items():
+            assert np.array_equal(have[field], value, equal_nan=True), field
+
+    def test_one_step_blocks(self):
+        # more than _BLOCK one-replica controls step in blocks of one step
+        G = dif._BLOCK + 4
+        pols = [dif.ConstantControl([1.0, 0.0]) if g % 2 else _TABLE for g in range(G)]
+        cfg = dif.SimConfig(horizon=2.0, step=0.02, burn_in=0.5, replicas=1, thin=0.1,
+                            x0=(1.0, 1.0), blowup=3.5)
+        runs = dif.simulate_policies(_TRANSIENT, pols, cfg)
+        tripped = [bool(run.tripped[0]) for run in runs]
+        assert 0 < sum(tripped) < G
+        for i, (pol, run) in enumerate(zip(pols, runs)):
+            alone = dif.simulate(_TRANSIENT, pol, replace(cfg, seed=cfg.seed + i))
+            want, have = _outputs(alone), _outputs(run)
+            for field, value in want.items():
+                assert np.array_equal(have[field], value, equal_nan=True), (i, field)
+
+
 def _from_samples(samples):
     """A measure over the rows of ``samples``, with no moments."""
     samples = np.asarray(samples, dtype=float)
