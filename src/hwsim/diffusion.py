@@ -10,13 +10,14 @@ the rows of one state array.  The replicas of control i are spawned from
 seed + i, so each control's run equals a run of that control alone bit for
 bit.  The step loop does only the state update, with the drift written
 into preallocated buffers in the order of the drift expression.  The states
-of each block of steps are kept.  The blow-up guard is checked once per
-block: at the first step that trips a replica the state is reset to that
-step and the rest of the block is stepped again with the replica frozen, on
-the noise already drawn, so the paths equal a per-step guard bit for bit.
-The moment integrals are folded from the block in time order, one step's
-terms after the other, so they equal per-step addition bit for bit.  Once
-every replica has tripped the guard the loop stops.
+of each block of steps are kept.  The blow-up guard is checked every few
+steps on the states just stepped: at the first step that trips a replica
+the state is reset to that step and the steps after it are taken again with
+the replica frozen, on the noise already drawn, so the paths equal a
+per-step guard bit for bit.  The moment integrals are folded from the block
+in time order, one step's terms after the other, so they equal per-step
+addition bit for bit.  Once every replica has tripped the guard the loop
+stops.
 """
 
 from __future__ import annotations
@@ -123,6 +124,15 @@ class FunctionControl:
 # (~0.4 MB for one control at 512 steps, ~1.2 MB for three at 256) while the
 # step cost stays the same.
 _BLOCK = 256
+
+# Steps per check of the blow-up guard.  A replica that trips is stepped on
+# past the guard for at most _GUARD - 1 steps before the check finds it, and
+# those steps are then taken again with the replica frozen: a trip costs at
+# most that many extra steps, and an Euler step that grows the state by a
+# factor c takes it no further than c ** (_GUARD - 1) times the guard (finite
+# for c up to ~1e20).  Checking once per _BLOCK steps was no faster on
+# diffusion_em and let a tripped replica overflow to inf.
+_GUARD = 16
 
 
 @dataclass(frozen=True)
@@ -236,14 +246,13 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     the paths are frozen, so the loop stops.
 
     Each step only updates the state.  States are kept for a block of steps,
-    and the guard is checked on the block's rows once they are stepped.  If
-    row jt trips a replica, the replica is dead from row jt on, and the rows
-    after jt are stepped again from the state of row jt with the tripped
-    replicas frozen; the block's noise is already drawn, so this replay
-    gives the states of a per-step guard exactly, at the cost of at most one
-    more pass over the rest of the block per trip.  (Between its trip and
-    the replay a replica is stepped on past the guard, so a control sees
-    its state there once.)  The moment integrals, live time and thinned
+    and the guard is checked on each _GUARD rows of the block once they are
+    stepped.  If row jt trips a replica, the replica is dead from row jt on,
+    and the rows after jt are stepped again from the state of row jt with
+    the tripped replicas frozen; the block's noise is already drawn, so the
+    states equal those of a per-step guard exactly.  (A control sees the
+    state of a tripped replica for up to _GUARD - 1 steps past its trip
+    before the re-step.)  The moment integrals, live time and thinned
     samples are then taken from the block, the integrals folded in time
     order so that they equal per-step addition bit for bit.  The samples of
     a block are its thinning steps past burn-in in step order, each step's
@@ -282,33 +291,8 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     noise = np.empty((N, block, m))        # the block's increments, per replica
     # the drift's operands and work buffers at the state's shape: same-shape ufuncs
     # into preallocated buffers give the broadcast expression's values
-    mu, gamma, base, hs = (np.tile(v, (N, 1)) for v in (dspec.mu, dspec.gamma, base,
-                                                        np.full(m, h)))
+    mu, gamma, base = (np.tile(v, (N, 1)) for v in (dspec.mu, dspec.gamma, base))
     pos, tmp, b = np.empty((N, 1)), np.empty((N, m)), np.empty((N, m))
-
-    def step(X, j):
-        """xs[j] = X + b(X) h + noise, in the order of
-        X + (base - mu (X - pos u) - pos gamma u) h + noise; replicas that
-        have tripped keep X."""
-        for grp, pol in varying:
-            u[grp] = pol.controls(X[grp])
-        np.add.reduce(X, 1, keepdims=True, out=pos)
-        np.maximum(pos, 0.0, out=pos)
-        np.multiply(pos, u, out=tmp)
-        np.subtract(X, tmp, out=tmp)
-        np.multiply(mu, tmp, out=tmp)
-        np.subtract(base, tmp, out=b)
-        np.multiply(pos, gamma, out=tmp)
-        np.multiply(tmp, u, out=tmp)
-        np.subtract(b, tmp, out=b)
-        np.multiply(b, hs, out=b)
-        if not all_alive:
-            xs[j] = np.where(alive[:, None], (X + b) + noise[:, j], X)
-        else:
-            np.add(X, b, out=xs[j])
-            np.add(xs[j], noise[:, j], out=xs[j])
-        return xs[j]
-
     k = 0                                  # steps done
     while k < n_steps and alive.any():
         ksz = min(block, n_steps - k)
@@ -316,26 +300,43 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
             gen.standard_normal(out=noise[r, :ksz])
         noise[:, :ksz] *= sqh_sigma
         alive_rows[:ksz] = alive
-        # step the rows done.. of the block, then check the guard on them; at
-        # the first row jt that trips a replica, mark it dead from jt on and
-        # re-step the rows after jt from xs[jt] with the masked step, on the
-        # noise already drawn
         done = 0                           # rows of the block stepped and checked
-        while done < ksz and alive.any():
-            for j in range(done, ksz):
-                X = step(X, j)
-            l1 = np.abs(xs[done:ksz].reshape(-1, m)).sum(axis=1).reshape(ksz - done, N)
-            over = (l1 > cfg.blowup) & alive
-            hit = over.any(axis=1)
-            if not hit.any():
-                done = ksz
-            else:
-                jt = done + int(hit.argmax())
+        while done < ksz:
+            end = min(done + _GUARD, ksz)
+            for j in range(done, end):
+                for grp, pol in varying:
+                    u[grp] = pol.controls(X[grp])
+                # xs[j] = X + (base - mu (X - pos u) - pos gamma u) h + noise[j],
+                # in that order; replicas that have tripped keep X
+                np.add.reduce(X, 1, keepdims=True, out=pos)
+                np.maximum(pos, 0.0, out=pos)
+                np.multiply(pos, u, out=tmp)
+                np.subtract(X, tmp, out=tmp)
+                np.multiply(mu, tmp, out=tmp)
+                np.subtract(base, tmp, out=b)
+                np.multiply(pos, gamma, out=tmp)
+                np.multiply(tmp, u, out=tmp)
+                np.subtract(b, tmp, out=b)
+                np.multiply(b, h, out=b)
+                np.add(X, b, out=xs[j])
+                np.add(xs[j], noise[:, j], out=xs[j])
+                if not all_alive:
+                    np.copyto(xs[j], X, where=~alive[:, None])
+                X = xs[j]
+            # the guard on the rows just stepped: at the first row jt that trips
+            # a replica, the replica is dead from jt on, and the rows after jt
+            # are stepped again from xs[jt]
+            over = (np.abs(xs[done:end]).sum(axis=2) > cfg.blowup) & alive
+            if over.any():
+                jt = done + int(over.any(axis=1).argmax())
                 alive = alive & ~over[jt - done]
                 alive_rows[jt:ksz] = alive
                 all_alive = False
                 X = xs[jt]
-                done = jt + 1
+                end = jt + 1
+            done = end
+            if not alive.any():
+                break
         X = X.copy()                       # xs is overwritten by the next block
         first = max(burn_step - k, 0)      # first post-burn-in row
         if first < done:

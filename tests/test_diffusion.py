@@ -343,8 +343,9 @@ class TestLockstep:
 
 
 # ---------------------------------------------------------------------------
-# the blow-up guard is checked once per block and the rows after a trip are
-# re-stepped; each trip pattern below must still equal the per-step reference
+# the blow-up guard is checked once per dif._GUARD steps and the steps after a
+# trip are taken again; each trip pattern below must still equal the per-step
+# reference
 # ---------------------------------------------------------------------------
 
 def _first_trips(ds, pol, cfg):
@@ -372,14 +373,17 @@ _QUIET = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 0.0], [1e-6, 1e-6])
 _TRANSIENT3 = hwsim.DiffusionSpec(-1.0, [1.0, 2.0, 0.5], [0.0, 0.3, 0.0], [1.0, 2.0, 0.5])
 
 _TRIPS = {
-    # a replica trips on row B - 1 of its block, so nothing is re-stepped
+    # a replica trips on row B - 1 of its block, the last row of a check, so
+    # nothing is stepped again
     "last_row": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
                  dict(horizon=12.0, step=0.02, burn_in=1.0, replicas=4, thin=0.5),
                  lambda s: any(row == dif._BLOCK - 1 for _, row in _rows(s))),
-    # two replicas trip past burn-in at different rows of one block: a second replay
+    # two replicas trip past burn-in at different rows of one check: the second
+    # trip is found among the steps taken again after the first
     "different_rows": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
                        dict(horizon=12.0, step=0.02, burn_in=1.0, replicas=4, thin=0.5),
-                       lambda s: any(a[0] == b[0] and 50 <= a[1] < b[1]
+                       lambda s: any(a[0] == b[0] and a[1] // dif._GUARD == b[1] // dif._GUARD
+                                     and 50 <= a[1] < b[1]
                                      for a in _rows(s) for b in _rows(s))),
     # with noise 1e-3 the replicas stay within a step's drift of each other, so
     # two of them trip on one step past burn-in, mid-block
@@ -409,6 +413,28 @@ class TestGuardReplay:
         cfg = replace(cfg, blowup=level)
         want = _outputs(_reference_simulate(ds, pol, cfg))
         have = _outputs(dif.simulate(ds, pol, cfg))
+        for field, value in want.items():
+            assert np.array_equal(have[field], value, equal_nan=True), field
+
+    def test_unstable_euler_steps_stay_finite(self):
+        # h mu = 30, so each Euler step scales the difference of the two
+        # coordinates by -29: a tripped replica stepped on past the guard grows
+        # fast.  The control must see only finite states, and the run must
+        # equal the per-step reference with no overflow warning (RuntimeWarnings
+        # are errors under the test configuration)
+        ds = hwsim.DiffusionSpec(0.5, [300.0, 300.0], [0.0, 0.0], [1.0, 1.0])
+        seen = []
+
+        def half(x):
+            seen.append(np.abs(x).max())
+            return np.full(x.shape, 0.5)
+
+        pol = dif.FunctionControl(half, "half")
+        cfg = dif.SimConfig(horizon=60.0, step=0.1, burn_in=1.0, replicas=4, seed=3)
+        have = _outputs(dif.simulate(ds, pol, cfg))
+        assert have["tripped"].all()
+        assert np.isfinite(seen).all()
+        want = _outputs(_reference_simulate(ds, pol, cfg))
         for field, value in want.items():
             assert np.array_equal(have[field], value, equal_nan=True), field
 
