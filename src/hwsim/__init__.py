@@ -18,7 +18,6 @@ from .model import (
 )
 from .lyapunov import (
     Family,
-    Goal,
     InfeasibleGoal,
     LyapunovSpec,
     big_psi_star,

@@ -19,8 +19,8 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
               constant or proportional_split (with u [m entries on the
               simplex]), static_priority (with order [a permutation of
               0..m-1]), longest_queue_first, random_work_conserving
-  [sim]       horizon (200), step (0.001), burn_in (horizon / 10),
-              replicas (16), thin (1), x0 (0), blowup (1000)
+  [sim]       horizon, step, burn_in, replicas, thin, x0, blowup, each
+              defaulting to its ``diffusion.SimConfig`` field
               [0 < step <= burn_in < horizon < inf, replicas >= 1,
               0 < thin < inf, a thinning step past burn_in, blowup > 0,
               x0 1 or m entries]
@@ -42,6 +42,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,7 @@ from . import lyapunov as lyap
 from . import queues as qs
 from . import verify as ver
 from .measures import MOMENTS
-from .model import (SystemParams, diffusion_spec, make_system, prelimit_params,
-                    project_simplex, spare_capacity)
+from .model import SystemParams, diffusion_spec, make_system, prelimit_params
 
 RESULTS_HEADER = "scenario,operation,seed,timestamp,metric,value,stderr,passed"
 HISTOGRAM_SCHEMA = "histogram CSV: bin_lo_1..m, bin_hi_1..m, weight"
@@ -69,6 +69,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _floats(s: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in s.replace(",", " ").split())
+
+
+def _ints(s: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in s.replace(",", " ").split())
+
+
+# Each [sim] key and its converter: the SimConfig field of the same name, which
+# holds the default of a key the config leaves out.
+SIM_KEYS = {"horizon": float, "step": float, "burn_in": float, "replicas": int,
+            "thin": float, "x0": _floats, "blowup": float}
 # Every section and key the commands read; "policy.*" is each [policy.<name>].
 CONFIG_KEYS = {
     "scenario": ("id", "seed"),
@@ -76,7 +88,7 @@ CONFIG_KEYS = {
     "prelimit": ("n",),
     "arrivals": ("kind", "dist"),
     "policy.*": ("kind", "u", "order"),
-    "sim": ("horizon", "step", "burn_in", "replicas", "thin", "x0", "blowup"),
+    "sim": tuple(SIM_KEYS),
     "verify": ("samples", "truncations", "eta"),
     "output": ("dir",),
 }
@@ -98,8 +110,8 @@ CONSISTENCY_POINTS, CONSISTENCY_N = 20, (100, 1000, 10000)
 class PolicyConfig:
     name: str
     kind: str
-    u: tuple[float, ...] | None = None
-    order: tuple[int, ...] | None = None
+    queue: qs.SchedulingPolicy
+    diffusion: dif.ConstantControl | None  # None: the kind has no diffusion control
 
 
 @dataclass
@@ -136,14 +148,6 @@ def _parse_dist(token: str):
     if name == "lognormal":
         return qs.LogNormal.from_scv(float(arg))
     raise ConfigError(f"unknown interarrival family {token!r}")
-
-
-def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in s.replace(",", " ").split())
-
-
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in s.replace(",", " ").split())
 
 
 def _check_keys(cp: configparser.ConfigParser) -> None:
@@ -209,33 +213,30 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
             blk = cp[sect]
             kind = blk["kind"]
-            pol = PolicyConfig(name=sect.split(".", 1)[1], kind=kind)
             if kind in ("constant", "proportional_split"):
-                pol.u = _floats(blk["u"])
-                if len(pol.u) != m:
-                    raise ConfigError(f"[{sect}] u needs {m} entries, got {len(pol.u)}")
-                project_simplex(pol.u)     # a SimplexError unless u is on the simplex
+                u = _floats(blk["u"])
+                if len(u) != m:
+                    raise ConfigError(f"[{sect}] u needs {m} entries, got {len(u)}")
+                # each projects u: a SimplexError unless u is on the simplex
+                queue, diffusion = qs.ProportionalSplitPolicy(u), dif.ConstantControl(u)
             elif kind == "static_priority":
-                pol.order = _ints(blk["order"])
-                if sorted(pol.order) != list(range(m)):
+                order = _ints(blk["order"])
+                if sorted(order) != list(range(m)):
                     raise ConfigError(f"[{sect}] order must be a permutation of "
-                                      f"0..{m - 1}, got {list(pol.order)}")
-            elif kind not in ("longest_queue_first", "random_work_conserving"):
+                                      f"0..{m - 1}, got {list(order)}")
+                queue, diffusion = (qs.StaticPriorityPolicy(order),
+                                    dif.StaticPriorityControl(order))
+            elif kind == "longest_queue_first":
+                queue, diffusion = qs.LongestQueueFirstPolicy(), None
+            elif kind == "random_work_conserving":
+                queue, diffusion = qs.RandomWorkConservingPolicy(), None
+            else:
                 raise ConfigError(f"unknown policy kind {kind!r}")
-            policies.append(pol)
+            policies.append(PolicyConfig(sect.split(".", 1)[1], kind, queue, diffusion))
         sim = dict(cp["sim"]) if cp.has_section("sim") else {}
-        x0 = _floats(sim["x0"]) if "x0" in sim else 0.0
-        if np.size(x0) not in (1, m):
-            raise ConfigError(f"[sim] x0 needs 1 or {m} entries, got {np.size(x0)}")
-        sim_cfg = dif.SimConfig(
-            horizon=float(sim.get("horizon", 200.0)),
-            step=float(sim.get("step", 1e-3)),
-            burn_in=float(sim["burn_in"]) if "burn_in" in sim else None,
-            replicas=int(sim.get("replicas", 16)),
-            x0=x0,
-            thin=float(sim.get("thin", 1.0)),
-            blowup=float(sim.get("blowup", 1e3)),
-        )
+        sim_cfg = dif.SimConfig(**{key: SIM_KEYS[key](v) for key, v in sim.items()})
+        if np.size(sim_cfg.x0) not in (1, m):
+            raise ConfigError(f"[sim] x0 needs 1 or {m} entries, got {np.size(sim_cfg.x0)}")
         n_steps, burn_step, thin = sim_cfg.step_counts()
         if n_steps // thin <= burn_step // thin:     # no sample for sim-diffusion or tails
             raise ConfigError(f"[sim] thin = {sim_cfg.thin:g} leaves no thinning step "
@@ -260,26 +261,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{name!r} is not a plain name ({NAME.pattern})")
     return ExperimentConfig(scenario, seed, system, n_list, arrivals, policies,
                             sim_cfg, samples, truncations, eta, out_dir)
-
-
-def diffusion_policy(pol: PolicyConfig):
-    if pol.kind in ("constant", "proportional_split"):
-        return dif.ConstantControl(pol.u)
-    if pol.kind == "static_priority":
-        return dif.StaticPriorityControl(pol.order)
-    raise ConfigError(f"policy kind {pol.kind!r} has no diffusion counterpart")
-
-
-def queue_policy(pol: PolicyConfig):
-    if pol.kind == "constant" or pol.kind == "proportional_split":
-        return qs.ProportionalSplitPolicy(pol.u)
-    if pol.kind == "static_priority":
-        return qs.StaticPriorityPolicy(pol.order)
-    if pol.kind == "longest_queue_first":
-        return qs.LongestQueueFirstPolicy()
-    if pol.kind == "random_work_conserving":
-        return qs.RandomWorkConservingPolicy()
-    raise ConfigError(f"unknown policy kind {pol.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,35 +367,50 @@ def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _diffusion_runs(cfg: ExperimentConfig, dspec) -> list[dif.DiffusionRun]:
+    """One run per policy, in lockstep, for sim-diffusion and tails."""
+    for pol in cfg.policies:
+        if pol.diffusion is None:
+            raise ConfigError(f"policy kind {pol.kind!r} has no diffusion counterpart")
+    return dif.simulate_policies(dspec, [pol.diffusion for pol in cfg.policies],
+                                 replace(cfg.sim, seed=cfg.seed))
+
+
+def _summarize_run(head: str, entry: dict, records: list, measure, row, prefix: str) -> bool:
+    """Print a run's line and, when it has live time, put each of MOMENTS into
+    its summary entry as [est, se] and into records as the ResultRecord
+    ``row("<prefix>.<key>", est, se)``; returns whether it had live time."""
+    live = measure.replica_time.sum() > 0
+    if live:
+        for key in MOMENTS:
+            est, se = measure.moment(key)
+            entry[key] = [est, se]
+            records.append(row(f"{prefix}.{key}", est, se))
+    print(head + (f" neg_sum={entry['neg_sum'][0]:.4f}" if live else ""))
+    return live
+
+
 def cmd_sim_diffusion(cfg: ExperimentConfig, overwrite: bool) -> int:
     out = _prepare_out(cfg, f"{cfg.scenario}_diffusion_summary.json", overwrite)
     dspec = diffusion_spec(cfg.system)
     records, summary = [], {}
-    pols = [diffusion_policy(polcfg) for polcfg in cfg.policies]
-    runs = dif.simulate_policies(dspec, pols, replace(cfg.sim, seed=cfg.seed))
-    for i, (polcfg, pol, run) in enumerate(zip(cfg.policies, pols, runs)):
-        entry = {"policy": pol.describe(), "tripped": int(run.tripped.sum())}
-        if run.measure.replica_time.sum() > 0:
-            for key in MOMENTS:
-                est, se = run.measure.moment(key)
-                entry[key] = [est, se]
-                records.append(ResultRecord(cfg.scenario, "sim-diffusion", cfg.seed + i,
-                                            f"{polcfg.name}.{key}", est, se))
-            if np.all(dspec.gamma == 0.0) and dspec.varrho > 0:
-                idl = dif.check_idleness_identity(run.measure, dspec)
-                entry["idleness"] = {"estimate": idl.estimate, "stderr": idl.stderr,
-                                     "target": idl.target, "passed": idl.passed}
-                records.append(ResultRecord(cfg.scenario, "sim-diffusion", cfg.seed + i,
-                                            f"{polcfg.name}.idleness", idl.estimate,
-                                            idl.stderr, idl.passed))
+    for i, (polcfg, run) in enumerate(zip(cfg.policies, _diffusion_runs(cfg, dspec))):
+        row = partial(ResultRecord, cfg.scenario, "sim-diffusion", cfg.seed + i)
+        entry = {"policy": polcfg.diffusion.describe(), "tripped": int(run.tripped.sum())}
+        live = _summarize_run(f"policy {polcfg.name}: tripped={entry['tripped']}", entry,
+                              records, run.measure, row, polcfg.name)
+        if live and np.all(dspec.gamma == 0.0) and dspec.varrho > 0:
+            idl = dif.check_idleness_identity(run.measure, dspec)
+            entry["idleness"] = {"estimate": idl.estimate, "stderr": idl.stderr,
+                                 "target": idl.target, "passed": idl.passed}
+            records.append(row(f"{polcfg.name}.idleness", idl.estimate, idl.stderr,
+                               idl.passed))
         if len(run.measure.samples):       # none when all trip before the first thin step
             write_samples_csv(out / f"{cfg.scenario}_{polcfg.name}_diffusion_samples.csv",
                               run.measure, cfg.sim.thin)
             write_histogram_csv(out / f"{cfg.scenario}_{polcfg.name}_diffusion_hist.csv",
                                 run.measure)
         summary[polcfg.name] = entry
-        print(f"policy {polcfg.name}: tripped={entry['tripped']}"
-              + (f" neg_sum={entry['neg_sum'][0]:.4f}" if "neg_sum" in entry else ""))
     _write_json(out / f"{cfg.scenario}_diffusion_summary.json",
                 {"scenario": cfg.scenario, "policies": summary})
     append_records(out, records)
@@ -429,24 +425,18 @@ def cmd_sim_queue(cfg: ExperimentConfig, overwrite: bool) -> int:
     for n in cfg.n_list:
         p = prelimit_params(cfg.system, n)
         for i, polcfg in enumerate(cfg.policies):
-            pol = queue_policy(polcfg)
             scfg = replace(cfg.sim, seed=cfg.seed + i)
-            run = qs.simulate_renewal(p, cfg.arrivals, pol, scfg)
+            run = qs.simulate_renewal(p, cfg.arrivals, polcfg.queue, scfg)
             key = f"n{n}.{polcfg.name}"
-            entry = {"policy": pol.describe(), "n": n, "varrho_n": p.varrho_n,
+            entry = {"policy": polcfg.queue.describe(), "n": n, "varrho_n": p.varrho_n,
                      "tripped": int(run.tripped.sum()),
                      "events": float(run.event_counts.sum())}
-            if run.measure.replica_time.sum() > 0:
-                for mkey in MOMENTS:
-                    est, se = run.measure.moment(mkey)
-                    entry[mkey] = [est, se]
-                    records.append(ResultRecord(cfg.scenario, "sim-queue", scfg.seed,
-                                                f"{key}.{mkey}", est, se))
+            row = partial(ResultRecord, cfg.scenario, "sim-queue", scfg.seed)
+            if _summarize_run(f"{key}: tripped={entry['tripped']} events={entry['events']:.0f}",
+                              entry, records, run.measure, row, key):
                 write_histogram_csv(out / f"{cfg.scenario}_{polcfg.name}_n{n}_queue_hist.csv",
                                     run.measure)
             summary[key] = entry
-            print(f"{key}: tripped={entry['tripped']} events={entry['events']:.0f}"
-                  + (f" neg_sum={entry['neg_sum'][0]:.4f}" if "neg_sum" in entry else ""))
     _write_json(out / f"{cfg.scenario}_queue_summary.json",
                 {"scenario": cfg.scenario, "runs": summary})
     append_records(out, records)
@@ -456,9 +446,7 @@ def cmd_sim_queue(cfg: ExperimentConfig, overwrite: bool) -> int:
 def cmd_generator_check(cfg: ExperimentConfig, overwrite: bool) -> int:
     out = _prepare_out(cfg, f"{cfg.scenario}_generator_check.csv", overwrite)
     dspec = diffusion_spec(cfg.system)
-    if spare_capacity(cfg.system) <= 0:
-        raise ConfigError("generator-check selects exp-linear parameters; needs rho > 0")
-    spec = lyap.select_parameters(lyap.Goal.EXP_ERGODIC, cfg.system)
+    spec = lyap.select_parameters(lyap.Family.EXP_LINEAR, cfg.system)
     rng = np.random.default_rng(cfg.seed)
     n_pts, n_list = CONSISTENCY_POINTS, CONSISTENCY_N
     pts = rng.uniform(-3.0, 3.0, size=(n_pts, cfg.system.m))
@@ -492,9 +480,7 @@ def cmd_tails(cfg: ExperimentConfig, overwrite: bool) -> int:
     dspec = diffusion_spec(cfg.system)
     records = []
     rows = []
-    pols = [diffusion_policy(polcfg) for polcfg in cfg.policies]
-    runs = dif.simulate_policies(dspec, pols, replace(cfg.sim, seed=cfg.seed))
-    for i, (polcfg, run) in enumerate(zip(cfg.policies, runs)):
+    for i, (polcfg, run) in enumerate(zip(cfg.policies, _diffusion_runs(cfg, dspec))):
         for form in ("exponential", "sub_gaussian"):
             fit = dif.estimate_tail(run.measure, form)
             rows.append((polcfg.name, form, fit))

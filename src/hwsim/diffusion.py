@@ -136,7 +136,7 @@ _GUARD = 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    horizon: float
+    horizon: float = 200.0
     step: float = 1e-3
     burn_in: float | None = None          # default: 10% of horizon
     replicas: int = 16

@@ -96,17 +96,8 @@ class Family(str, Enum):
     NEG_PART_SUB_GAUSSIAN = "neg_part_sub_gaussian"  # exp([eta Phi_eta]^2 / 2)
 
 
-class Goal(str, Enum):
-    """Certification target for ``select_parameters``."""
-
-    EXP_ERGODIC = "exp_ergodic"                # exp-linear Foster bound, needs rho > 0
-    SUB_GAUSSIAN = "sub_gaussian"              # squared family, needs all gamma_i > 0
-    ABANDON = "abandon"                        # linear-decay family, needs all gamma_i > 0
-    NEG_PART = "neg_part"                      # exp of idleness over gamma_i <= mu_i classes
-
-
 class InfeasibleGoal(ValueError):
-    """The requested certification goal has no admissible parameters."""
+    """The requested family has no admissible parameters for this system."""
 
 
 @dataclass(frozen=True)
@@ -349,14 +340,20 @@ def sub_gaussian_eps0(theta: float, beta_min: float, c_bar: float,
             * (min(1.0, theta) * mu_min) / (max(1.0, theta) ** 2 * mu_max))
 
 
-def select_parameters(goal: Goal, params: SystemParams, eta: float = 1.0) -> LyapunovSpec:
-    """Admissible family parameters for a certification goal.
+def select_parameters(family: Family, params: SystemParams, eta: float = 1.0) -> LyapunovSpec:
+    """Admissible parameters of a family for this system.
 
-    theta is set to the largest admissible value and eps to half its
-    admissible bound; raises InfeasibleGoal when the goal's sign conditions
-    fail (e.g. exp-linear decay with nonpositive spare capacity).
+    EXP_LINEAR (the exp-linear Foster bound) and NEG_PART_EXP (idleness over
+    the gamma_i <= mu_i classes) need rho > 0; SUB_GAUSSIAN and ABANDON_EXP
+    need every gamma_i > 0.  theta is set to the largest admissible value
+    and eps to half its admissible bound; raises InfeasibleGoal when the
+    family's sign conditions fail (e.g. exp-linear decay with nonpositive
+    spare capacity) and ValueError for NEG_PART_SUB_GAUSSIAN, which has no
+    parameter rule here.
     """
-    goal = Goal(goal)
+    family = Family(family)
+    if family == Family.NEG_PART_SUB_GAUSSIAN:
+        raise ValueError(f"family {family.value} has no parameter rule")
     varrho = spare_capacity(params)
     beta = params.beta
     beta_max = float(beta.max())
@@ -364,21 +361,22 @@ def select_parameters(goal: Goal, params: SystemParams, eta: float = 1.0) -> Lya
     c_bar = float(np.sum(params.lambda_tilde / params.mu**2))
     mu = params.mu
 
-    if goal in (Goal.EXP_ERGODIC, Goal.NEG_PART):
+    if family in (Family.EXP_LINEAR, Family.NEG_PART_EXP):
         if varrho <= 0:
-            raise InfeasibleGoal(f"goal {goal.value} needs positive spare capacity, got {varrho}")
+            raise InfeasibleGoal(f"family {family.value} needs positive spare capacity, "
+                                 f"got {varrho}")
         theta = exp_linear_theta_bound(varrho, params.m, beta_max)
         eps = 0.5 * varrho / (6.0 * params.m * (3.0 + 2.0 * c_bar))
-        if goal == Goal.EXP_ERGODIC:
+        if family == Family.EXP_LINEAR:
             return LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=eps, theta=theta)
         subset = tuple(int(i) for i in np.nonzero(params.gamma <= params.mu)[0])
         return LyapunovSpec(Family.NEG_PART_EXP, mu, eta=eta, class_subset=subset)
 
-    # SUB_GAUSSIAN and ABANDON
+    # SUB_GAUSSIAN and ABANDON_EXP
     if beta_min <= 0:
-        raise InfeasibleGoal(f"goal {goal.value} needs all abandonment rates positive")
+        raise InfeasibleGoal(f"family {family.value} needs all abandonment rates positive")
     theta = sub_gaussian_theta(beta_min, beta_max)
-    if goal == Goal.ABANDON:
+    if family == Family.ABANDON_EXP:
         return LyapunovSpec(Family.ABANDON_EXP, mu, eta=eta, theta=theta)
     eps = 0.5 * sub_gaussian_eps0(theta, beta_min, c_bar, float(mu.min()), float(mu.max()))
     return LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=eps, theta=theta)

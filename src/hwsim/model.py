@@ -22,6 +22,10 @@ import numpy as np
 SIMPLEX_TOL = 1e-12
 # Accepted slack in the critical-load invariant sum_i lambda_i / mu_i = 1.
 LOAD_TOL = 1e-9
+# Accepted slack in the diffusion's invariant sum_i lambda~_i / mu_i = 1.
+COVARIANCE_TOL = 1e-8
+# Relative slack of allocation_to_control's work-conservation checks.
+ALLOCATION_TOL = 1e-9
 
 
 class SimplexError(ValueError):
@@ -221,9 +225,9 @@ class DiffusionSpec:
         """Curvature constant sum_i lambda~_i / mu_i^2."""
         return float(np.sum(self.lambda_tilde / self.mu**2))
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         s = float(np.sum(self.lambda_tilde / self.mu))
-        if abs(s - 1.0) > tol:
+        if abs(s - 1.0) > COVARIANCE_TOL:
             raise ValueError(f"sum lambda~_i/mu_i is {s}, not 1")
 
 
@@ -285,7 +289,7 @@ def unscale_state(xhat, p: PrelimitParams) -> np.ndarray:
     return math.sqrt(p.n) * (xhat + p.varrho_n / p.m) + p.fluid_center
 
 
-def allocation_to_control(xhat, zhat, tol: float = 1e-9) -> np.ndarray | None:
+def allocation_to_control(xhat, zhat) -> np.ndarray | None:
     """Recover the simplex control u from a scaled work-conserving allocation.
 
     zhat = xhat - <e,xhat>^+ u.  When <e,xhat> > 0 returns u in Delta; when
@@ -297,13 +301,13 @@ def allocation_to_control(xhat, zhat, tol: float = 1e-9) -> np.ndarray | None:
     zhat = _as_array(zhat, xhat.shape[-1])
     s = float(xhat.sum())
     scale0 = max(1.0, float(np.max(np.abs(xhat))))
-    if s <= tol * scale0:
-        if np.max(np.abs(zhat - xhat)) > tol * scale0:
+    if s <= ALLOCATION_TOL * scale0:
+        if np.max(np.abs(zhat - xhat)) > ALLOCATION_TOL * scale0:
             raise WorkConservationError("zhat != xhat although <e,xhat> <= 0")
         return None
     u = (xhat - zhat) / s
     scale = max(1.0, float(np.max(np.abs(xhat))) / s)
     try:
-        return project_simplex(u, tol=tol * scale + SIMPLEX_TOL)
+        return project_simplex(u, tol=ALLOCATION_TOL * scale + SIMPLEX_TOL)
     except SimplexError as err:
         raise WorkConservationError(f"recovered control leaves the simplex: {err}") from err

@@ -79,8 +79,8 @@ class Region:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    n_samples: int = 100_000
-    seed: int = 0
+    n_samples: int
+    seed: int
 
 
 # fractions of each sampled batch forced onto <e,x> = 0, near a cutoff joint,
@@ -520,20 +520,20 @@ def default_suite(params: SystemParams, sampler: SamplerConfig,
     # consecutive checks on one region share its cloud; none outlives the suite
     try:
         if varrho > 0:
-            spec = lyap.select_parameters(lyap.Goal.EXP_ERGODIC, params)
+            spec = lyap.select_parameters(lyap.Family.EXP_LINEAR, params)
             for c in truncations:
                 reports.append(verify_exp_linear_drift(dspec, spec, c, Region.ball(50.0), sampler))
             region = Region.ball(suggested_radius(dspec, spec))
             reports.append(verify_exp_linear_foster(dspec, spec, region, sampler))
-            neg = lyap.select_parameters(lyap.Goal.NEG_PART, params, eta=eta)
+            neg = lyap.select_parameters(lyap.Family.NEG_PART_EXP, params, eta=eta)
             reports.append(verify_neg_part_foster(dspec, neg, spec, region, sampler))
             reports.append(verify_neg_part_sub_gaussian_foster(
                 dspec, spec, neg.class_subset, region, sampler))
         if float(params.gamma.min()) > 0:
-            sg = lyap.select_parameters(lyap.Goal.SUB_GAUSSIAN, params)
+            sg = lyap.select_parameters(lyap.Family.SUB_GAUSSIAN, params)
             reports.append(verify_sub_gaussian_foster(
                 dspec, sg, Region.ball(suggested_radius(dspec, sg)), sampler))
-            ab = lyap.select_parameters(lyap.Goal.ABANDON, params, eta=eta)
+            ab = lyap.select_parameters(lyap.Family.ABANDON_EXP, params, eta=eta)
             reports.append(verify_abandonment_foster(
                 dspec, eta, Region.cone(suggested_radius(dspec, ab)), sampler))
     finally:

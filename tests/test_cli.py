@@ -235,6 +235,50 @@ def test_tails_flags_policies_that_trip_before_burn_in(tmp_path, capsys):
     assert all(row.endswith(",0,insufficient tail samples") for row in rows)
 
 
+@pytest.mark.parametrize("command", ["sim-diffusion", "tails"])
+def test_a_queue_only_kind_has_no_diffusion_run(tmp_path, capsys, command):
+    path = _demo_with(tmp_path, ("kind = constant", "kind = longest_queue_first"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'longest_queue_first' has no diffusion counterpart" in err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("kind, queue", [
+    ("longest_queue_first", qs.LongestQueueFirstPolicy),
+    ("random_work_conserving", qs.RandomWorkConservingPolicy),
+])
+def test_a_queue_only_kind_runs_in_sim_queue(tmp_path, capsys, kind, queue):
+    text = _config(None, POISSON) + f"\n[policy.other]\nkind = {kind}\n"
+    pol = cli.parse_config(text).policies[1]
+    assert (pol.name, pol.kind, type(pol.queue), pol.diffusion) == ("other", kind, queue, None)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    assert cli.main(["sim-queue", "--config", str(path), "--out", str(tmp_path)]) == 0
+    runs = json.loads((tmp_path / "tiny_queue_summary.json").read_text())["runs"]
+    assert runs["n20.other"]["policy"] == kind and runs["n20.other"]["events"] > 0
+
+
+def test_each_kind_parses_to_its_queue_policy_and_diffusion_control():
+    text = EXAMPLE.read_text().replace("kind = constant", "kind = proportional_split")
+    pri12, pri21, bary = cli.parse_config(text).policies
+    assert isinstance(pri12.queue, qs.StaticPriorityPolicy) and pri21.queue.order == (1, 0)
+    assert isinstance(pri12.diffusion, dif.StaticPriorityControl)
+    assert list(pri21.diffusion.u) == [1.0, 0.0]     # the lowest-priority class
+    assert isinstance(bary.queue, qs.ProportionalSplitPolicy)
+    assert type(bary.diffusion) is dif.ConstantControl
+    assert bary.queue.u == list(bary.diffusion.u) == [0.5, 0.5]
+
+
+def test_generator_check_without_spare_capacity_exits_2(tmp_path, capsys):
+    path = _demo_with(tmp_path, NEGATIVE_SPARE)
+    out = tmp_path / "out"
+    assert cli.main(["generator-check", "--config", str(path), "--out", str(out)]) == 2
+    assert "needs positive spare capacity" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
 BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
 
 
@@ -304,6 +348,15 @@ def test_sim_config_has_exactly_the_config_keys():
     # so the run config has no switch that a config file cannot reach
     names = {f.name for f in fields(dif.SimConfig)}
     assert names == set(cli.CONFIG_KEYS["sim"]) | {"seed"}
+
+
+def test_sim_defaults_are_sim_configs():
+    # the [sim] keys a config leaves out take SimConfig's own defaults
+    text = _config(None, POISSON)
+    cfg = cli.parse_config(text[:text.index("[sim]")])
+    assert cfg.sim == dif.SimConfig(seed=0)
+    assert cli.parse_config(text).sim == dif.SimConfig(horizon=4.0, burn_in=1.0,
+                                                       replicas=2, thin=0.5)
 
 
 def test_renewal_verification_passes_and_repeats(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import hwsim
 from hwsim import lyapunov as lyap
-from hwsim.lyapunov import Family, Goal, LyapunovSpec
+from hwsim.lyapunov import Family, LyapunovSpec
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +285,14 @@ class TestLogSplit:
 class TestSelectParameters:
     def test_single_class_reference_values(self):
         sp = hwsim.make_system([1.0], [1.0], hat_lambda=[-1.0])
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, sp)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, sp)
         assert spec.theta == pytest.approx(1 / 9)
         assert spec.epsilon == pytest.approx(1 / 60)
 
     def test_infeasible_without_spare_capacity(self):
         sp = hwsim.make_system([1.0], [1.0])
         with pytest.raises(lyap.InfeasibleGoal):
-            lyap.select_parameters(Goal.EXP_ERGODIC, sp)
+            lyap.select_parameters(Family.EXP_LINEAR, sp)
 
     def test_sub_gaussian_theta_arithmetic(self):
         assert lyap.sub_gaussian_theta(2.0, 2.0) == pytest.approx(0.25)
@@ -300,16 +300,26 @@ class TestSelectParameters:
     def test_sub_gaussian_needs_abandonment(self):
         sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[1.0, 0.0])
         with pytest.raises(lyap.InfeasibleGoal):
-            lyap.select_parameters(Goal.SUB_GAUSSIAN, sp)
+            lyap.select_parameters(Family.SUB_GAUSSIAN, sp)
 
     def test_beta_cap_applies(self):
         sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[4.0, 0.0],
                                hat_lambda=[-0.5, -0.5])
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, sp)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, sp)
         assert spec.theta <= 1.0 / 3.0 + 1e-12  # 1/(beta_max - 1)
 
     def test_neg_part_subset(self):
         sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[0.5, 2.0],
                                hat_lambda=[-0.5, -0.5])
-        spec = lyap.select_parameters(Goal.NEG_PART, sp)
+        spec = lyap.select_parameters(Family.NEG_PART_EXP, sp)
         assert spec.class_subset == (0,)
+
+    def test_a_family_with_no_rule_is_an_error(self):
+        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
+        with pytest.raises(ValueError, match="no parameter rule") as err:
+            lyap.select_parameters(Family.NEG_PART_SUB_GAUSSIAN, sp)
+        assert not isinstance(err.value, lyap.InfeasibleGoal)
+        # the family's value names it as well as the member
+        spec = lyap.select_parameters("exp_linear", sp)
+        assert spec.family is Family.EXP_LINEAR
+        assert spec.epsilon == lyap.select_parameters(Family.EXP_LINEAR, sp).epsilon

@@ -7,7 +7,7 @@ import hwsim
 from hwsim import lyapunov as lyap
 from hwsim import queues as qs
 from hwsim import verify as ver
-from hwsim.lyapunov import Family, Goal, LyapunovSpec
+from hwsim.lyapunov import Family, LyapunovSpec
 from hwsim.model import prelimit_params, scale_state
 
 
@@ -61,7 +61,7 @@ class TestSampler:
 class TestDriftInequality:
     def test_certifies_small_instance(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         rep = ver.verify_exp_linear_drift(ds, spec, math.inf, ver.Region.ball(50.0), SAMP)
         assert rep.passed and rep.violations == 0
         assert rep.worst_margin > -1e-9
@@ -69,7 +69,7 @@ class TestDriftInequality:
     def test_origin_on_both_branches(self, stable_system):
         # at x = 0 both branch right-hand sides dominate the gradient term
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         eps, th = spec.epsilon, spec.theta
         m = 2
         x = np.zeros((1, 2))
@@ -83,7 +83,7 @@ class TestDriftInequality:
 
     def test_truncation_independent_without_abandonment(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         reps = [ver.verify_exp_linear_drift(ds, spec, c, ver.Region.ball(50.0), SAMP)
                 for c in (1.0, math.inf)]
         assert reps[0].worst_margin == reps[1].worst_margin
@@ -104,7 +104,7 @@ class TestDriftInequality:
 class TestFosterBounds:
     def test_exp_linear_passes_and_attains(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         region = ver.Region.ball(ver.suggested_radius(ds, spec))
         rep = ver.verify_exp_linear_foster(ds, spec, region, SAMP)
         assert rep.passed
@@ -115,7 +115,7 @@ class TestFosterBounds:
         # with weight 1.0 the decay margin stays positive on the deep negative
         # orthant at every radius; the halved weight closes it
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         region = ver.Region.ball(ver.suggested_radius(ds, spec))
         monkeypatch.setattr(ver, "NEG_WEIGHT", 1.0)
         full = ver.verify_exp_linear_foster(ds, spec, region, SAMP)
@@ -124,7 +124,7 @@ class TestFosterBounds:
 
     def test_kappa_stable_under_radius_doubling(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         r0 = ver.suggested_radius(ds, spec)
         k1 = ver.verify_exp_linear_foster(ds, spec, ver.Region.ball(r0), SAMP)
         k2 = ver.verify_exp_linear_foster(ds, spec, ver.Region.ball(2 * r0), SAMP)
@@ -134,7 +134,7 @@ class TestFosterBounds:
     def test_sub_gaussian_any_sign_of_spare_capacity(self, abandon_system):
         ds = hwsim.diffusion_spec(abandon_system)
         assert ds.varrho < 0
-        spec = lyap.select_parameters(Goal.SUB_GAUSSIAN, abandon_system)
+        spec = lyap.select_parameters(Family.SUB_GAUSSIAN, abandon_system)
         region = ver.Region.ball(ver.suggested_radius(ds, spec))
         rep = ver.verify_sub_gaussian_foster(ds, spec, region, SAMP)
         assert rep.passed
@@ -154,7 +154,7 @@ class TestFosterBounds:
 
     def test_estimate_kappa0_interface(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         region = ver.Region.ball(ver.suggested_radius(ds, spec))
 
         def kappa0(sampler):
@@ -203,10 +203,10 @@ class TestAbandonmentFamily:
 class TestNegativePartFamilies:
     def test_all_classes_and_eta_grid(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        vspec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        vspec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         region = ver.Region.ball(ver.suggested_radius(ds, vspec))
         for eta in (0.5, 1.0, 2.0, 4.0):
-            neg = lyap.select_parameters(Goal.NEG_PART, stable_system, eta=eta)
+            neg = lyap.select_parameters(Family.NEG_PART_EXP, stable_system, eta=eta)
             assert neg.class_subset == (0, 1)
             rep = ver.verify_neg_part_foster(ds, neg, vspec, region, SAMP)
             assert rep.passed, f"eta={eta}"
@@ -216,8 +216,8 @@ class TestNegativePartFamilies:
         sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[2.0, 3.0],
                                hat_lambda=[-0.5, -0.5])
         ds = hwsim.diffusion_spec(sp)
-        vspec = lyap.select_parameters(Goal.EXP_ERGODIC, sp)
-        neg = lyap.select_parameters(Goal.NEG_PART, sp)
+        vspec = lyap.select_parameters(Family.EXP_LINEAR, sp)
+        neg = lyap.select_parameters(Family.NEG_PART_EXP, sp)
         assert neg.class_subset == ()
         region = ver.Region.ball(ver.suggested_radius(ds, vspec))
         rep = ver.verify_neg_part_foster(ds, neg, vspec, region, SAMP)
@@ -225,14 +225,14 @@ class TestNegativePartFamilies:
 
     def test_subset_must_match_rates(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        vspec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        vspec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         bad = LyapunovSpec(Family.NEG_PART_EXP, ds.mu, eta=1.0, class_subset=(0,))
         with pytest.raises(ver.PreconditionError):
             ver.verify_neg_part_foster(ds, bad, vspec, ver.Region.ball(40.0), SAMP)
 
     def test_grid_search_returns_positive_eta(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        vspec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        vspec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         region = ver.Region.ball(ver.suggested_radius(ds, vspec))
         rep = ver.verify_neg_part_sub_gaussian_foster(ds, vspec, (0, 1), region, SAMP)
         assert rep.passed
@@ -242,14 +242,14 @@ class TestNegativePartFamilies:
 class TestReportPlumbing:
     def test_replay_is_identical(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         a = ver.verify_exp_linear_drift(ds, spec, 5.0, ver.Region.ball(30.0), SAMP)
         b = ver.verify_exp_linear_drift(ds, spec, 5.0, ver.Region.ball(30.0), SAMP)
         assert a.csv_row() == b.csv_row()
 
     def test_csv_row_shape(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
-        spec = lyap.select_parameters(Goal.EXP_ERGODIC, stable_system)
+        spec = lyap.select_parameters(Family.EXP_LINEAR, stable_system)
         rep = ver.verify_exp_linear_drift(ds, spec, 1.0, ver.Region.ball(30.0), SAMP)
         row = rep.csv_row()
         assert len(row.split(",")) == len(ver.VerificationReport.CSV_HEADER.split(","))
@@ -430,7 +430,7 @@ class TestSlopeFit:
             ver.verify_abandonment_foster(hwsim.diffusion_spec(abandon_system), 1.0,
                                           ver.Region.cone(40.0), samp),
             ver.verify_neg_part_foster(hwsim.diffusion_spec(stable_system),
-                                       lyap.select_parameters(Goal.NEG_PART, stable_system),
+                                       lyap.select_parameters(Family.NEG_PART_EXP, stable_system),
                                        vspec, ver.Region.ball(40.0), samp),
         ]
 
