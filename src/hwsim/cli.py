@@ -18,7 +18,8 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
   [policy.<name>]  at least one [<name> a plain name, as id]; kind:
               constant or proportional_split (with u [m entries on the
               simplex]), static_priority (with order [a permutation of
-              0..m-1]), longest_queue_first, random_work_conserving
+              0..m-1]), longest_queue_first, random_work_conserving (these
+              two have no diffusion control: sim-diffusion and tails exit 2)
   [sim]       horizon, step, burn_in, replicas, thin, x0, blowup, each
               defaulting to its ``diffusion.SimConfig`` field
               [0 < step <= burn_in < horizon < inf, replicas >= 1,
