@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import EmpiricalMeasure, TailFit, fit_tail, moment_names, tv_distance
-from .model import DiffusionSpec, project_simplex
+from .model import DiffusionSpec, project_simplex, row_sum
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,8 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def _accumulate(integrals, live_time, xs, alive, h):
     """Fold a block of post-burn-in states (B, R, m) and their alive masks
     (B, R) into the moment integrals; returns the new live time."""
-    l1 = np.abs(xs).sum(axis=2)
-    s = xs.sum(axis=2)
+    l1 = row_sum(np.abs(xs))
+    s = row_sum(xs)
     w = alive * h
     values = [l1, np.maximum(-s, 0.0), s] + [xs[:, :, i] for i in range(xs.shape[2])]
     for name, v in zip(moment_names(xs.shape[2]), values):
@@ -293,7 +293,11 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     # values, at about half the cost of a broadcast or Python-float operand
     mu, gamma, base, hs = (np.tile(v, (N, 1)) for v in (dspec.mu, dspec.gamma, base,
                                                         np.full(m, h)))
-    pos, tmp, b = np.empty((N, 1)), np.empty((N, m)), np.empty((N, m))
+    pos_row, tmp, b = np.empty(N), np.empty((N, m)), np.empty((N, m))
+    pos = pos_row[:, None]
+    # |x| and ||x||_1 of the rows the guard checks
+    n_guard = min(_GUARD, block)
+    guard_abs, guard_l1 = np.empty((n_guard, N, m)), np.empty((n_guard, N))
     k = 0                                  # steps done
     while k < n_steps and alive.any():
         ksz = min(block, n_steps - k)
@@ -309,7 +313,7 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
                     u[grp] = pol.controls(X[grp])
                 # xs[j] = X + (base - mu (X - pos u) - pos gamma u) h + noise[j],
                 # in that order; replicas that have tripped keep X
-                np.add.reduce(X, 1, keepdims=True, out=pos)
+                row_sum(X, out=pos_row)
                 np.maximum(pos, 0.0, out=pos)
                 np.multiply(pos, u, out=tmp)
                 np.subtract(X, tmp, out=tmp)
@@ -327,7 +331,9 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
             # the guard on the rows just stepped: at the first row jt that trips
             # a replica, the replica is dead from jt on, and the rows after jt
             # are stepped again from xs[jt]
-            over = (np.abs(xs[done:end]).sum(axis=2) > cfg.blowup) & alive
+            n_chk = end - done
+            np.abs(xs[done:end], out=guard_abs[:n_chk])
+            over = (row_sum(guard_abs[:n_chk], out=guard_l1[:n_chk]) > cfg.blowup) & alive
             if over.any():
                 jt = done + int(over.any(axis=1).argmax())
                 alive = alive & ~over[jt - done]

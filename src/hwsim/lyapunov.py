@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .model import (DiffusionSpec, SystemParams, drift_truncated, max_drift_along,
-                    spare_capacity)
+                    row_sum, spare_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def big_psi_star(x, eps: float, theta: float, mu) -> np.ndarray:
 
 
 def _psi_star_value(x: np.ndarray, eps: float, theta: float, mu: np.ndarray) -> np.ndarray:
-    return np.sum((eps * theta * psi(-x) + psi(eps * x)) / mu, axis=-1)
+    return row_sum((eps * theta * psi(-x) + psi(eps * x)) / mu)
 
 
 def psi_star_terms(x, eps: float, theta: float, mu):
@@ -159,7 +159,7 @@ def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
         return psi_star_terms(x, spec.epsilon, spec.theta, mu)
     if f == Family.ABANDON_EXP:
         eta, th = spec.eta, spec.theta
-        val = eta * np.sum((th * psi(-x) + psi(x)) / mu, axis=-1)
+        val = eta * row_sum((th * psi(-x) + psi(x)) / mu)
         if not derivatives:
             return val, None, None
         g = eta * (-th * psi_d1(-x) + psi_d1(x)) / mu
@@ -168,7 +168,7 @@ def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
     if f == Family.NEG_PART_EXP:
         eta = spec.eta
         mask = spec.subset_mask()
-        val = eta * np.sum(mask * psi(-x) / mu, axis=-1)
+        val = eta * row_sum(mask * psi(-x) / mu)
         if not derivatives:
             return val, None, None
         g = -eta * mask * psi_d1(-x) / mu
@@ -179,7 +179,7 @@ def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
     # negative would flip the gradient sign there and destroy the drift bound
     eta = spec.eta
     mask = spec.subset_mask()
-    val = eta * np.sum(mask * (psi(-eta * x) + 0.5) / mu, axis=-1)
+    val = eta * row_sum(mask * (psi(-eta * x) + 0.5) / mu)
     if not derivatives:
         return val, None, None
     g = -eta * eta * mask * psi_d1(-eta * x) / mu
@@ -276,7 +276,7 @@ def ratio_from_terms(terms, x, u, dspec: DiffusionSpec, c: float = math.inf,
     """``generator_ratio`` of the product family from each factor's ``log_terms``
     at x, for callers that already hold them (they need L as well)."""
     gl, second = _second_order(terms, dspec)
-    return second + np.sum(drift_truncated(x, u, dspec, c, check=check) * gl, axis=-1)
+    return second + row_sum(drift_truncated(x, u, dspec, c, check=check) * gl)
 
 
 def worst_ratio_from_terms(terms, x, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
@@ -290,7 +290,7 @@ def _second_order(terms, dspec: DiffusionSpec):
     the gradient of L = log f and the part of L_u f / f free of u."""
     gl = sum(g for _, g, _ in terms)
     hl = sum(h for _, _, h in terms)
-    return gl, 0.5 * np.sum(dspec.a_diag * (gl * gl + hl), axis=-1)
+    return gl, 0.5 * row_sum(dspec.a_diag * (gl * gl + hl))
 
 
 def generator_apply(spec, x, u, dspec: DiffusionSpec, c: float = math.inf,
@@ -313,8 +313,8 @@ def generator_apply_direct(spec: LyapunovSpec, x, u, dspec: DiffusionSpec,
     hess = hessian(spec, x)
     b = drift_truncated(x, u, dspec, c)
     idx = np.arange(spec.m)
-    tr = np.sum(dspec.a_diag * hess[..., idx, idx], axis=-1)
-    return 0.5 * tr + np.sum(b * grad, axis=-1)
+    tr = row_sum(dspec.a_diag * hess[..., idx, idx])
+    return 0.5 * tr + row_sum(b * grad)
 
 
 # ---------------------------------------------------------------------------

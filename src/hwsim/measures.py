@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import row_sum
+
 # The moment functionals both simulators integrate: ||x||_1, (sum_i x_i)^-
 # and sum_i x_i; each coordinate x_i is integrated too, as "coord<i>".
 MOMENTS = ("l1", "neg_sum", "sum")
@@ -58,7 +60,7 @@ class EmpiricalMeasure:
 
     def tail_values(self) -> np.ndarray:
         """||x||_1 of each sample, the functional the tail fits use."""
-        return np.abs(self.samples).sum(axis=1)
+        return row_sum(np.abs(self.samples))
 
     def histogram(self, bins_per_dim: int):
         """Fixed-width histogram over the samples' bounding box, padded by 1%;

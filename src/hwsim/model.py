@@ -36,6 +36,45 @@ class WorkConservationError(ValueError):
     """Allocation is inconsistent with a work-conserving policy."""
 
 
+# From this many classes on, np.add.reduce sums a row pairwise rather than
+# one column after another.
+PAIRWISE_CLASSES = 8
+
+
+def row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.sum(x, axis=-1) bit for bit, as column adds, for float x.
+
+    For m < 8 classes numpy's reduction adds the columns one after another
+    starting from +0.0, so (x_0 + 0.0) + x_1 + ... + x_{m-1} gives the same
+    bits in every row, -0.0 (which becomes +0.0), NaN and +-inf included,
+    without the reduction's per-row overhead.  From m = 8 on numpy sums
+    pairwise, so this falls back to np.sum (without ``out``: the reduction
+    into it can flip the sign of a NaN).  ``out`` takes the result.
+    """
+    m = x.shape[-1]
+    if not 0 < m < PAIRWISE_CLASSES:
+        if out is None:
+            return np.sum(x, axis=-1)
+        out[...] = np.sum(x, axis=-1)
+        return out
+    out = np.add(x[..., 0], 0.0, out=out)
+    for j in range(1, m):
+        out += x[..., j]
+    return out
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """np.max(x, axis=-1) bit for bit, as a running np.maximum of the columns
+    (m < 8 classes; np.max from m = 8 on, as for ``row_sum``)."""
+    m = x.shape[-1]
+    if not 0 < m < PAIRWISE_CLASSES:
+        return np.max(x, axis=-1)
+    out = x[..., 0].copy()
+    for j in range(1, m):
+        np.maximum(out, x[..., j], out=out)
+    return out
+
+
 def _as_array(v, m: int | None = None) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if m is not None and a.shape[-1] != m:
@@ -260,7 +299,7 @@ def drift_truncated(x, u, spec: DiffusionSpec, c: float, check: bool = True) -> 
         u = project_simplex(u)
     else:
         u = _as_array(u)
-    pos = np.maximum(x.sum(axis=-1, keepdims=True), 0.0)
+    pos = np.maximum(row_sum(x), 0.0)[..., None]
     keep = (x <= c).astype(float)
     return -(spec.varrho / spec.m) * spec.mu - spec.mu * (x - pos * u) - pos * spec.gamma * u * keep
 
@@ -272,9 +311,9 @@ def max_drift_along(x, g, spec: DiffusionSpec, c: float) -> np.ndarray:
     if not c >= 1.0:
         raise ValueError(f"truncation level must satisfy c >= 1, got {c}")
     x = _as_array(x, spec.m)
-    pos = np.maximum(x.sum(axis=-1), 0.0)
-    base = np.sum(g * (-(spec.varrho / spec.m) * spec.mu - spec.mu * x), axis=-1)
-    return base + pos * np.max(g * (spec.mu - spec.gamma * (x <= c)), axis=-1)
+    pos = np.maximum(row_sum(x), 0.0)
+    base = row_sum(g * (-(spec.varrho / spec.m) * spec.mu - spec.mu * x))
+    return base + pos * row_max(g * (spec.mu - spec.gamma * (x <= c)))
 
 
 def scale_state(x, p: PrelimitParams) -> np.ndarray:

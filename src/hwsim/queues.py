@@ -43,7 +43,7 @@ import numpy as np
 from . import lyapunov as lyap
 from .measures import EmpiricalMeasure, moment_names
 from .model import (DiffusionSpec, PrelimitParams, allocation_to_control,
-                    prelimit_params, project_simplex, scale_state, unscale_state)
+                    prelimit_params, project_simplex, row_sum, scale_state, unscale_state)
 from .verify import (PreconditionError, Region, SamplerConfig, VerificationReport,
                      decay_report, fitted_slope, sample_states, slope_report)
 
@@ -577,7 +577,7 @@ def ctmc_generator_ratio(spec: lyap.LyapunovSpec, x, z, p: PrelimitParams) -> np
     """A^n_z V(xhat(x)) / V(xhat(x)) via exact finite differences (Poisson input)."""
     x = np.asarray(x, dtype=float)
     arrivals, dn, _, _ = _poisson_terms(p, spec, x)
-    return arrivals + np.sum((p.mu_n * z + p.gamma_n * (x - z)) * dn, axis=-1)
+    return arrivals + row_sum((p.mu_n * z + p.gamma_n * (x - z)) * dn)
 
 
 def prelimit_generator_apply(f, x, s, z, p: PrelimitParams, arr: ArrivalSpec):
@@ -866,8 +866,8 @@ def _poisson_terms(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarra
     base = logv(states)
     up = np.exp(logv(states[..., None, :] + eye) - base[..., None]) - 1.0
     dn = np.exp(logv(states[..., None, :] - eye) - base[..., None]) - 1.0
-    arrivals = np.sum(p.lambda_n * up, axis=-1)
-    return arrivals, dn, base, np.abs(scale_state(states.astype(float), p)).sum(axis=-1)
+    arrivals = row_sum(p.lambda_n * up)
+    return arrivals, dn, base, row_sum(np.abs(scale_state(states.astype(float), p)))
 
 
 def _pair_stage(p: PrelimitParams, states: np.ndarray, terms):

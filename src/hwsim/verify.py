@@ -4,7 +4,12 @@ Every diffusion check draws its samples from ``_cloud``: a deterministic,
 seed-keyed cloud of states (enriched near the cone boundary, the coordinate
 axes and the curvature joints of the cutoff) and their ||x||_1.  Consecutive
 checks on one region share one read-only cloud: ``_cloud`` keeps the last one
-it drew, and ``default_suite`` drops it when it returns.  The bounds must hold
+it drew, and ``default_suite`` drops it when it returns.  The checks that use
+the exp-linear family share its ``log_terms`` on a cloud (``_shared_terms``):
+the drift checks, one per truncation level, on theirs, and the exp-linear,
+negative-part and negative-part sub-Gaussian Foster checks on theirs.  The
+terms are evaluated once per cloud, kept read-only, and dropped with the
+cloud.  The bounds must hold
 for every control u in Delta; only the drift depends on u, and affinely, so
 each check evaluates every state at its worst control in closed form
 (``model.max_drift_along``) and a report depends on the state set only.  The
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import lyapunov as lyap
 from .model import (DiffusionSpec, SystemParams, diffusion_spec, max_drift_along,
-                    spare_capacity)
+                    row_sum, spare_capacity)
 
 BASE_SLACK = 1e-9
 # A constant estimate counts as "attained inside" when every positive margin
@@ -71,9 +76,9 @@ class Region:
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        inside = np.abs(x).sum(axis=-1) <= self.radius
+        inside = row_sum(np.abs(x)) <= self.radius
         if self.kind == RegionKind.CONE:
-            inside &= x.sum(axis=-1) >= 0.0
+            inside &= row_sum(x) >= 0.0
         return inside
 
 
@@ -132,7 +137,7 @@ def sample_states(region: Region, cfg: SamplerConfig, m: int,
         no = int(ORTHANT_FRAC * k)
         # project a slice onto the hyperplane <e,x> = 0
         sl = base[:nb]
-        sl -= sl.sum(axis=-1, keepdims=True)[..., None].reshape(-1, 1) / m
+        sl -= row_sum(sl)[:, None] / m
         # pin a random coordinate of another slice near a cutoff joint
         jl = base[nb:nb + nj]
         if nj > 0:
@@ -152,7 +157,7 @@ def sample_states(region: Region, cfg: SamplerConfig, m: int,
             ol[:] = np.abs(ol) * sgn[:, None]
         if region.kind == RegionKind.CONE:
             # reflecting doubles the yield for the cone
-            base[base.sum(axis=-1) < 0] *= -1.0
+            base[row_sum(base) < 0] *= -1.0
         keep = region.contains(base)
         got = base[keep]
         out.append(got[:needed])
@@ -168,13 +173,33 @@ def _cloud(region: Region, sampler: SamplerConfig, m: int,
     """States from the sampler's seed and their ||x||_1.
 
     The last cloud is kept for the next check on the same arguments, so the
-    arrays are read-only.
+    arrays are read-only.  Drawing a new cloud drops the terms shared on the
+    last one (``_shared_terms``).
     """
+    _TERMS.clear()
     x = sample_states(region, sampler, m, joint_values=joint_values)
-    cloud = x, np.abs(x).sum(axis=-1)
+    cloud = x, row_sum(np.abs(x))
     for a in cloud:
         a.flags.writeable = False
     return cloud
+
+
+# (id(spec), id(x)) -> (spec, x, lyap.log_terms(spec, x)) on the cloud _cloud
+# holds; the entry keeps spec and x alive, so their ids stay unique
+_TERMS: dict = {}
+
+
+def _shared_terms(spec: lyap.LyapunovSpec, x: np.ndarray):
+    """``lyap.log_terms(spec, x)`` on a cloud of ``_cloud``, evaluated once per
+    spec and cloud: read-only, and dropped when ``_cloud`` draws a new cloud or
+    ``default_suite`` returns."""
+    key = id(spec), id(x)
+    if key not in _TERMS:
+        terms = lyap.log_terms(spec, x)
+        for a in terms:
+            a.flags.writeable = False
+        _TERMS[key] = spec, x, terms
+    return _TERMS[key][2]
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +322,11 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
         raise PreconditionError(f"truncation level must be >= 1, got {c}")
 
     x, r1 = _cloud(region, sampler, m, (0.0, 1.0, -1.0 / eps))
-    log_v, gl, _ = lyap.log_terms(spec, x)
+    log_v, gl, _ = _shared_terms(spec, x)
     lhs = max_drift_along(x, gl, dspec, c)
 
-    s = x.sum(axis=-1)
-    neg_part = np.maximum(-x, 0.0).sum(axis=-1)
+    s = row_sum(x)
+    neg_part = row_sum(np.maximum(-x, 0.0))
     rhs_minus = eps * (th * rho + (m / (2.0 * eps)) * (1.0 + eps * th) - min(th, 1.0) * r1)
     rhs_plus = -eps * (rho / m - th * rho - th * m / 2.0 + th * neg_part)
     rhs = np.where(s <= 0.0, rhs_minus, rhs_plus)
@@ -319,9 +344,8 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
 # Foster-Lyapunov bounds
 # ---------------------------------------------------------------------------
 
-def _ratio(spec: lyap.LyapunovSpec, x, dspec: DiffusionSpec):
-    """(max_u L_u f / f, log f) on the cloud from one ``log_terms`` evaluation."""
-    terms = lyap.log_terms(spec, x)
+def _ratio(terms, x, dspec: DiffusionSpec):
+    """(max_u L_u f / f, log f) on the cloud from the family's ``log_terms``."""
     return lyap.worst_ratio_from_terms([terms], x, dspec), terms[0]
 
 
@@ -343,8 +367,8 @@ def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
         raise PreconditionError("exp-linear Foster bound needs positive spare capacity")
     eps, th = spec.epsilon, spec.theta
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_v = _ratio(spec, x, dspec)
-    neg_part = np.maximum(-x, 0.0).sum(axis=-1)
+    q, log_v = _ratio(_shared_terms(spec, x), x, dspec)
+    neg_part = row_sum(np.maximum(-x, 0.0))
     decay = eps * (dspec.varrho / (2.0 * dspec.m) + NEG_WEIGHT * th * neg_part)
     return decay_report("exp_linear_foster", q + decay, log_v, r1,
                         region.radius, sampler.seed,
@@ -362,7 +386,7 @@ def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
     coeff = (eps**2 * min(th, beta_min * min(beta_min, 0.5))
              * min(1.0, th) / (2.0 * float(dspec.mu.max())))
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_v = _ratio(spec, x, dspec)
+    q, log_v = _ratio(lyap.log_terms(spec, x), x, dspec)
     return decay_report("sub_gaussian_foster", q + coeff * r1**2, log_v, r1,
                         region.radius, sampler.seed,
                         {"epsilon": eps, "theta": th, "decay_coeff": coeff})
@@ -381,19 +405,18 @@ def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
     th = lyap.sub_gaussian_theta(float(beta.min()), float(beta.max()))
     spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, dspec.mu, eta=eta, theta=th)
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
-    q, log_v = _ratio(spec, x, dspec)
+    q, log_v = _ratio(lyap.log_terms(spec, x), x, dspec)
     k1 = fitted_slope(q, r1, r1 >= 0.5 * region.radius)
     return slope_report("abandonment_foster", q, k1, r1, log_v,
                         region.radius, sampler.seed, {"eta": eta, "theta": th})
 
 
-def _sum_ratio(spec_a: lyap.LyapunovSpec, spec_b: lyap.LyapunovSpec, x,
-               dspec: DiffusionSpec):
-    """(max_u L_u f / f, log f) for f = f_a + f_b from the log-scale terms of
-    the sum: grad log f = w grad L_a + (1 - w) grad L_b with the stable weight
-    w = f_a / f, so the worst control comes from the weighted gradient."""
-    la, ga, ha = lyap.log_terms(spec_a, x)
-    lb, gb, hb = lyap.log_terms(spec_b, x)
+def _sum_ratio(terms_a, terms_b, x, dspec: DiffusionSpec):
+    """(max_u L_u f / f, log f) for f = f_a + f_b from each family's
+    ``log_terms``: grad log f = w grad L_a + (1 - w) grad L_b with the stable
+    weight w = f_a / f, so the worst control comes from the weighted gradient."""
+    la, ga, ha = terms_a
+    lb, gb, hb = terms_b
     w = 1.0 / (1.0 + np.exp(np.clip(lb - la, -700, 700)))[:, None]
     g = w * ga + (1.0 - w) * gb
     h = w * (ga * ga + ha) + (1.0 - w) * (gb * gb + hb) - g * g
@@ -417,8 +440,8 @@ def verify_neg_part_foster(dspec: DiffusionSpec, neg_spec: lyap.LyapunovSpec,
             f"class_subset must be the gamma_i <= mu_i classes {expected}")
     eps = v_spec.epsilon
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_sum = _sum_ratio(neg_spec, v_spec, x, dspec)
-    minus = x.sum(axis=-1) <= 0.0
+    q, log_sum = _sum_ratio(lyap.log_terms(neg_spec, x), _shared_terms(v_spec, x), x, dspec)
+    minus = row_sum(x) <= 0.0
     k1 = fitted_slope(q, r1, minus & (r1 >= 0.5 * region.radius))
     floor = eps * dspec.varrho / (8.0 * dspec.m)
     return slope_report("neg_part_foster", q, k1, r1, log_sum, region.radius, sampler.seed,
@@ -444,7 +467,7 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
         raise PreconditionError("negative-part bound needs positive spare capacity")
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / v_spec.epsilon))
     far = r1 >= 0.5 * region.radius
-    v_terms = lyap.log_terms(v_spec, x)
+    v_terms = _shared_terms(v_spec, x)
     for eta in ETA_GRID:
         ns = lyap.LyapunovSpec(lyap.Family.NEG_PART_SUB_GAUSSIAN, dspec.mu, eta=eta,
                                class_subset=class_subset)
@@ -517,7 +540,8 @@ def default_suite(params: SystemParams, sampler: SamplerConfig,
                                 "and not every abandonment rate gamma_i is positive")
     dspec = diffusion_spec(params)
     reports = []
-    # consecutive checks on one region share its cloud; none outlives the suite
+    # consecutive checks on one region share its cloud, and the exp-linear
+    # checks its terms; neither outlives the suite
     try:
         if varrho > 0:
             spec = lyap.select_parameters(lyap.Family.EXP_LINEAR, params)
@@ -538,4 +562,5 @@ def default_suite(params: SystemParams, sampler: SamplerConfig,
                 dspec, eta, Region.cone(suggested_radius(dspec, ab)), sampler))
     finally:
         _cloud.cache_clear()
+        _TERMS.clear()
     return reports

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hwsim
-from hwsim.model import SimplexError, WorkConservationError, project_simplex
+from hwsim.model import (SimplexError, WorkConservationError, project_simplex, row_max,
+                         row_sum)
 
 
 @pytest.fixture
@@ -55,6 +56,52 @@ class TestSimplex:
     def test_rejects_bad_sum(self):
         with pytest.raises(SimplexError):
             project_simplex([0.6, 0.6])
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestRowReductions:
+    """row_sum and row_max equal np.sum and np.max over the last axis bit for bit."""
+
+    SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.1, -2.5,
+                        1e308, -1e308, 5e-324])
+
+    @classmethod
+    def _states(cls, lead, m):
+        rng = np.random.default_rng(m)
+        shape = lead + (m,)
+        wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        x = np.where(rng.random(shape) < 0.5, rng.choice(cls.SPECIAL, shape), wide)
+        rows = x.reshape(-1, m)
+        rows[:4] = np.array([-0.0, np.nan, np.inf, -np.inf])[:, None]
+        rows[4] = np.where(np.arange(m) % 2, 0.0, -0.0)
+        return x
+
+    @staticmethod
+    def _layouts(x):
+        yield x
+        yield np.asfortranarray(x)
+        yield x[..., ::-1].copy()
+        yield x[..., ::-1]
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("lead", [(300,), (30, 10)])
+    def test_equal_to_numpy_bit_for_bit(self, m, lead):
+        with np.errstate(all="ignore"):
+            for x in self._layouts(self._states(lead, m)):
+                assert np.array_equal(_bits(row_sum(x)), _bits(np.sum(x, axis=-1)))
+                assert np.array_equal(_bits(row_max(x)), _bits(np.max(x, axis=-1)))
+                out = np.empty(lead)
+                assert row_sum(x, out=out) is out
+                assert np.array_equal(_bits(out), _bits(np.sum(x, axis=-1)))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_state_gives_a_scalar(self, m):
+        x = np.linspace(-1.0, 2.0, m)
+        assert row_sum(x) == np.sum(x) and row_max(x) == np.max(x)
+        assert row_sum(x).ndim == row_max(x).ndim == 0
 
 
 class TestDrift:

@@ -296,6 +296,32 @@ def test_default_suite_reports_are_pinned():
         for name, worst, constants in SUITE_PINS]
 
 
+def test_default_suite_evaluates_the_exp_linear_terms_once_per_cloud(monkeypatch):
+    """The drift checks on the ball of radius 50 share one evaluation, and the
+    three exp-linear Foster checks another; the terms are read-only and no
+    memo outlives the suite."""
+    log_terms, shared = lyap.log_terms, ver._shared_terms
+    clouds = []
+
+    def counting(spec, x):
+        if spec.family == Family.EXP_LINEAR:
+            clouds.append(x.shape)
+        return log_terms(spec, x)
+
+    def checked(spec, x):
+        terms = shared(spec, x)
+        assert not any(a.flags.writeable for a in terms)
+        assert len(ver._TERMS) == 1
+        return terms
+
+    monkeypatch.setattr(lyap, "log_terms", counting)
+    monkeypatch.setattr(ver, "_shared_terms", checked)
+    reps = ver.default_suite(CERTIFY, ver.SamplerConfig(n_samples=3000, seed=3))
+    assert clouds == [(3000, 3), (3000, 3)]
+    assert [r.inequality for r in reps] == [name for name, _, _ in SUITE_PINS]
+    assert ver._TERMS == {}
+
+
 class TestWorstControl:
     """Every check takes each state at its worst control (``model.max_drift_along``).
 
@@ -360,8 +386,8 @@ class TestWorstControl:
         x = self._states(m)
         fams = self._families(ds.mu)
         spec_a, spec_b = fams["neg_part"][0], fams["exp_linear"][0]
-        q, log_sum = ver._sum_ratio(spec_a, spec_b, x, ds)
         ta, tb = lyap.log_terms(spec_a, x), lyap.log_terms(spec_b, x)
+        q, log_sum = ver._sum_ratio(ta, tb, x, ds)
         assert np.array_equal(log_sum, np.logaddexp(ta[0], tb[0]))
         w = 1.0 / (1.0 + np.exp(np.clip(tb[0] - ta[0], -700, 700)))
 
