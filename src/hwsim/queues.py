@@ -19,7 +19,10 @@ generator.  The built-in scheduling policies are work-conserving by
 construction, and the loop asks one only when sum(x) > n: below that,
 Z^n(x) = {x}, and between two such states only the death rate of the class
 that moved changes.  A user hook (``FunctionPolicy``) is called, and its
-allocation checked, at every event.
+allocation checked, at every event.  The replicas are independent, so they
+run in contiguous slices on the CPUs the process may use, one forked worker
+per further CPU, and are joined in replica order: the results do not depend
+on the worker count.  A user hook runs in the calling process.
 
 The same module evaluates the exact finite-difference generators on Lyapunov
 functions, builds the age-augmented renewal Lyapunov function, and certifies
@@ -36,6 +39,9 @@ import bisect
 import functools
 import itertools
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,6 +320,8 @@ class SchedulingPolicy:
     (the event loop's state).  A built-in policy is asked only when
     sum(x) > n: otherwise Z^n(x) = {x} and there is no choice to make."""
 
+    hook = False              # a user hook: asked at every event, in the calling process
+
     def allocate_list(self, x: list, n: int) -> list:
         raise NotImplementedError
 
@@ -347,7 +355,7 @@ class LongestQueueFirstPolicy(SchedulingPolicy):
     """Serve the classes with the largest head counts first (ties by index)."""
 
     def allocate_list(self, x, n):
-        order = sorted(range(len(x)), key=lambda i: (-x[i], i))
+        order = sorted(range(len(x)), key=x.__getitem__, reverse=True)   # stable: ties by index
         return _greedy_list(x, n, order)
 
     def describe(self):
@@ -383,7 +391,9 @@ class ProportionalSplitPolicy(SchedulingPolicy):
 class FunctionPolicy(SchedulingPolicy):
     """User hook fn(x, n) -> z, called at every event, queue or not; every
     allocation it returns is checked to be work-conserving
-    (``validate_allocation``)."""
+    (``validate_allocation``), in the calling process."""
+
+    hook = True
 
     def __init__(self, fn, name="user"):
         self.fn = fn
@@ -434,6 +444,8 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
     new values (an O(1) blow-up guard) and its integral is settled then.  The
     death rates follow the same rule between two states with no queue: there
     mu_i x_i is the same double as mu_i z_i + gamma_i (x_i - z_i) at z = x.
+    A running total of x tells when there is no queue; a built-in policy is
+    then not asked, as z = x.
     """
     m, n = p.m, p.n
     lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
@@ -457,14 +469,16 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
     t, next_thin, stop = 0.0, T0, T            # stop < T: the blow-up guard tripped
 
     clock = _blocks(lambda k: np.stack((rng.standard_exponential(k), rng.random(k)), axis=1))
+    x_sum = sum(x)
+    skip_upto = -1 if pol.hook else n          # z = x unasked while sum(x) <= skip_upto
     free = False                               # death holds mu * x of the last state
     for e, u in clock:
-        z = allocate(x)
-        if z is x and free:                    # no queue now or before: only class i moved
+        if x_sum <= skip_upto and free:        # no queue now or before: only class i moved
             death[i] = mu[i] * x[i]
         else:
+            free = x_sum <= skip_upto
+            z = x if free else allocate(x)
             death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
-        free = z is x
         death_sum = sum(death)
         if poisson:
             total = lam_sum + death_sum
@@ -498,6 +512,7 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
                 i = next_arr.index(t_arr)
                 next_arr[i] = t_event + next(gaps[i]) / lam[i]
             x[i] += 1
+            x_sum += 1
             counts[0][i] += 1
         else:
             r = r - lam_sum if poisson else u * death_sum
@@ -511,6 +526,7 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
             # within a class: service completion first, then abandonment
             counts[1 if r < mu[i] * z[i] else 2][i] += 1
             x[i] -= 1
+            x_sum -= 1
         t = t_event
         old = xhat[i]
         if t > T0:
@@ -530,13 +546,114 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
             "counts": counts, "tripped": stop < T, "terminal": x}
 
 
+def _worker_count(replicas: int) -> int:
+    """Processes to run ``replicas`` independent replicas on: one per CPU
+    this process may use, at most one per replica; 1 where fork is missing
+    or unsafe (another thread is running)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), replicas))
+
+
+def _outcome(work) -> bytes:
+    """The pickled ("ok", work()), or ("error", exception) if it raised."""
+    try:
+        return pickle.dumps(("ok", work()))
+    except BaseException as exc:
+        try:
+            data = pickle.dumps(("error", exc))
+            pickle.loads(data)                      # the caller must be able to rebuild it
+            return data
+        except Exception:
+            return pickle.dumps(("error", RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _fork(work) -> tuple[int, int]:
+    """Run work() in a forked child; returns its pid and the read end of the
+    pipe that carries its pickled outcome.  The child leaves by os._exit, so
+    it runs no atexit handler and flushes no stdio buffer."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            data = _outcome(work)
+            with open(w, "wb") as out:
+                out.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _run_replicas(p, arr, pol, cfg, gens) -> list:
+    """``_run_queue_replica`` of each generator, in order.  The generators
+    are split into contiguous slices, one per worker: this process runs the
+    first and a forked child each other.  A child's pipe is read to EOF
+    before the child is reaped, as its results can pass the pipe buffer;
+    every child is reaped before this returns or raises, and killed first
+    if this process's own slice or a fork raised."""
+    def run(part):
+        return [_run_queue_replica(p, arr, pol, cfg, g) for g in part]
+
+    workers = 1 if pol.hook else _worker_count(len(gens))
+    cuts = [len(gens) * k // workers for k in range(workers + 1)]
+    parts = [gens[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []                                   # (pid, read end) per forked slice
+    done = False
+    try:
+        for part in parts[1:]:
+            children.append(_fork(functools.partial(run, part)))
+        reps = run(parts[0])
+        received = [_read_to_eof(fd) for _, fd in children]
+        done = True
+    finally:
+        if not done and children:
+            import signal
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, fd in children:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for (pid, _), data, status in zip(children, received, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not data:                   # exit 0 only after the whole outcome was sent
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"replica worker {pid} ended with no result ({how})")
+        kind, value = pickle.loads(data)
+        if kind == "error":
+            raise value
+        reps.extend(value)
+    return reps
+
+
 def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg) -> QueueRun:
     """Event-driven simulation of any arrival input: each class's next arrival
     is scheduled from its interarrival law, or on Poisson input (every law
-    exponential) drawn from competing exponential clocks, as in ``simulate_ctmc``."""
+    exponential) drawn from competing exponential clocks, as in ``simulate_ctmc``.
+
+    Each replica draws only from its own generator, spawned from ``cfg.seed``,
+    and the replicas run on the CPUs this process may use (``_run_replicas``;
+    ``taskset`` limits them): the run does not depend on the worker count.  A
+    user hook (``FunctionPolicy``) runs in this process, one replica at a time."""
     gens = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)]
-    reps = [_run_queue_replica(p, arr, pol, cfg, g) for g in gens]
+    reps = _run_replicas(p, arr, pol, cfg, gens)
 
     def stack(key):
         return np.array([r[key] for r in reps])

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +217,139 @@ class TestReplay:
     def test_static_priority_needs_a_permutation(self, order):
         with pytest.raises(ValueError, match="permutation"):
             qs.StaticPriorityPolicy(order)
+
+
+class _TwoArgError(Exception):
+    # pickles, but cannot be rebuilt from its args
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class _FailsIn(qs.StaticPriorityPolicy):
+    """Priority (0, 1) that raises ValueError (or _TwoArgError), or kills its
+    process, when a replica starts in a forked worker ("child") or in the
+    calling process ("parent")."""
+
+    def __init__(self, where, how="raise"):
+        super().__init__((0, 1))
+        self.where, self.how, self.pid = where, how, os.getpid()
+
+    def allocator(self, m, n, rng):
+        if (os.getpid() == self.pid) == (self.where == "parent"):
+            if self.how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if self.how == "two_args":
+                raise _TwoArgError("one", "two")
+            raise ValueError(f"replica failed in the {self.where}")
+        return super().allocator(m, n, rng)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("pol", _policies()[:4], ids=lambda p: p.describe())
+    @pytest.mark.parametrize("renewal", [False, True])
+    def test_the_worker_count_does_not_change_the_run(self, demo_n20, pol, renewal,
+                                                      monkeypatch):
+        arr = RENEWAL if renewal else qs.ArrivalSpec.poisson(2)
+        for replicas in (1, 2, 3, 16):
+            cfg = SimConfig(horizon=5.0, burn_in=0.5, replicas=replicas, seed=11,
+                            x0=(-0.5, -0.5), thin=0.5)
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(qs, "_worker_count", lambda r, k=workers: k)
+                runs.append(qs.simulate_renewal(demo_n20, arr, pol, cfg))
+            for run in runs[1:]:
+                _assert_same_run(runs[0], run)
+                assert np.array_equal(runs[0].tripped, run.tripped)
+
+    def test_a_result_past_the_pipe_buffer(self, demo_n20, monkeypatch):
+        # the worker's half pickles to ~160 kB, more than a 64 kB pipe holds:
+        # its pipe must be read before the worker is reaped
+        cfg = SimConfig(horizon=20.0, burn_in=2.0, replicas=4, seed=13, x0=(-0.5, -0.5),
+                        thin=0.005)
+        pol = qs.StaticPriorityPolicy((0, 1))
+        runs = []
+
+        def timeout(*_):
+            raise TimeoutError("simulate_ctmc did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)                           # a deadlock fails, not hangs
+        try:
+            for workers in (1, 2):
+                monkeypatch.setattr(qs, "_worker_count", lambda r, k=workers: k)
+                runs.append(qs.simulate_ctmc(demo_n20, pol, cfg))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        _assert_same_run(*runs)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failed_slice_raises_its_error_and_leaves_no_child(self, demo_n20, where,
+                                                                 monkeypatch):
+        monkeypatch.setattr(qs, "_worker_count", lambda r: 3)
+        cfg = SimConfig(horizon=5.0, replicas=6, seed=12, x0=(-0.5, -0.5))
+        with pytest.raises(ValueError, match=f"replica failed in the {where}"):
+            qs.simulate_ctmc(demo_n20, _FailsIn(where), cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_that_dies_raises_with_its_status(self, demo_n20, monkeypatch):
+        monkeypatch.setattr(qs, "_worker_count", lambda r: 2)
+        cfg = SimConfig(horizon=5.0, replicas=4, seed=12, x0=(-0.5, -0.5))
+        with pytest.raises(RuntimeError, match=f"no result \\(signal {int(signal.SIGKILL)}\\)"):
+            qs.simulate_ctmc(demo_n20, _FailsIn("child", "kill"), cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_error_that_cannot_be_rebuilt_arrives_by_name(self, demo_n20, monkeypatch):
+        monkeypatch.setattr(qs, "_worker_count", lambda r: 2)
+        cfg = SimConfig(horizon=5.0, replicas=4, seed=12, x0=(-0.5, -0.5))
+        with pytest.raises(RuntimeError, match="_TwoArgError: one and two"):
+            qs.simulate_ctmc(demo_n20, _FailsIn("child", "two_args"), cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_user_hook_runs_in_this_process(self, demo_n20, monkeypatch):
+        monkeypatch.setattr(qs, "_worker_count", lambda r: 3)
+        pids = set()
+
+        def hook(x, n):
+            pids.add(os.getpid())
+            return _serve_second_first(x, n)
+
+        cfg = SimConfig(horizon=5.0, replicas=3, seed=9, x0=(-0.5, -0.5))
+        qs.simulate_ctmc(demo_n20, qs.FunctionPolicy(hook), cfg)
+        assert pids == {os.getpid()}
+
+    @pytest.mark.parametrize("renewal", [False, True])
+    def test_a_builtin_policy_is_asked_only_at_a_queue(self, demo_n20, renewal, monkeypatch):
+        monkeypatch.setattr(qs, "_worker_count", lambda r: 1)
+        asked = []
+
+        class Counted(qs.LongestQueueFirstPolicy):
+            def allocator(self, m, n, rng):
+                allocate = super().allocator(m, n, rng)
+                return lambda x: asked.append(sum(x)) or allocate(x)
+
+        cfg = SimConfig(horizon=20.0, replicas=3, seed=9, x0=(-0.5, -0.5))
+        arr = RENEWAL if renewal else qs.ArrivalSpec.poisson(2)
+        run = qs.simulate_renewal(demo_n20, arr, Counted(), cfg)
+        assert asked and min(asked) > demo_n20.n
+        assert len(asked) < run.event_counts.sum()
+
+    def test_worker_count(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert qs._worker_count(1) == 1
+        assert 1 <= qs._worker_count(16) <= min(cpus, 16)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert qs._worker_count(16) == 1          # fork is unsafe with another thread
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
 
 
 class TestErlangA:
