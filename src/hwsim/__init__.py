@@ -53,7 +53,6 @@ from .diffusion import (
     StaticPriorityControl,
     StateTableControl,
     check_idleness_identity,
-    estimate_rate,
     estimate_tail,
     simulate,
     simulate_policies,

@@ -13,8 +13,8 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
               verify-drift certifies the prelimit bounds at the first only
   [arrivals]  dist: one law per class (m exponentials), each exponential,
               erlang:<k>, hyperexp2:<scv> or lognormal:<scv>; the input is
-              Poisson when every law is exponential; kind: poisson or renewal
-              [poisson: every law exponential]
+              Poisson when every law is exponential (generator-check needs
+              it); kind: poisson or renewal [poisson: every law exponential]
   [policy.<name>]  at least one [<name> a plain name, as id]; kind:
               constant or proportional_split (with u [m entries on the
               simplex]), static_priority (with order [a permutation of
@@ -445,6 +445,10 @@ def cmd_sim_queue(cfg: ExperimentConfig, overwrite: bool) -> int:
 
 
 def cmd_generator_check(cfg: ExperimentConfig, overwrite: bool) -> int:
+    if not cfg.arrivals.is_poisson:
+        laws = ", ".join(f"{type(d).__name__}(scv={d.scv:g})" for d in cfg.arrivals.dists)
+        raise ver.PreconditionError(f"generator-check needs Poisson input, got {laws}; "
+                                    "renewal input needs the age-lifted generator")
     out = _prepare_out(cfg, f"{cfg.scenario}_generator_check.csv", overwrite)
     dspec = diffusion_spec(cfg.system)
     spec = lyap.select_parameters(lyap.Family.EXP_LINEAR, cfg.system)

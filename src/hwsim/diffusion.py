@@ -3,7 +3,7 @@
 Every replica draws its noise from its own RNG substream, spawned from the
 seed, so runs are bit-reproducible and replicas can be merged in any order.
 Time averages are accumulated exactly (step-weighted) after burn-in; thinned
-samples feed histogram, tail and mixing-rate queries.
+samples feed histogram and tail queries.
 
 ``simulate_policies`` steps the replicas of several controls in lockstep, as
 the rows of one state array.  The replicas of control i are spawned from
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, TailFit, fit_tail, moment_names, tv_distance
+from .measures import EmpiricalMeasure, TailFit, fit_tail, moment_names
 from .model import DiffusionSpec, project_simplex, row_sum
 
 
@@ -402,92 +402,3 @@ def check_idleness_identity(measure: EmpiricalMeasure, dspec: DiffusionSpec) -> 
 def estimate_tail(measure: EmpiricalMeasure, form: str) -> TailFit:
     """Tail fit of ||x||_1 under the measure."""
     return fit_tail(measure.tail_values(), form)
-
-
-@dataclass
-class RateEstimate:
-    gamma_hat: float | None
-    times: np.ndarray
-    distances: np.ndarray
-    noise_floor: float
-    window: tuple[float, float] | None
-    flag: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.gamma_hat is not None and not self.flag
-
-
-# bins per coordinate, and the late share of the ensembles taken as stationary
-RATE_BINS, RATE_REF_FRACTION = 10, 0.2
-
-
-def estimate_rate(dspec: DiffusionSpec, policy, cfg: SimConfig) -> RateEstimate:
-    """Exponential mixing-rate estimate from replica ensembles.
-
-    Regresses log of the total-variation distance between the binned law of
-    X_t (across replicas started at cfg.x0) and a late-time stationary
-    estimate, over the window where the distance sits above the resolution
-    floor (estimated by splitting the ensemble in half).
-
-    The ensembles are the thinned samples of one run with burn-in one step,
-    taken at every thinning step t = thin, 2 thin, ... up to the horizon; so
-    cfg.thin must span at least two steps (and fit in the horizon), and
-    cfg.burn_in is not used.
-    """
-    h = cfg.step
-    n_steps, _, thin_every = cfg.step_counts()
-    times = np.arange(thin_every, n_steps + 1, thin_every) * h
-    K, R, m = len(times), cfg.replicas, dspec.m
-    if thin_every < 2 or K == 0:
-        raise ValueError("thin must span at least two steps and at most the horizon")
-    run = simulate(dspec, policy, replace(cfg, burn_in=h))
-
-    # the late-time reference is only meaningful if the ensemble has settled:
-    # a tripped replica (it also leaves gaps in the samples, so it is checked
-    # before the reshape), a drifting mean or a growing spread marks
-    # transience / too-short horizon
-    settled = not run.tripped.any()
-    if settled:
-        snaps = run.measure.samples.reshape(K, R, m)
-        mid, end = snaps[int(0.6 * K)], snaps[-1]
-        sd_end = float(end.std(axis=0).mean()) + 1e-12
-        drift_ratio = float(np.linalg.norm(end.mean(axis=0) - mid.mean(axis=0))) / sd_end
-        spread_ratio = sd_end / (float(mid.std(axis=0).mean()) + 1e-12)
-        settled = not (drift_ratio > 0.5 or spread_ratio > 1.25)
-    if not settled:
-        return RateEstimate(None, times, np.full(K, np.nan), math.nan, None,
-                            flag="ensemble not stationary by the horizon "
-                                 "(transient configuration or horizon too short)")
-    kref = max(2, int(math.ceil(RATE_REF_FRACTION * K)))
-    ref = snaps[-kref:].reshape(-1, m)
-
-    lo = ref.mean(axis=0) - 4.0 * ref.std(axis=0) - 1e-6
-    hi = ref.mean(axis=0) + 4.0 * ref.std(axis=0) + 1e-6
-    edges = [np.linspace(lo[d], hi[d], RATE_BINS + 1) for d in range(m)]
-
-    def binned(pts):
-        hcount, _ = np.histogramdd(np.clip(pts, lo, hi), bins=edges)
-        return hcount.ravel() + 1e-12
-
-    pref = binned(ref)
-    dists = np.array([tv_distance(binned(snaps[j]), pref) for j in range(K)])
-    half = R // 2
-    floor_vals = [tv_distance(binned(snaps[j, :half]), binned(snaps[j, half:]))
-                  for j in range(K - kref, K)]
-    floor = float(np.median(floor_vals))
-
-    usable = dists > max(2.0 * floor, 1e-3)
-    usable[-kref:] = False
-    idx = np.nonzero(usable)[0]
-    if len(idx) < 4:
-        return RateEstimate(None, times, dists, floor, None,
-                            flag="distance already at noise floor (window too short)")
-    t_w, d_w = times[idx], dists[idx]
-    A = np.vstack([t_w, np.ones_like(t_w)]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(d_w), rcond=None)
-    slope = float(coef[0])
-    if slope >= 0:
-        return RateEstimate(None, times, dists, floor, (float(t_w[0]), float(t_w[-1])),
-                            flag="distance not decaying (transient or horizon too short)")
-    return RateEstimate(-slope, times, dists, floor, (float(t_w[0]), float(t_w[-1])))

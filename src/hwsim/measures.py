@@ -130,10 +130,3 @@ def fit_tail(values: np.ndarray, form: str) -> TailFit:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return TailFit(form, float(coef[0]), float(coef[1]), r2,
                    float(grid[0]), float(grid[-1]), len(grid))
-
-
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation between two binned probability vectors."""
-    p = p / p.sum()
-    q = q / q.sum()
-    return 0.5 * float(np.abs(p - q).sum())

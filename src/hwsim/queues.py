@@ -327,10 +327,9 @@ class SchedulingPolicy:
 
     def allocator(self, m: int, n: int, rng):
         """The map x -> z of one replica's event loop, drawing any
-        randomness from that replica's rng; it returns x itself when
-        sum(x) <= n."""
+        randomness from that replica's rng."""
         allocate_list = self.allocate_list
-        return lambda x: x if sum(x) <= n else allocate_list(x, n)
+        return lambda x: allocate_list(x, n)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -368,7 +367,7 @@ class RandomWorkConservingPolicy(SchedulingPolicy):
 
     def allocator(self, m, n, rng):
         orders = _blocks(lambda k: np.argsort(rng.random((k, m)), axis=1))
-        return lambda x: x if sum(x) <= n else _greedy_list(x, n, next(orders))
+        return lambda x: _greedy_list(x, n, next(orders))
 
     def describe(self):
         return "random_work_conserving"
@@ -403,10 +402,6 @@ class FunctionPolicy(SchedulingPolicy):
         z = [int(v) for v in self.fn(np.asarray(x, dtype=np.int64), n)]
         validate_allocation(x, z, n)
         return z
-
-    def allocator(self, m, n, rng):
-        allocate_list = self.allocate_list
-        return lambda x: allocate_list(x, n)
 
     def describe(self):
         return f"user[{self.name}]"

@@ -279,6 +279,19 @@ def test_generator_check_without_spare_capacity_exits_2(tmp_path, capsys):
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("arrivals, law", [(RENEWAL, "Erlang(scv=0.5)"),
+                                            (LOGNORMAL, "LogNormal(scv=1)")],
+                         ids=["renewal", "lognormal"])
+def test_generator_check_on_renewal_input_exits_2(tmp_path, capsys, arrivals, law):
+    # the demo with renewal laws; [system] scv goes, as the laws give it
+    path = _demo_with(tmp_path, ("kind = poisson", arrivals), ("scv = 1.0, 1.0\n", ""))
+    out = tmp_path / "out"
+    assert cli.main(["generator-check", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"needs Poisson input, got {law}" in err and "age-lifted" in err
+    assert not out.exists()
+
+
 BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
 
 

@@ -525,37 +525,3 @@ class TestTails:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             measures.fit_tail(np.arange(100.0), "cauchy")
-
-
-class TestRate:
-    def test_positive_rate_and_seed_agreement(self, dspec):
-        gammas = []
-        for seed in (21, 22):
-            cfg = dif.SimConfig(horizon=25.0, step=0.01, burn_in=0.02,
-                                replicas=3000, seed=seed, x0=(3.0, 3.0), thin=0.5)
-            est = dif.estimate_rate(dspec, dif.ConstantControl([0.5, 0.5]), cfg)
-            assert est.ok and est.gamma_hat > 0
-            gammas.append(est.gamma_hat)
-        assert abs(gammas[0] - gammas[1]) / gammas[0] < 0.25
-
-    def test_transient_instance_flagged(self):
-        ds = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
-        cfg = dif.SimConfig(horizon=25.0, step=0.02, burn_in=0.04, replicas=500,
-                            seed=3, x0=0.0, thin=0.5, blowup=1e6)
-        est = dif.estimate_rate(ds, dif.ConstantControl([0.5, 0.5]), cfg)
-        assert not est.ok
-
-    def test_tripped_replicas_are_flagged(self):
-        ds = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
-        cfg = dif.SimConfig(horizon=25.0, step=0.02, replicas=50, seed=3, thin=0.5,
-                            blowup=5.0)
-        est = dif.estimate_rate(ds, dif.ConstantControl([0.5, 0.5]), cfg)
-        assert not est.ok and "not stationary" in est.flag
-        assert np.allclose(est.times, 0.5 * np.arange(1, 51))
-        assert np.isnan(est.distances).all() and len(est.distances) == 50
-
-    @pytest.mark.parametrize("thin", [0.01, 0.004, 2.0])
-    def test_thin_needs_two_steps_and_one_ensemble(self, dspec, thin):
-        cfg = dif.SimConfig(horizon=1.0, step=0.01, replicas=2, thin=thin)
-        with pytest.raises(ValueError, match="two steps and at most the horizon"):
-            dif.estimate_rate(dspec, dif.ConstantControl([0.5, 0.5]), cfg)
