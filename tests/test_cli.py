@@ -292,6 +292,31 @@ def test_generator_check_on_renewal_input_exits_2(tmp_path, capsys, arrivals, la
     assert not out.exists()
 
 
+def test_generator_check_on_renewal_input_keeps_existing_output(tmp_path, capsys):
+    # even under --overwrite, the check refuses before it touches the directory
+    path = _demo_with(tmp_path, ("kind = poisson", RENEWAL), ("scv = 1.0, 1.0\n", ""))
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = {name: f"stale {name}\n" for name in
+             ("demo_generator_check.csv", "demo_generator_check.json")}
+    for name, text in stale.items():
+        (out / name).write_text(text)
+    assert cli.main(["generator-check", "--config", str(path), "--out", str(out),
+                     "--overwrite"]) == 2
+    assert "got Erlang(scv=0.5), HyperExp2(scv=1.5);" in capsys.readouterr().err
+    assert {f.name: f.read_text() for f in out.iterdir()} == stale
+
+
+def test_generator_check_keys_on_the_laws_not_the_declared_kind(tmp_path, capsys):
+    # kind = renewal with the default exponential laws is Poisson input
+    path = _demo_with(tmp_path, ("kind = poisson", "kind = renewal"))
+    assert cli.parse_config(path.read_text()).arrivals.is_poisson
+    assert cli.main(["generator-check", "--config", str(path), "--out", str(tmp_path)]) == 0
+    demo = EXAMPLE.parents[1] / "out" / "demo"
+    for name in ("demo_generator_check.csv", "demo_generator_check.json"):
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+
+
 BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
 
 

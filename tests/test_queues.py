@@ -337,6 +337,28 @@ class TestWorkers:
         assert asked and min(asked) > demo_n20.n
         assert len(asked) < run.event_counts.sum()
 
+    @pytest.mark.parametrize("index", range(4),
+                             ids=["static_priority", "longest_queue_first",
+                                  "random_work_conserving", "proportional_split"])
+    def test_every_builtin_allocator_map_is_asked_only_at_a_queue(self, demo_n20, index,
+                                                                  monkeypatch):
+        # the maps no longer test sum(x) <= n: the event loop alone skips them there
+        monkeypatch.setattr(qs, "_worker_count", lambda r: 1)
+        pol = _policies()[index]
+        assert not pol.hook
+        asked = []
+        base = pol.allocator
+
+        def counted(m, n, rng):
+            allocate = base(m, n, rng)
+            return lambda x: asked.append(sum(x)) or allocate(x)
+
+        pol.allocator = counted
+        cfg = SimConfig(horizon=20.0, replicas=3, seed=9, x0=(-0.5, -0.5))
+        run = qs.simulate_renewal(demo_n20, qs.ArrivalSpec.poisson(2), pol, cfg)
+        assert asked and min(asked) > demo_n20.n
+        assert len(asked) < run.event_counts.sum()
+
     def test_worker_count(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         assert qs._worker_count(1) == 1
@@ -429,6 +451,20 @@ class TestAllocations:
                 x = list(x)
                 if sum(x) <= n:
                     assert allocate(x) == x, (pol.describe(), x)
+
+    def test_function_policy_map_asks_the_user_without_a_queue(self):
+        # FunctionPolicy inherits the base map, which calls the hook at every x
+        calls = []
+
+        def idle(x, n):
+            calls.append(list(x))
+            return np.zeros_like(x)
+
+        allocate = qs.FunctionPolicy(idle).allocator(2, 5, np.random.default_rng(0))
+        assert qs.FunctionPolicy(lambda x, n: x).allocator(2, 5, None)([1, 2]) == [1, 2]
+        with pytest.raises(ValueError, match="not work-conserving"):
+            allocate([1, 2])
+        assert calls == [[1, 2]]
 
 
 def _reference_apportion(x, n, u):
