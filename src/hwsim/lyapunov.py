@@ -257,8 +257,7 @@ def _diag_embed(d: np.ndarray) -> np.ndarray:
 # generator
 # ---------------------------------------------------------------------------
 
-def generator_ratio(spec, x, u, dspec: DiffusionSpec, c: float = math.inf,
-                    check: bool = True) -> np.ndarray:
+def generator_ratio(spec, x, u, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
     """(L_u f / f)(x) for the truncated drift, computed entirely in log scale.
 
     For f = exp(L) this is  (1/2) sum_i a_ii ((d_i L)^2 + d_ii L) + <b_c, grad L>,
@@ -268,15 +267,14 @@ def generator_ratio(spec, x, u, dspec: DiffusionSpec, c: float = math.inf,
     """
     specs = [spec] if isinstance(spec, LyapunovSpec) else list(spec)
     x = np.asarray(x, dtype=float)
-    return ratio_from_terms([log_terms(s, x) for s in specs], x, u, dspec, c, check=check)
+    return ratio_from_terms([log_terms(s, x) for s in specs], x, u, dspec, c)
 
 
-def ratio_from_terms(terms, x, u, dspec: DiffusionSpec, c: float = math.inf,
-                     check: bool = True) -> np.ndarray:
+def ratio_from_terms(terms, x, u, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
     """``generator_ratio`` of the product family from each factor's ``log_terms``
     at x, for callers that already hold them (they need L as well)."""
     gl, second = _second_order(terms, dspec)
-    return second + row_sum(drift_truncated(x, u, dspec, c, check=check) * gl)
+    return second + row_sum(drift_truncated(x, u, dspec, c) * gl)
 
 
 def worst_ratio_from_terms(terms, x, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
@@ -293,12 +291,11 @@ def _second_order(terms, dspec: DiffusionSpec):
     return gl, 0.5 * row_sum(dspec.a_diag * (gl * gl + hl))
 
 
-def generator_apply(spec, x, u, dspec: DiffusionSpec, c: float = math.inf,
-                    check: bool = True) -> np.ndarray:
+def generator_apply(spec, x, u, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
     """L_u f(x) on linear scale (ratio form times the value)."""
     specs = [spec] if isinstance(spec, LyapunovSpec) else list(spec)
     L = sum(log_value(s, x) for s in specs)
-    return generator_ratio(specs, x, u, dspec, c, check=check) * np.exp(L)
+    return generator_ratio(specs, x, u, dspec, c) * np.exp(L)
 
 
 def generator_apply_direct(spec: LyapunovSpec, x, u, dspec: DiffusionSpec,

@@ -82,12 +82,11 @@ def _as_array(v, m: int | None = None) -> np.ndarray:
     return a
 
 
-def project_simplex(u, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Validate u against Delta within ``tol``, then clip and renormalize.
+def on_simplex(u, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """u as an array, unchanged, if it lies on Delta within ``tol``.
 
     Rejects controls whose coordinates are below -tol or whose sum deviates
-    from 1 by more than ``tol``; accepted controls are cleaned up so that
-    downstream code sees an exact simplex point.
+    from 1 by more than ``tol``.
     """
     u = _as_array(u)
     if np.any(u < -tol):
@@ -95,7 +94,13 @@ def project_simplex(u, tol: float = SIMPLEX_TOL) -> np.ndarray:
     s = u.sum(axis=-1, keepdims=True)
     if np.any(np.abs(s - 1.0) > tol):
         raise SimplexError(f"control sum deviates from 1 beyond tolerance: sums {s.ravel()}")
-    u = np.clip(u, 0.0, None)
+    return u
+
+
+def project_simplex(u, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """``on_simplex``, then clip and renormalize, so that downstream code sees
+    an exact simplex point."""
+    u = np.clip(on_simplex(u, tol), 0.0, None)
     return u / u.sum(axis=-1, keepdims=True)
 
 
@@ -281,24 +286,23 @@ def diffusion_spec(params: SystemParams) -> DiffusionSpec:
     return spec
 
 
-def drift(x, u, spec: DiffusionSpec, check: bool = True) -> np.ndarray:
+def drift(x, u, spec: DiffusionSpec) -> np.ndarray:
     """Controlled drift b(x, u); on {<e,x> <= 0} it reduces to the
     u-independent affine branch -(rho/m) M e - M x."""
-    return drift_truncated(x, u, spec, math.inf, check)
+    return drift_truncated(x, u, spec, math.inf)
 
 
-def drift_truncated(x, u, spec: DiffusionSpec, c: float, check: bool = True) -> np.ndarray:
+def drift_truncated(x, u, spec: DiffusionSpec, c: float) -> np.ndarray:
     """Drift with the abandonment term of class i dropped on {x_i > c}.
 
     ``drift`` is the case c = inf (every keep factor is 1.0); c must be >= 1.
+    u must lie on the simplex within ``SIMPLEX_TOL`` (else SimplexError) and
+    is used as given, never rescaled.
     """
     if not c >= 1.0:
         raise ValueError(f"truncation level must satisfy c >= 1, got {c}")
     x = _as_array(x, spec.m)
-    if check:
-        u = project_simplex(u)
-    else:
-        u = _as_array(u)
+    u = on_simplex(u)
     pos = np.maximum(row_sum(x), 0.0)[..., None]
     keep = (x <= c).astype(float)
     return -(spec.varrho / spec.m) * spec.mu - spec.mu * (x - pos * u) - pos * spec.gamma * u * keep

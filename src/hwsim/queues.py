@@ -2,9 +2,10 @@
 
 The arrival input (``ArrivalSpec``) is one unit-mean interarrival law per
 class.  The prelimit certification needs each law to bound its hazard and
-|1 - mean residual life| (``sup_hazard``, ``sup_abs_one_minus_mrl``; None for
-no bound): exponential, two-phase hyperexponential and Erlang laws do, in
-closed form with numpy alone, and the lognormal is only simulated.  Poisson
+|1 - mean residual life| (``sup_hazard``, ``sup_abs_one_minus_mrl``):
+exponential, two-phase hyperexponential and Erlang laws do, in closed form
+with numpy alone.  The lognormal bounds no mean residual life
+(``sup_abs_one_minus_mrl`` is None), so it is only simulated.  Poisson
 input is derived, not declared: it is the case where every law is
 exponential (``is_poisson``), and it decides only what differs in the
 process: the event loop's clock, which per-state terms feed the prelimit pair
@@ -15,14 +16,14 @@ One event loop serves both cases: a CTMC with competing exponential clocks,
 or each class's next arrival scheduled from its law while the service and
 abandonment clocks stay exponential (re-drawn after every event, exact by
 memorylessness).  It draws its variates in blocks from each replica's
-generator.  The built-in scheduling policies are work-conserving by
-construction, and the loop asks one only when sum(x) > n: below that,
-Z^n(x) = {x}, and between two such states only the death rate of the class
-that moved changes.  A user hook (``FunctionPolicy``) is called, and its
-allocation checked, at every event.  The replicas are independent, so they
-run in contiguous slices on the CPUs the process may use, one forked worker
-per further CPU, and are joined in replica order: the results do not depend
-on the worker count.  A user hook runs in the calling process.
+generator.  Every scheduling policy is a map of the state, and the loop
+asks one only when sum(x) > n: below that, Z^n(x) = {x}, and between two
+such states only the death rate of the class that moved changes.  A user map
+(``FunctionPolicy``) follows the same rule, and each of its answers is
+checked to be work-conserving.  The replicas are independent, so they run in
+contiguous slices on the CPUs the process may use, one forked worker per
+further CPU, and are joined in replica order: the results do not depend on
+the worker count.
 
 The same module evaluates the exact finite-difference generators on Lyapunov
 functions, builds the age-augmented renewal Lyapunov function, and certifies
@@ -190,9 +191,6 @@ class LogNormal:
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu_ln, self.sigma, size=size)
 
-    def sup_hazard(self):
-        return None  # bounded, but with no closed form; the mrl bound is missing anyway
-
     def sup_abs_one_minus_mrl(self):
         return None
 
@@ -220,11 +218,10 @@ class ArrivalSpec:
 
     def missing_bound(self) -> str:
         """The bound some law lacks that the renewal certificate needs, "" when
-        every law bounds its hazard and |1 - mean residual life|."""
+        every law bounds |1 - mean residual life| (each such law also bounds
+        its hazard)."""
         if any(d.sup_abs_one_minus_mrl() is None for d in self.dists):
             return "unbounded mean residual life"
-        if any(d.sup_hazard() is None for d in self.dists):
-            return "unbounded hazard"
         return ""
 
 
@@ -317,10 +314,8 @@ def _apportion_list(x, n: int, u) -> list:
 
 class SchedulingPolicy:
     """Base: a stationary Markov map (x, n) -> z in Z^n(x), on int lists
-    (the event loop's state).  A built-in policy is asked only when
+    (the event loop's state).  The event loop asks a policy only when
     sum(x) > n: otherwise Z^n(x) = {x} and there is no choice to make."""
-
-    hook = False              # a user hook: asked at every event, in the calling process
 
     def allocate_list(self, x: list, n: int) -> list:
         raise NotImplementedError
@@ -388,11 +383,10 @@ class ProportionalSplitPolicy(SchedulingPolicy):
 
 
 class FunctionPolicy(SchedulingPolicy):
-    """User hook fn(x, n) -> z, called at every event, queue or not; every
-    allocation it returns is checked to be work-conserving
-    (``validate_allocation``), in the calling process."""
-
-    hook = True
+    """User map fn(x, n) -> z, which must depend on (x, n) alone.  Like
+    every policy it is asked only when sum(x) > n, in whichever worker runs
+    the replica; each allocation it returns is checked to be work-conserving
+    (``validate_allocation``)."""
 
     def __init__(self, fn, name="user"):
         self.fn = fn
@@ -439,8 +433,8 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
     new values (an O(1) blow-up guard) and its integral is settled then.  The
     death rates follow the same rule between two states with no queue: there
     mu_i x_i is the same double as mu_i z_i + gamma_i (x_i - z_i) at z = x.
-    A running total of x tells when there is no queue; a built-in policy is
-    then not asked, as z = x.
+    A running total of x tells when there is no queue; the policy is then
+    not asked, as z = x.
     """
     m, n = p.m, p.n
     lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
@@ -465,13 +459,12 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
 
     clock = _blocks(lambda k: np.stack((rng.standard_exponential(k), rng.random(k)), axis=1))
     x_sum = sum(x)
-    skip_upto = -1 if pol.hook else n          # z = x unasked while sum(x) <= skip_upto
     free = False                               # death holds mu * x of the last state
     for e, u in clock:
-        if x_sum <= skip_upto and free:        # no queue now or before: only class i moved
+        if x_sum <= n and free:                # no queue now or before: only class i moved
             death[i] = mu[i] * x[i]
         else:
-            free = x_sum <= skip_upto
+            free = x_sum <= n
             z = x if free else allocate(x)
             death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
         death_sum = sum(death)
@@ -606,7 +599,7 @@ def _run_replicas(p, arr, pol, cfg, gens) -> list:
     def run(part):
         return [_run_queue_replica(p, arr, pol, cfg, g) for g in part]
 
-    workers = 1 if pol.hook else _worker_count(len(gens))
+    workers = _worker_count(len(gens))
     cuts = [len(gens) * k // workers for k in range(workers + 1)]
     parts = [gens[a:b] for a, b in zip(cuts, cuts[1:])]
     children = []                                   # (pid, read end) per forked slice
@@ -644,8 +637,9 @@ def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg) -> QueueRun:
 
     Each replica draws only from its own generator, spawned from ``cfg.seed``,
     and the replicas run on the CPUs this process may use (``_run_replicas``;
-    ``taskset`` limits them): the run does not depend on the worker count.  A
-    user hook (``FunctionPolicy``) runs in this process, one replica at a time."""
+    ``taskset`` limits them): the run does not depend on the worker count.
+    The policy, ``FunctionPolicy`` included, is asked only when sum(x) > n,
+    in whichever worker runs the replica."""
     gens = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)]
     reps = _run_replicas(p, arr, pol, cfg, gens)
@@ -1082,7 +1076,6 @@ def generator_consistency_errors(params, dspec: DiffusionSpec, spec: lyap.Lyapun
             xhat = scale_state(x.astype(float), p)
             u_real = allocation_to_control(xhat, scale_state(z, p))
             gen = ctmc_generator_ratio(spec, x, z, p)
-            lim = lyap.generator_ratio(spec, xhat, u if u_real is None else u_real, dspec,
-                                       check=False)
+            lim = lyap.generator_ratio(spec, xhat, u if u_real is None else u_real, dspec)
             out[ip, jn] = abs(float(gen) - float(lim))
     return out

@@ -7,6 +7,7 @@ import pytest
 import hwsim
 from hwsim import lyapunov as lyap
 from hwsim.lyapunov import Family, LyapunovSpec
+from hwsim.model import SimplexError
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,39 @@ class TestLogSplit:
                 assert np.array_equal(got, lyap.generator_ratio(spec, x, u, dspec, c)), name
             got = lyap.ratio_from_terms([lyap.log_terms(s, x) for s in product], x, u, dspec, c)
             assert np.array_equal(got, lyap.generator_ratio(product, x, u, dspec, c))
+
+
+class TestControlAsGiven:
+    """A control within SIMPLEX_TOL of the simplex enters the drift and the
+    generator as given, never rescaled; one beyond it is refused."""
+
+    U = np.array([0.5 + 4e-13, 0.5 - 6e-13])
+
+    @staticmethod
+    def drift_formula(x, u, ds, c):
+        pos = np.maximum(np.sum(x, axis=-1), 0.0)[..., None]
+        keep = (x <= c).astype(float)
+        return -(ds.varrho / ds.m) * ds.mu - ds.mu * (x - pos * u) - pos * ds.gamma * u * keep
+
+    def test_a_near_simplex_control_is_used_as_given(self, system, dspec):
+        x = np.random.default_rng(13).uniform(-5, 5, size=(200, 2))
+        for c in (1.0, 5.0, math.inf):
+            b = self.drift_formula(x, self.U, dspec, c)
+            assert np.array_equal(hwsim.drift_truncated(x, self.U, dspec, c), b)
+            for name, spec in all_family_specs(system.mu).items():
+                terms = lyap.log_terms(spec, x)
+                _, gl, hl = terms
+                second = 0.5 * np.sum(dspec.a_diag * (gl * gl + hl), axis=-1)
+                assert np.array_equal(lyap.ratio_from_terms([terms], x, self.U, dspec, c),
+                                      second + np.sum(b * gl, axis=-1)), name
+        assert np.array_equal(hwsim.drift(x, self.U, dspec), b)
+
+    @pytest.mark.parametrize("u", [[0.5 + 2e-12, 0.5], [1.0 + 2e-12, -2e-12], [0.7, 0.7]])
+    def test_a_control_off_the_simplex_is_refused(self, system, dspec, u):
+        x = np.array([[1.0, 2.0]])
+        terms = [lyap.log_terms(all_family_specs(system.mu)["exp_linear"], x)]
+        with pytest.raises(SimplexError):
+            lyap.ratio_from_terms(terms, x, u, dspec)
 
 
 class TestSelectParameters:

@@ -153,7 +153,8 @@ class TestReplay:
     ])
     @pytest.mark.parametrize("renewal", [False, True])
     def test_function_policy_rejects_a_bad_allocation(self, demo_n20, fn, match, renewal):
-        cfg = SimConfig(horizon=2.0, replicas=1, seed=9, x0=(-0.5, -0.5))
+        # x0 = (0.5, 0.5) starts with a queue (sum x = 24 > n = 20): the map is asked at t = 0
+        cfg = SimConfig(horizon=2.0, replicas=1, seed=9, x0=(0.5, 0.5))
         pol = qs.FunctionPolicy(fn)
         with pytest.raises(ValueError, match=match):
             if renewal:
@@ -197,22 +198,6 @@ class TestReplay:
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == self.PINNED[pol.describe(), renewal]
 
-    @pytest.mark.parametrize("renewal", [False, True])
-    def test_function_policy_is_asked_at_every_event(self, demo_n20, renewal):
-        calls = []
-
-        def hook(x, n):
-            calls.append(1)
-            return _serve_second_first(x, n)
-
-        cfg = SimConfig(horizon=20.0, replicas=3, seed=9, x0=(-0.5, -0.5))
-        pol = qs.FunctionPolicy(hook)
-        run = (qs.simulate_renewal(demo_n20, RENEWAL, pol, cfg) if renewal
-               else qs.simulate_ctmc(demo_n20, pol, cfg))
-        assert not run.tripped.any()
-        # one call per event, and one more per replica for the event past the horizon
-        assert len(calls) == run.event_counts.sum() + cfg.replicas
-
     @pytest.mark.parametrize("order", [(0, 0), (0, 2), (1,), (1, 2)])
     def test_static_priority_needs_a_permutation(self, order):
         with pytest.raises(ValueError, match="permutation"):
@@ -245,7 +230,7 @@ class _FailsIn(qs.StaticPriorityPolicy):
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("pol", _policies()[:4], ids=lambda p: p.describe())
+    @pytest.mark.parametrize("pol", _policies(), ids=lambda p: p.describe())
     @pytest.mark.parametrize("renewal", [False, True])
     def test_the_worker_count_does_not_change_the_run(self, demo_n20, pol, renewal,
                                                       monkeypatch):
@@ -309,18 +294,6 @@ class TestWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_user_hook_runs_in_this_process(self, demo_n20, monkeypatch):
-        monkeypatch.setattr(qs, "_worker_count", lambda r: 3)
-        pids = set()
-
-        def hook(x, n):
-            pids.add(os.getpid())
-            return _serve_second_first(x, n)
-
-        cfg = SimConfig(horizon=5.0, replicas=3, seed=9, x0=(-0.5, -0.5))
-        qs.simulate_ctmc(demo_n20, qs.FunctionPolicy(hook), cfg)
-        assert pids == {os.getpid()}
-
     @pytest.mark.parametrize("renewal", [False, True])
     def test_a_builtin_policy_is_asked_only_at_a_queue(self, demo_n20, renewal, monkeypatch):
         monkeypatch.setattr(qs, "_worker_count", lambda r: 1)
@@ -337,15 +310,16 @@ class TestWorkers:
         assert asked and min(asked) > demo_n20.n
         assert len(asked) < run.event_counts.sum()
 
-    @pytest.mark.parametrize("index", range(4),
+    @pytest.mark.parametrize("index", range(5),
                              ids=["static_priority", "longest_queue_first",
-                                  "random_work_conserving", "proportional_split"])
-    def test_every_builtin_allocator_map_is_asked_only_at_a_queue(self, demo_n20, index,
-                                                                  monkeypatch):
-        # the maps no longer test sum(x) <= n: the event loop alone skips them there
+                                  "random_work_conserving", "proportional_split",
+                                  "function"])
+    @pytest.mark.parametrize("renewal", [False, True])
+    def test_every_allocator_map_is_asked_only_at_a_queue(self, demo_n20, index, renewal,
+                                                          monkeypatch):
+        # the maps do not test sum(x) <= n: the event loop alone skips them there
         monkeypatch.setattr(qs, "_worker_count", lambda r: 1)
         pol = _policies()[index]
-        assert not pol.hook
         asked = []
         base = pol.allocator
 
@@ -355,7 +329,8 @@ class TestWorkers:
 
         pol.allocator = counted
         cfg = SimConfig(horizon=20.0, replicas=3, seed=9, x0=(-0.5, -0.5))
-        run = qs.simulate_renewal(demo_n20, qs.ArrivalSpec.poisson(2), pol, cfg)
+        arr = RENEWAL if renewal else qs.ArrivalSpec.poisson(2)
+        run = qs.simulate_renewal(demo_n20, arr, pol, cfg)
         assert asked and min(asked) > demo_n20.n
         assert len(asked) < run.event_counts.sum()
 
@@ -453,7 +428,7 @@ class TestAllocations:
                     assert allocate(x) == x, (pol.describe(), x)
 
     def test_function_policy_map_asks_the_user_without_a_queue(self):
-        # FunctionPolicy inherits the base map, which calls the hook at every x
+        # FunctionPolicy inherits the base map, which calls fn at every x it is given
         calls = []
 
         def idle(x, n):

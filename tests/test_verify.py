@@ -370,7 +370,7 @@ class TestWorstControl:
         def at(terms, u):
             # ratio_from_terms on every (state, control) pair; u has shape (K, N, m)
             t = [tuple(a[None] for a in f) for f in terms]
-            return lyap.ratio_from_terms(t, x[None], u, ds, c, check=False)
+            return lyap.ratio_from_terms(t, x[None], u, ds, c)
 
         for name, specs in self._families(ds.mu).items():
             terms = [lyap.log_terms(s, x) for s in specs]
@@ -392,8 +392,8 @@ class TestWorstControl:
         w = 1.0 / (1.0 + np.exp(np.clip(tb[0] - ta[0], -700, 700)))
 
         def at(u):
-            return (w * lyap.ratio_from_terms([ta], x, u, ds, check=False)
-                    + (1.0 - w) * lyap.ratio_from_terms([tb], x, u, ds, check=False))
+            return (w * lyap.ratio_from_terms([ta], x, u, ds)
+                    + (1.0 - w) * lyap.ratio_from_terms([tb], x, u, ds))
 
         vertex_max = np.max([at(np.broadcast_to(e, x.shape)) for e in np.eye(m)], axis=0)
         np.testing.assert_allclose(q, vertex_max, rtol=1e-12, atol=1e-12)
