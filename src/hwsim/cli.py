@@ -8,7 +8,7 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
   [scenario]  id ("scenario") [a plain name, ``NAME``], seed (required: it
               drives every stream)
   [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
-              of the [arrivals] laws)
+              of the [arrivals] laws) [m finite entries each]
   [prelimit]  n: server counts [>= 1; rates > 0]; sim-queue runs each,
               verify-drift certifies the prelimit bounds at the first only
   [arrivals]  dist: one law per class (m exponentials), each exponential,
@@ -24,8 +24,8 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
               defaulting to its ``diffusion.SimConfig`` field
               [0 < step <= burn_in < horizon < inf, replicas >= 1,
               0 < thin < inf, a thinning step past burn_in, blowup > 0,
-              x0 1 or m entries]
-  [verify]    samples (100000) [>= 1], truncations (1, 5, inf), eta (1) [> 0]
+              x0 1 or m finite entries]
+  [verify]    samples (100000) [>= 1], truncations (1, 5, inf), eta (1) [> 0, finite]
   [output]    dir (out)
 
 Subcommands write CSV artifacts plus a JSON detail file into the output
@@ -248,8 +248,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"[verify] samples must be >= 1, got {samples}")
         truncations = _floats(vf.get("truncations", "1, 5, inf"))
         eta = float(vf.get("eta", 1.0))
-        if not eta > 0:
-            raise ConfigError(f"[verify] eta must be > 0, got {eta}")
+        if not 0 < eta < math.inf:
+            raise ConfigError(f"[verify] eta must be > 0 and finite, got {eta}")
         out_dir = cp["output"]["dir"] if cp.has_section("output") else "out"
     except (KeyError, ValueError) as err:
         if isinstance(err, ConfigError):

@@ -154,6 +154,8 @@ class SimConfig:
             raise ValueError("need at least one replica")
         if not (0 < self.thin < math.inf and self.blowup > 0):
             raise ValueError("need 0 < thin < inf and blowup > 0")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
     def step_counts(self) -> tuple[int, int, int]:
         """Euler-Maruyama steps in all, in burn-in and per thinning: a run samples

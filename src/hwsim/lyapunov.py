@@ -8,7 +8,9 @@ The families are built from a fixed C^2 convex cutoff psi (constant left of
     Psi*_{eps,th}(x)= eps th Psi(-x) + Psi_eps(x),
 
 which track the workload (positive part) and idleness (negative part) of the
-state.  All evaluations are exact and vectorized; exp-scale families expose
+state.  Each family is declared once (``_FAMILIES``) as weighted cutoff
+pieces, from which one evaluator derives its value, gradient and curvature.
+All evaluations are exact and vectorized; exp-scale families expose
 log-scale accessors so generator computations never overflow.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,28 +65,6 @@ def psi_d2(t):
     return out if out.ndim else float(out)
 
 
-def big_psi_star(x, eps: float, theta: float, mu) -> np.ndarray:
-    """Psi*_{eps,theta}(x) = eps theta Psi(-x) + Psi_eps(x), vectorized over rows."""
-    v, _, _ = psi_star_terms(x, eps, theta, mu)
-    return v
-
-
-def _psi_star_value(x: np.ndarray, eps: float, theta: float, mu: np.ndarray) -> np.ndarray:
-    return row_sum((eps * theta * psi(-x) + psi(eps * x)) / mu)
-
-
-def psi_star_terms(x, eps: float, theta: float, mu):
-    """Value, per-coordinate gradient and per-coordinate second derivative of Psi*."""
-    if eps <= 0 or theta <= 0:
-        raise ValueError("eps and theta must be positive")
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    val = _psi_star_value(x, eps, theta, mu)
-    g = (-eps * theta * psi_d1(-x) + eps * psi_d1(eps * x)) / mu
-    h = (eps * theta * psi_d2(-x) + eps * eps * psi_d2(eps * x)) / mu
-    return val, g, h
-
-
 # ---------------------------------------------------------------------------
 # family specifications
 # ---------------------------------------------------------------------------
@@ -100,6 +81,35 @@ class InfeasibleGoal(ValueError):
     """The requested family has no admissible parameters for this system."""
 
 
+class _Declaration(NamedTuple):
+    needs: tuple[str, ...]
+    squared: bool          # log f is T^2/2, not the inner sum T itself
+    inner: Callable        # spec -> (s, cutoff pieces (c, k), shift or None)
+
+
+def _psi_star(p):
+    return 1.0, ((p.epsilon * p.theta, -1.0), (1.0, p.epsilon)), None
+
+
+# T(x) = s sum_i (sum_(c,k) c_i psi(k x_i) + shift_i) / mu_i.  The shift of
+# 1/2 keeps NEG_PART_SUB_GAUSSIAN's T nonnegative (zero deep in the positive
+# orthant): squaring a T that dips negative would flip the gradient sign
+# there and destroy the drift bound.
+_FAMILIES = {
+    Family.EXP_LINEAR: _Declaration(("epsilon", "theta"), False, _psi_star),
+    Family.SUB_GAUSSIAN: _Declaration(("epsilon", "theta"), True, _psi_star),
+    Family.NEG_PART_EXP: _Declaration(
+        ("eta", "class_subset"), False,
+        lambda p: (p.eta, ((p.subset_mask(), -1.0),), None)),
+    Family.ABANDON_EXP: _Declaration(
+        ("eta", "theta"), False,
+        lambda p: (p.eta, ((p.theta, -1.0), (1.0, 1.0)), None)),
+    Family.NEG_PART_SUB_GAUSSIAN: _Declaration(
+        ("eta", "class_subset"), True,
+        lambda p: (p.eta, ((p.subset_mask(), -p.eta),), 0.5 * p.subset_mask())),
+}
+
+
 @dataclass(frozen=True)
 class LyapunovSpec:
     family: Family
@@ -112,26 +122,17 @@ class LyapunovSpec:
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         f = self.family
-        need = {
-            Family.EXP_LINEAR: ("epsilon", "theta"),
-            Family.SUB_GAUSSIAN: ("epsilon", "theta"),
-            Family.NEG_PART_EXP: ("eta",),
-            Family.ABANDON_EXP: ("eta", "theta"),
-            Family.NEG_PART_SUB_GAUSSIAN: ("eta",),
-        }[f]
-        for name in need:
+        for name in _FAMILIES[f].needs:
             v = getattr(self, name)
             if v is None:
                 raise ValueError(f"{f.value} requires parameter {name}")
-            if v <= 0:
+            if name == "class_subset":
+                subset = tuple(int(i) for i in v)
+                if any(i < 0 or i >= self.m for i in subset):
+                    raise ValueError("class_subset indices out of range")
+                object.__setattr__(self, "class_subset", subset)
+            elif v <= 0:
                 raise ValueError(f"parameter {name} must be positive, got {v}")
-        if f in (Family.NEG_PART_EXP, Family.NEG_PART_SUB_GAUSSIAN):
-            if self.class_subset is None:
-                raise ValueError(f"{f.value} requires class_subset")
-            subset = tuple(int(i) for i in self.class_subset)
-            if any(i < 0 or i >= self.m for i in subset):
-                raise ValueError("class_subset indices out of range")
-            object.__setattr__(self, "class_subset", subset)
 
     @property
     def m(self) -> int:
@@ -144,55 +145,51 @@ class LyapunovSpec:
         return mask
 
 
-def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
-    """Separable inner sum T(x) with per-coordinate first/second derivatives.
+def _times(a: float, arr):
+    """a * arr, or arr itself where a is 1: the same bits, without the copy."""
+    return arr if a == 1.0 else a * arr
 
-    For EXP_LINEAR/ABANDON_EXP/NEG_PART_EXP the log of the family is T itself;
-    for the squared families the log is T^2/2.
-    With ``derivatives=False`` only T is computed and both derivatives are None.
+
+def _inner_terms(spec: LyapunovSpec, x: np.ndarray, derivatives: bool = True):
+    """The family's inner sum T(x) with its per-coordinate derivatives
+    d_i T = s sum_(c,k) c k psi'(k x_i) / mu_i and d_ii T likewise with
+    c k k psi''; both None with ``derivatives=False``.  Each is finished
+    before the next begins, so one elementwise sum is alive at a time.
     """
-    mu = spec.mu
-    f = spec.family
-    if f in (Family.EXP_LINEAR, Family.SUB_GAUSSIAN):
-        if not derivatives:
-            return _psi_star_value(x, spec.epsilon, spec.theta, mu), None, None
-        return psi_star_terms(x, spec.epsilon, spec.theta, mu)
-    if f == Family.ABANDON_EXP:
-        eta, th = spec.eta, spec.theta
-        val = eta * row_sum((th * psi(-x) + psi(x)) / mu)
-        if not derivatives:
-            return val, None, None
-        g = eta * (-th * psi_d1(-x) + psi_d1(x)) / mu
-        h = eta * (th * psi_d2(-x) + psi_d2(x)) / mu
-        return val, g, h
-    if f == Family.NEG_PART_EXP:
-        eta = spec.eta
-        mask = spec.subset_mask()
-        val = eta * row_sum(mask * psi(-x) / mu)
-        if not derivatives:
-            return val, None, None
-        g = -eta * mask * psi_d1(-x) / mu
-        h = eta * mask * psi_d2(-x) / mu
-        return val, g, h
-    # NEG_PART_SUB_GAUSSIAN: the +1/2 shift keeps the inner sum nonnegative
-    # (zero deep in the positive orthant); squaring an inner sum that dips
-    # negative would flip the gradient sign there and destroy the drift bound
-    eta = spec.eta
-    mask = spec.subset_mask()
-    val = eta * row_sum(mask * (psi(-eta * x) + 0.5) / mu)
+    s, pieces, shift = _FAMILIES[spec.family].inner(spec)
+
+    def weighted(fn, coef, plus=None):
+        # sum over the pieces of coef(c, k) fn(k x), elementwise, plus ``plus``
+        total = None
+        for c, k in pieces:
+            term = fn(_times(k, x))
+            term *= coef(c, k)
+            total = term if total is None else np.add(total, term, out=total)
+        if plus is not None:
+            total += plus
+        return total
+
+    val = _times(s, row_sum(weighted(psi, lambda c, k: c, shift) / spec.mu))
     if not derivatives:
         return val, None, None
-    g = -eta * eta * mask * psi_d1(-eta * x) / mu
-    h = eta**3 * mask * psi_d2(-eta * x) / mu
+    g = _times(s, weighted(psi_d1, lambda c, k: c * k)) / spec.mu
+    h = _times(s, weighted(psi_d2, lambda c, k: c * k * k)) / spec.mu
     return val, g, h
 
 
-def _log_of_inner(spec: LyapunovSpec, val: np.ndarray) -> np.ndarray:
-    """L = log f from the inner sum T."""
-    f = spec.family
-    if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
-        return val
-    return 0.5 * val**2
+def _log_scale(spec: LyapunovSpec, val, g=None, h=None, product=np.multiply):
+    """(L, grad L, curvature of L) for L = log f, which is the inner sum
+    T = ``val`` or, for the squared families, T^2/2; (L, None, None) without
+    T's gradient g and curvature h.  The curvatures are diagonals (..., m),
+    or full matrices (..., m, m) with ``product=_outer``.
+    """
+    if not _FAMILIES[spec.family].squared:
+        return val, g, h
+    L = 0.5 * val**2
+    if g is None:
+        return L, None, None
+    t = np.expand_dims(val, tuple(range(np.ndim(val), np.ndim(h))))
+    return L, val[..., None] * g, product(g, g) + t * h
 
 
 def log_terms(spec: LyapunovSpec, x):
@@ -201,20 +198,19 @@ def log_terms(spec: LyapunovSpec, x):
     Returns (L, grad L, diag grad^2 L) with L = log f; shapes (...,), (..., m),
     (..., m).  The diagonal is all the generator needs since a is diagonal.
     """
-    x = np.asarray(x, dtype=float)
-    val, g, h = _inner_terms(spec, x)
-    L = _log_of_inner(spec, val)
-    f = spec.family
-    if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
-        return L, g, h
-    return L, val[..., None] * g, g * g + val[..., None] * h
+    return _log_scale(spec, *_inner_terms(spec, np.asarray(x, dtype=float)))
 
 
 def log_value(spec: LyapunovSpec, x) -> np.ndarray:
     """L = log f at x, the first of ``log_terms``; computes the value only."""
-    x = np.asarray(x, dtype=float)
-    val, _, _ = _inner_terms(spec, x, derivatives=False)
-    return _log_of_inner(spec, val)
+    val, _, _ = _inner_terms(spec, np.asarray(x, dtype=float), derivatives=False)
+    return _log_scale(spec, val)[0]
+
+
+def big_psi_star(x, eps: float, theta: float, mu) -> np.ndarray:
+    """Psi*_{eps,theta}(x) = eps theta Psi(-x) + Psi_eps(x), vectorized over rows;
+    ValueError unless eps and theta are positive."""
+    return log_value(LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=eps, theta=theta), x)
 
 
 def evaluate(spec: LyapunovSpec, x) -> np.ndarray:
@@ -229,16 +225,8 @@ def gradient(spec: LyapunovSpec, x) -> np.ndarray:
 
 def hessian(spec: LyapunovSpec, x) -> np.ndarray:
     """Full Hessian (..., m, m) of the linear-scale value."""
-    x = np.asarray(x, dtype=float)
-    val, g, h = _inner_terms(spec, x)
-    f = spec.family
-    L = _log_of_inner(spec, val)
-    if f in (Family.EXP_LINEAR, Family.ABANDON_EXP, Family.NEG_PART_EXP):
-        gl = g
-        hess_l = _diag_embed(h)
-    else:
-        gl = val[..., None] * g
-        hess_l = _outer(g, g) + val[..., None, None] * _diag_embed(h)
+    val, g, h = _inner_terms(spec, np.asarray(x, dtype=float))
+    L, gl, hess_l = _log_scale(spec, val, g, _diag_embed(h), _outer)
     return np.exp(L)[..., None, None] * (_outer(gl, gl) + hess_l)
 
 

@@ -126,7 +126,10 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("lambda_", "mu", "gamma", "hat_lambda", "hat_mu", "scv"):
-            object.__setattr__(self, name, _as_array(getattr(self, name), self.m))
+            a = _as_array(getattr(self, name), self.m)
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name.rstrip('_')} must be finite, got {a.tolist()}")
+            object.__setattr__(self, name, a)
         if self.m < 1:
             raise ValueError("class count m must be >= 1")
         if np.any(self.lambda_ <= 0) or np.any(self.mu <= 0):

@@ -318,6 +318,18 @@ def test_generator_check_keys_on_the_laws_not_the_declared_kind(tmp_path, capsys
 
 
 BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
+# nan and inf in every number of [system], in [sim] x0 and in [verify] eta:
+# a NaN passes every comparison-based check, an inf some
+NON_FINITE = [(old, new.format(v), named) for v in ("nan", "inf") for old, new, named in [
+    ("lambda = 0.5, 0.5", "lambda = {}, 0.5", "lambda must be finite"),
+    ("mu = 1.0, 1.0\n", "mu = 1.0, {}\n", "mu must be finite"),
+    ("mu = 1.0, 1.0\n", "mu = 1.0, 1.0\ngamma = {}, 0.0\n", "gamma must be finite"),
+    ("hat_lambda = -0.5, -0.5", "hat_lambda = {}, -0.5", "hat_lambda must be finite"),
+    ("mu = 1.0, 1.0\n", "mu = 1.0, 1.0\nhat_mu = 0.0, {}\n", "hat_mu must be finite"),
+    ("mu = 1.0, 1.0\n", "mu = 1.0, 1.0\nscv = {}, 1.0\n", "scv must be finite"),
+    ("", "x0 = {}, 0\n", "x0 must be finite"),
+    ("", "\n[verify]\neta = {}\n", "eta must be > 0 and finite"),
+]]
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -343,6 +355,7 @@ BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
     ("burn_in = 1\nreplicas = 2\nthin = 0.5\n", "burn_in = 3\nreplicas = 2\nthin = 2.5\n",
      "no thinning step past burn_in"),
     ("", "\n[verify]\neta = 0\n", "eta must be > 0"),
+    *NON_FINITE,
     ("kind = poisson\n", "kind = poisson\ndist = erlang:2, hyperexp2:1.5\n",
      "kind = poisson needs exponential laws"),
     # ids and policy names become file names and CSV fields

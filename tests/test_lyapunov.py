@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import zlib
 
@@ -8,6 +10,7 @@ import hwsim
 from hwsim import lyapunov as lyap
 from hwsim.lyapunov import Family, LyapunovSpec
 from hwsim.model import SimplexError
+from hwsim.verify import ETA_GRID
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +81,8 @@ class TestWeightedSums:
         rng = np.random.default_rng(0)
         mu = np.array([1.0, 1.7, 0.8])
         x = rng.uniform(-8, 8, size=(1000, 3))
-        _, g, _ = lyap.psi_star_terms(x, 0.07, 0.6, mu)
+        spec = LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=0.07, theta=0.6)
+        _, g, _ = lyap.log_terms(spec, x)
         h = 1e-6
         for i in range(3):
             e = np.zeros(3)
@@ -200,6 +204,66 @@ class TestDerivativeOracle:
             err = np.abs(He[:, :, i] - fd_h)
             rel = err / (1e-9 + np.abs(fd_h))
             assert np.all((rel < 1e-5) | (err < 1e-7)), f"{name} hess[:,{i}]"
+
+
+class TestBitPin:
+    """log_terms and log_value of every family keep the bits they had when each
+    family's formulas were written out by hand, on parameters the commands can
+    reach.  NEG_PART_SUB_GAUSSIAN runs only at eta in ETA_GRID, powers of two,
+    where eta (eta psi') and (eta eta) psi' round alike; at other eta its
+    derivatives may differ in the last bits."""
+
+    MU = np.array([1.0, 1.7, 0.8])
+    # family parameters -> SHA-256 prefixes of (L, grad L, diag grad^2 L) and of L
+    DIGESTS = {
+        "exp_linear": ("96bb8125f7d9bd51", "be7cabf857774e7c"),
+        "sub_gaussian": ("a82fd5e4c3a956e5", "6afd9c2a61ced213"),
+        "neg_part_exp": ("092d05db08a7fd2a", "6ab9623aab03c2d1"),
+        "abandon_exp": ("700c1bb3a9eb5441", "2e4406783f827e3c"),
+        "neg_part_sub_gaussian_4.0": ("fb3b49785674a131", "4898aca78633658c"),
+        "neg_part_sub_gaussian_2.0": ("b7f86ee9010b5b59", "c8006ca8134ded66"),
+        "neg_part_sub_gaussian_1.0": ("324fa94c8c180e49", "e62982ab253a312a"),
+        "neg_part_sub_gaussian_0.5": ("d8870a2d3bc566ed", "cdf9e0453be7b202"),
+        "neg_part_sub_gaussian_0.25": ("0d9ea1f5afc09ab8", "7468946200642562"),
+        "neg_part_sub_gaussian_0.125": ("2e5983df19d6b29b", "805fb0c23fb9d435"),
+    }
+
+    @classmethod
+    def specs(cls):
+        mu = cls.MU
+        out = {
+            "exp_linear": LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=0.07, theta=0.6),
+            "sub_gaussian": LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=0.08, theta=0.3),
+            "neg_part_exp": LyapunovSpec(Family.NEG_PART_EXP, mu, eta=0.7, class_subset=(0, 2)),
+            "abandon_exp": LyapunovSpec(Family.ABANDON_EXP, mu, eta=0.9, theta=0.55),
+        }
+        for eta in ETA_GRID:
+            out[f"neg_part_sub_gaussian_{eta}"] = LyapunovSpec(
+                Family.NEG_PART_SUB_GAUSSIAN, mu, eta=eta, class_subset=(0, 2))
+        return out
+
+    @staticmethod
+    def points():
+        # uniform draws, every joint of the cutoff and its neighbours, far points
+        rng = np.random.default_rng(30)
+        grid = list(itertools.product((-2.0, -1.0, -0.5, -0.0, 0.5, 1.0, 2.0), repeat=3))
+        return np.concatenate([rng.uniform(-6, 6, size=(300, 3)), grid,
+                               rng.uniform(-1e4, 1e4, size=(20, 3))])
+
+    @staticmethod
+    def digest(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        return h.hexdigest()[:16]
+
+    def test_every_family_keeps_its_bits(self):
+        x = self.points()
+        specs = self.specs()
+        assert specs.keys() == self.DIGESTS.keys()
+        for name, spec in specs.items():
+            got = (self.digest(*lyap.log_terms(spec, x)), self.digest(lyap.log_value(spec, x)))
+            assert got == self.DIGESTS[name], name
 
 
 class TestGenerator:
