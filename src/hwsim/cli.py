@@ -307,16 +307,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def write_histogram_csv(path: Path, measure) -> None:
-    edges, h = measure.histogram(HISTOGRAM_BINS)
+    edges, cells, masses = measure.histogram(HISTOGRAM_BINS)
     m = len(edges)
     with path.open("w") as fh:
         cols = [f"bin_lo_{d + 1}" for d in range(m)] + [f"bin_hi_{d + 1}" for d in range(m)]
         fh.write(",".join(cols + ["weight"]) + "\n")
-        it = np.ndindex(*h.shape)
-        for idx in it:
-            w = h[idx]
-            if w == 0.0:
-                continue
+        for idx, w in zip(cells, masses):
             lo = [edges[d][idx[d]] for d in range(m)]
             hi = [edges[d][idx[d] + 1] for d in range(m)]
             fh.write(",".join(f"{v:.9g}" for v in lo + hi) + f",{w:.12g}\n")

@@ -5,8 +5,8 @@ so weighed equally (1/N each), used for histograms and tail fits, and (ii)
 exact per-replica time integrals of the moment functionals ``MOMENTS`` and
 of each coordinate (``moment_names``), used for means with replica-level
 standard errors.  Replicas are combined in index order, so replays are
-bit-identical.  Histograms span the samples' padded bounding box, and tail
-fits use fixed level counts and ranges (the module constants).
+bit-identical.  Histograms keep the occupied cells of the samples' padded
+bounding box, and tail fits use fixed level counts and ranges (module constants).
 """
 
 from __future__ import annotations
@@ -64,15 +64,22 @@ class EmpiricalMeasure:
 
     def histogram(self, bins_per_dim: int):
         """Fixed-width histogram over the samples' bounding box, padded by 1%;
-        returns (edges list, bin masses), each sample weighing 1/N."""
+        returns (edges list, the (K, m) indices of the occupied bins in C
+        order, their masses), each sample weighing 1/N and summed in sample
+        order as in ``np.histogramdd``.  Needs bins_per_dim^m < 2^63."""
         lo = self.samples.min(axis=0)
         hi = self.samples.max(axis=0)
         pad = 1e-9 + 0.01 * (hi - lo)
         lo, hi = lo - pad, hi + pad
         edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(self.m)]
         n = len(self.samples)
-        h, _ = np.histogramdd(self.samples, bins=edges, weights=np.full(n, 1.0 / n))
-        return edges, h
+        shape = (bins_per_dim,) * self.m
+        # a sample on the last edge falls in the last bin, as in histogramdd
+        idx = [np.minimum(np.searchsorted(e, col, side="right"), bins_per_dim) - 1
+               for e, col in zip(edges, self.samples.T)]
+        occupied, inverse = np.unique(np.ravel_multi_index(idx, shape), return_inverse=True)
+        cells = np.stack(np.unravel_index(occupied, shape), axis=1)
+        return edges, cells, np.bincount(inverse, weights=np.full(n, 1.0 / n))
 
 
 @dataclass

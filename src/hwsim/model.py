@@ -91,9 +91,10 @@ def on_simplex(u, tol: float = SIMPLEX_TOL) -> np.ndarray:
     u = _as_array(u)
     if np.any(u < -tol):
         raise SimplexError(f"negative control coordinate beyond tolerance: {u}")
-    s = u.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(s - 1.0) > tol):
-        raise SimplexError(f"control sum deviates from 1 beyond tolerance: sums {s.ravel()}")
+    dev = u.sum(axis=-1).ravel() - 1.0
+    if np.any(np.abs(dev) > tol):
+        worst = float(dev[np.argmax(np.abs(dev))])
+        raise SimplexError(f"control sum deviates from 1 by {worst!r}, beyond tolerance {tol:g}")
     return u
 
 

@@ -28,10 +28,10 @@ the worker count.
 The same module evaluates the exact finite-difference generators on Lyapunov
 functions, builds the age-augmented renewal Lyapunov function, and certifies
 the prelimit Foster-Lyapunov bounds over sampled states and all
-work-conserving allocations, or past ``Z_CUTOFF`` only the priority vertices,
-exact as the generators are affine in the allocation, in numpy passes over
-all states chunked by pair count.  Its reports, and the fit of the
-abandonment check's decay slope, come from ``verify``.
+work-conserving allocations, or past ``Z_CUTOFF`` only the greedy one that
+maximizes the generator, in numpy passes over all states chunked by pair
+count.  Its reports, and the fit of the abandonment check's decay slope, come
+from ``verify``.
 """
 
 from __future__ import annotations
@@ -846,24 +846,14 @@ def _allocation_block(states: np.ndarray, n: int) -> np.ndarray:
     return np.stack(cols + [rem], axis=1)
 
 
-# A state with more work-conserving allocations than this gets the priority
-# vertices in place of all of them.
-Z_CUTOFF = 10_000
-
-
 def enumerate_allocations(x: np.ndarray, n: int) -> np.ndarray:
-    """All of Z^n(x) in lexicographic order when there are at most
-    ``Z_CUTOFF``, else its distinct priority-greedy vertices, sorted.  These
-    hold the maximum of any function affine in z, as each prelimit generator
-    is: Z^n(x) is the base polytope of the polymatroid min(n, x(S)), whose
-    linear maxima sit at greedy vertices (Edmonds)."""
-    x = np.asarray(x, dtype=np.int64)
-    if count_allocations(x, n) <= Z_CUTOFF:
-        return _allocation_block(x[None, :], n)
-    xl = [int(v) for v in x]
-    return np.asarray(sorted({tuple(_greedy_list(xl, n, perm))
-                              for perm in itertools.permutations(range(len(xl)))}),
-                      dtype=np.int64)
+    """All of Z^n(x), in lexicographic order."""
+    return _allocation_block(np.asarray(x, dtype=np.int64)[None, :], n)
+
+
+# A state with more work-conserving allocations than this pairs with the
+# greedy one alone.
+Z_CUTOFF = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -977,10 +967,14 @@ def _poisson_terms(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarra
 
 
 def _pair_stage(p: PrelimitParams, states: np.ndarray, terms):
-    """(t, log V, ||xhat||_1) over every (state, ``enumerate_allocations``)
-    pair from per-state ``terms`` (arrivals, dn, log V, ||xhat||_1), where
-    t = arrivals + (mu^n z + gamma^n (x - z)) @ dn.  It keeps one matmul per
-    state: summing over all pairs at once rounds differently."""
+    """(t, log V, ||xhat||_1) over (state, allocation) pairs from per-state
+    ``terms`` (arrivals, dn, log V, ||xhat||_1), where
+    t = arrivals + (mu^n z + gamma^n (x - z)) @ dn: every allocation of a
+    state with at most ``Z_CUTOFF``, else the greedy one that serves classes
+    in decreasing (mu^n_i - gamma^n_i) dn_i, ties in index order, which
+    maximizes t (Edmonds 1970: Z^n(x) is the base polytope of the polymatroid
+    min(n, x(S))).  It keeps one matmul per state: summing over all pairs at
+    once rounds differently."""
     arrivals, dn, log_v, r1 = terms
     counts = count_allocations(states, p.n)
     exhaustive = counts <= Z_CUTOFF
@@ -997,8 +991,9 @@ def _pair_stage(p: PrelimitParams, states: np.ndarray, terms):
         pieces = np.split(p.mu_n * z + p.gamma_n * (x - z), np.cumsum(sizes[a:b])[:-1])
         for s, rates in zip(range(a, b), pieces):
             if not exhaustive[s]:
-                allocs = enumerate_allocations(states[s], p.n)
-                rates = p.mu_n * allocs + p.gamma_n * (states[s] - allocs)
+                order = np.argsort((p.gamma_n - p.mu_n) * dn[s], kind="stable")
+                greedy = np.array([_greedy_list(states[s].tolist(), p.n, order.tolist())])
+                rates = p.mu_n * greedy + p.gamma_n * (states[s] - greedy)
             gens.append(float(arrivals[s]) + rates @ dn[s])
     pairs = np.array([len(g) for g in gens])
     return np.concatenate(gens), np.repeat(log_v, pairs), np.repeat(r1, pairs)
@@ -1008,8 +1003,8 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
                            sampler: SamplerConfig, target: str = "exp_linear",
                            eta: float = 1.0) -> VerificationReport:
     """Certify the prelimit Foster-Lyapunov bound over sampled states and
-    work-conserving allocations (``enumerate_allocations``: all, or the
-    priority vertices that hold the generator's maximum).
+    work-conserving allocations (``_pair_stage``; past ``Z_CUTOFF`` a state
+    counts one pair in the report's samples).
 
     target "exp_linear": the exp-linear family of
     ``estimate_prelimit_constants``; Poisson input (``ArrivalSpec.is_poisson``)

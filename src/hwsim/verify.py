@@ -237,20 +237,6 @@ class VerificationReport:
         }
 
 
-def _safe_kappa(t: np.ndarray, log_v: np.ndarray) -> float:
-    """max over samples of t * exp(log_v), robust to exp overflow.
-
-    Points with nonpositive t contribute nothing; a positive t at a point
-    where exp overflows yields +inf, which the caller treats as failure.
-    """
-    pos = t > 0
-    if not np.any(pos):
-        return 0.0
-    with np.errstate(over="ignore"):
-        vals = t[pos] * np.exp(log_v[pos])
-    return float(np.max(vals))
-
-
 def decay_report(name: str, t: np.ndarray, log_v: np.ndarray, r1: np.ndarray,
                  sample_radius: float, seed: int,
                  constants: dict[str, float]) -> VerificationReport:
@@ -259,20 +245,34 @@ def decay_report(name: str, t: np.ndarray, log_v: np.ndarray, r1: np.ndarray,
     t = (L_u f)/f + decay(x) must be eventually negative: the constant
     estimate is max t * f, the attainment radius is the largest ||x||_1 with
     t > slack, and a sample violates when it sits beyond ATTAIN_FRACTION of
-    the sampling radius with t still positive.
+    the sampling radius with t still positive.  kappa must be finite as a
+    log, max(log t + log f): where t * f overflows, ``kappa_estimate`` is inf
+    and the notes give log kappa.  A failed report says why in its notes.
     """
     slack = BASE_SLACK * (np.exp(-np.clip(log_v, -700, 700)) + np.abs(t - 0.0))
     pos = t > slack
     r_att = float(r1[pos].max()) if np.any(pos) else 0.0
-    kappa = _safe_kappa(t, log_v)
+    up = t > 0
+    with np.errstate(over="ignore"):
+        kappa = float(np.max(t[up] * np.exp(log_v[up]), initial=0.0))
+    log_kappa = float(np.max(np.log(t[up]) + log_v[up], initial=-math.inf))
     outer = r1 > ATTAIN_FRACTION * sample_radius
     violations = int(np.sum(pos & outer))
     worst = float(np.min(-t[outer])) if np.any(outer) else math.inf
     constants = dict(constants)
     constants["kappa_estimate"] = kappa
     constants["attainment_radius"] = r_att
-    passed = violations == 0 and math.isfinite(kappa) and r_att <= ATTAIN_FRACTION * sample_radius
-    return VerificationReport(name, t.shape[0], violations, worst, seed, constants, passed)
+    notes = []
+    if violations:
+        notes.append(f"{violations} samples beyond {ATTAIN_FRACTION:g} of the sampling "
+                     f"radius have t > 0 (attainment radius {r_att:.6g})")
+    if not log_kappa < math.inf:
+        notes.append("kappa is not finite: t or log V is inf or nan where t > 0")
+    elif kappa == math.inf:
+        notes.append(f"kappa_estimate overflows; log kappa = {log_kappa!r}")
+    passed = violations == 0 and log_kappa < math.inf
+    return VerificationReport(name, t.shape[0], violations, worst, seed, constants, passed,
+                              "; ".join(notes))
 
 
 def fitted_slope(q: np.ndarray, r1: np.ndarray, far: np.ndarray) -> float:
@@ -293,7 +293,7 @@ def slope_report(name: str, q: np.ndarray, k1: float, r1: np.ndarray, log_v: np.
                        {**constants, "kappa1_estimate": k1})
     if k1 <= 0:
         rep.passed = False
-        rep.notes = "decay slope not bounded away from 0"
+        rep.notes = "; ".join(filter(None, ["decay slope not bounded away from 0", rep.notes]))
     return rep
 
 

@@ -421,3 +421,36 @@ def test_renewal_verification_passes_and_repeats(tmp_path, capsys):
     assert row[5] == "1"
     for name in ("tiny_verify_report.csv", "tiny_verify_details.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+PROBE8 = EXAMPLE.parent / "probe8.ini"
+
+
+def test_eight_classes_run_every_simulator_and_the_certificates(tmp_path, capsys):
+    # nothing grows like m! or bins^m: past Z_CUTOFF each prelimit state gets
+    # its greedy allocation, and a histogram keeps only its occupied cells
+    text = PROBE8.read_text()
+    for old, new in [("horizon = 40\n", "horizon = 4\nburn_in = 1\nthin = 0.5\n"),
+                     ("replicas = 8\n", "replicas = 2\n"),
+                     ("samples = 50000\n", "samples = 2000\n")]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "probe8.ini"
+    path.write_text(text)
+    declared = {
+        "verify-drift": ["probe8_verify_details.json", "probe8_verify_report.csv"],
+        "sim-diffusion": ["probe8_bary_diffusion_hist.csv", "probe8_bary_diffusion_samples.csv",
+                          "probe8_diffusion_summary.json", "probe8_pri_diffusion_hist.csv",
+                          "probe8_pri_diffusion_samples.csv"],
+        "sim-queue": ["probe8_bary_n100_queue_hist.csv", "probe8_pri_n100_queue_hist.csv",
+                      "probe8_queue_summary.json"],
+    }
+    for command, names in declared.items():
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0, command
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["results.csv"])
+        for hist in out.glob("*_hist.csv"):
+            rows = hist.read_text().splitlines()
+            assert rows[0].count(",") == 2 * 8
+            assert sum(float(r.rsplit(",", 1)[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-9)
+    assert "FAIL" not in capsys.readouterr().out

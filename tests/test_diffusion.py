@@ -461,14 +461,22 @@ def _from_samples(samples):
 
 
 class TestMeasure:
-    def test_normalization(self, dspec):
-        # every sample weighs 1/N: the histogram masses are bin counts over N
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_normalization(self, m):
+        # every sample weighs 1/N, and the occupied cells are the non-empty
+        # bins of the dense histogramdd grid, in C order, with its masses
+        system = hwsim.make_system([1.0 / m] * m, [1.0] * m, hat_lambda=[-1.0 / m] * m)
         cfg = dif.SimConfig(horizon=20.0, step=0.01, replicas=4, seed=2)
-        run = dif.simulate(dspec, dif.ConstantControl([0.5, 0.5]), cfg)
-        edges, h = run.measure.histogram(5)
-        counts, _ = np.histogramdd(run.measure.samples, bins=edges)
-        assert np.allclose(h * len(run.measure.samples), counts, rtol=1e-12, atol=0.0)
-        assert abs(h.sum() - 1.0) <= 1e-12
+        run = dif.simulate(hwsim.diffusion_spec(system), dif.ConstantControl([1.0 / m] * m), cfg)
+        samples = run.measure.samples
+        edges, cells, masses = run.measure.histogram(5)
+        dense, _ = np.histogramdd(samples, bins=edges, weights=np.full(len(samples),
+                                                                       1.0 / len(samples)))
+        assert np.array_equal(cells, np.argwhere(dense))
+        assert np.array_equal(masses, dense[tuple(cells.T)])
+        counts, _ = np.histogramdd(samples, bins=edges)
+        assert np.allclose(masses * len(samples), counts[tuple(cells.T)], rtol=1e-12, atol=0.0)
+        assert abs(masses.sum() - 1.0) <= 1e-12
 
     def test_moment_requires_accumulator(self):
         m = _from_samples(np.zeros((3, 2)))

@@ -427,8 +427,10 @@ class TestSlopeFit:
         rep = ver.slope_report("synthetic", q, k1, self.R1, np.zeros_like(q), 40.0, 0, {"a": 1.0})
         ref = ver.decay_report("synthetic", q + k1 * self.R1, np.zeros_like(q), self.R1, 40.0, 0,
                                {"a": 1.0, "kappa1_estimate": k1})
-        assert not rep.passed and rep.notes == "decay slope not bounded away from 0"
-        assert {**rep.to_dict(), "notes": ""} == ref.to_dict()
+        # the slope's note comes first, then decay_report's own
+        assert not ref.passed and ref.notes.startswith(f"{ref.violations} samples beyond 0.8 ")
+        assert not rep.passed and rep.notes == "decay slope not bounded away from 0; " + ref.notes
+        assert {**rep.to_dict(), "notes": ref.notes} == ref.to_dict()
 
     def test_decaying_generator_passes(self):
         q = 1.0 - 0.5 * self.R1
@@ -469,5 +471,27 @@ class TestSlopeFit:
                                               qs.ArrivalSpec.poisson(3), ver.Region.ball(40.0),
                                               ver.SamplerConfig(500, seed=3), target="abandon"))
         for rep in reps:
-            assert not rep.passed and rep.notes == "decay slope not bounded away from 0"
+            assert not rep.passed and rep.violations > 0
+            assert rep.notes.startswith("decay slope not bounded away from 0; ")
             assert rep.constants["kappa1_estimate"] < 0
+
+    def test_kappa_past_the_float_range_is_compared_as_a_log(self):
+        # t > 0 only inside the attainment radius, where log V = 800 > 709:
+        # t V overflows, log kappa = log t + log V does not
+        t = 0.5 - 0.1 * self.R1
+        log_v = np.where(t > 0, 800.0, 0.0)
+        rep = ver.decay_report("synthetic", t, log_v, self.R1, 40.0, 0, {})
+        log_kappa = float(np.log(t[0])) + 800.0
+        assert rep.passed and rep.violations == 0
+        assert rep.constants["kappa_estimate"] == math.inf
+        assert rep.notes == f"kappa_estimate overflows; log kappa = {log_kappa!r}"
+        finite = ver.decay_report("synthetic", t, log_v - 100.0, self.R1, 40.0, 0, {})
+        assert finite.passed and finite.notes == ""
+        assert finite.constants["kappa_estimate"] == pytest.approx(math.exp(log_kappa - 100.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_kappa_that_is_not_finite_as_a_log_fails_with_a_note(self, bad):
+        t = 0.5 - 0.1 * self.R1
+        rep = ver.decay_report("synthetic", t, np.where(t > 0, bad, 0.0), self.R1, 40.0, 0, {})
+        assert not rep.passed and rep.violations == 0
+        assert rep.notes == "kappa is not finite: t or log V is inf or nan where t > 0"
