@@ -66,20 +66,28 @@ class EmpiricalMeasure:
         """Fixed-width histogram over the samples' bounding box, padded by 1%;
         returns (edges list, the (K, m) indices of the occupied bins in C
         order, their masses), each sample weighing 1/N and summed in sample
-        order as in ``np.histogramdd``.  Needs bins_per_dim^m < 2^63."""
+        order as in ``np.histogramdd``, at any number of classes."""
         lo = self.samples.min(axis=0)
         hi = self.samples.max(axis=0)
         pad = 1e-9 + 0.01 * (hi - lo)
         lo, hi = lo - pad, hi + pad
         edges = [np.linspace(lo[d], hi[d], bins_per_dim + 1) for d in range(self.m)]
         n = len(self.samples)
-        shape = (bins_per_dim,) * self.m
         # a sample on the last edge falls in the last bin, as in histogramdd
         idx = [np.minimum(np.searchsorted(e, col, side="right"), bins_per_dim) - 1
                for e, col in zip(edges, self.samples.T)]
-        occupied, inverse = np.unique(np.ravel_multi_index(idx, shape), return_inverse=True)
-        cells = np.stack(np.unravel_index(occupied, shape), axis=1)
-        return edges, cells, np.bincount(inverse, weights=np.full(n, 1.0 / n))
+        # each sample's C-order cell number; where it would pass int64
+        # (20^m > 2^63 from m = 15) the classes so far are ranked first
+        key, span = np.zeros(n, dtype=np.int64), 1
+        for col in idx:
+            if span * bins_per_dim > 2**63:
+                key, span = np.unique(key, return_inverse=True)[1], n
+            key, span = key * bins_per_dim + col, span * bins_per_dim
+        occupied, inverse = np.unique(key, return_inverse=True)
+        member = np.empty(len(occupied), dtype=np.intp)       # a sample in each cell
+        member[inverse] = np.arange(n)
+        mass = np.bincount(inverse, weights=np.full(n, 1.0 / n))
+        return edges, np.stack(idx, axis=1)[member], mass
 
 
 @dataclass

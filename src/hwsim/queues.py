@@ -8,9 +8,8 @@ with numpy alone.  The lognormal bounds no mean residual life
 (``sup_abs_one_minus_mrl`` is None), so it is only simulated.  Poisson
 input is derived, not declared: it is the case where every law is
 exponential (``is_poisson``), and it decides only what differs in the
-process: the event loop's clock, which per-state terms feed the prelimit pair
-stage, and that check's report name and decay (the abandonment check is a
-Poisson-input result).
+process: the event loop's clock, and the prelimit check's report name and
+decay (the abandonment check is a Poisson-input result).
 
 One event loop serves both cases: a CTMC with competing exponential clocks,
 or each class's next arrival scheduled from its law while the service and
@@ -26,12 +25,12 @@ further CPU, and are joined in replica order: the results do not depend on
 the worker count.
 
 The same module evaluates the exact finite-difference generators on Lyapunov
-functions, builds the age-augmented renewal Lyapunov function, and certifies
-the prelimit Foster-Lyapunov bounds over sampled states and all
-work-conserving allocations, or past ``Z_CUTOFF`` only the greedy one that
-maximizes the generator, in numpy passes over all states chunked by pair
-count.  Its reports, and the fit of the abandonment check's decay slope, come
-from ``verify``.
+functions and certifies the prelimit Foster-Lyapunov bounds over sampled
+states and all work-conserving allocations, or past ``Z_CUTOFF`` only the
+greedy one that maximizes the generator, in numpy passes over all states
+chunked by pair count.  Both inputs take one path on lattice states, the
+age-augmented ``RenewalLyapunov``, which is V on Poisson input.  Its reports,
+and the fit of the abandonment check's decay slope, come from ``verify``.
 """
 
 from __future__ import annotations
@@ -672,17 +671,28 @@ def simulate_ctmc(p: PrelimitParams, pol, cfg) -> QueueRun:
 # exact generators
 # ---------------------------------------------------------------------------
 
-def _log_v(spec: lyap.LyapunovSpec, p: PrelimitParams):
-    """log V(xhat(x)) as a function of raw states, vectorized."""
-    def fn(x):
-        return lyap.log_value(spec, scale_state(np.asarray(x, dtype=float), p))
-    return fn
+def _neighbours(spec: lyap.LyapunovSpec, p: PrelimitParams, states):
+    """log V(x) at a lattice state or each of a stack, V(x) = V(xhat(x)), and
+    the memo ratio(*d) = V(x + d) / V(x) of an integer shift d, which
+    evaluates V once per distinct shift (1 at d = 0)."""
+    x = np.asarray(states, dtype=float)
+    base = lyap.log_value(spec, scale_state(x, p))
+
+    @functools.cache
+    def ratio(*d):
+        if not any(d):
+            return np.ones_like(base)
+        return np.exp(lyap.log_value(spec, scale_state(x + d, p)) - base)
+
+    return base, ratio
 
 
 def ctmc_generator_ratio(spec: lyap.LyapunovSpec, x, z, p: PrelimitParams) -> np.ndarray:
-    """A^n_z V(xhat(x)) / V(xhat(x)) via exact finite differences (Poisson input)."""
+    """A^n_z V(xhat(x)) / V(xhat(x)) via exact finite differences (Poisson
+    input): the Poisson case of ``RenewalLyapunov.pair_terms``."""
     x = np.asarray(x, dtype=float)
-    arrivals, dn, _, _ = _poisson_terms(p, spec, x)
+    poisson = RenewalLyapunov(p, ArrivalSpec.poisson(p.m), spec)
+    arrivals, dn, _, _ = poisson.pair_terms(x, np.zeros(x.shape))
     return arrivals + row_sum((p.mu_n * z + p.gamma_n * (x - z)) * dn)
 
 
@@ -728,76 +738,75 @@ def eps_tilde0(p: PrelimitParams, arr: ArrivalSpec, theta: float) -> float:
 
 
 class RenewalLyapunov:
-    """Age-augmented Lyapunov function G^n(xhat, s) + V(xhat) with
+    """Age-augmented Lyapunov function on lattice states,
 
-        G^n = sum_i (1 - zeta^n_i(s_i)) (V(xhat + e_i/sqrt(n)) - V(xhat)),
+        V~(x, s) = V(x) + sum_{j aged} (1 - zeta^n_j(s_j)) (V(x + e_j) - V(x)),
 
-    zeta^n_i(s) the mean residual life at scaled age (1 on Poisson input,
-    where G^n = 0).  Requires eps at most ``eps_tilde0``, small enough that
-    1/2 V <= value <= 3/2 V (to first order)."""
+    V(x) = V(xhat(x)) and zeta^n_j(s) the mean residual life at scaled age.
+    The aged classes are those whose law is not exponential: an exponential
+    law has zeta^n = 1, so on Poisson input no class is aged and V~ = V.
+    Every value comes from the ratios V(x + d) / V(x) of ``_neighbours``.
+    Where ``eps_tilde0`` is finite, requires eps at most it, small enough
+    that 1/2 V <= value <= 3/2 V (to first order)."""
 
     def __init__(self, p: PrelimitParams, arr: ArrivalSpec, spec: lyap.LyapunovSpec):
         self.p, self.arr, self.spec = p, arr, spec
-        self.delta = 1.0 / math.sqrt(p.n)
+        self.aged = [j for j, d in enumerate(arr.dists) if not isinstance(d, Exponential)]
+        self.eye = np.eye(p.m, dtype=np.int64)
         bound = eps_tilde0(p, arr, spec.theta)
-        if spec.epsilon > bound:
+        if math.isfinite(bound) and spec.epsilon > bound:
             raise ValueError(f"epsilon {spec.epsilon} too large for the sandwich bound {bound}")
 
-    def _per_class(self, law, s) -> np.ndarray:
-        """law(d_i)(lambda^n_i s_i) for each class i, stacked on the last axis."""
-        s = np.asarray(s, dtype=float)
-        return np.stack([np.asarray(law(d)(lam * s[..., i])) for i, (d, lam)
-                         in enumerate(zip(self.arr.dists, self.p.lambda_n))], axis=-1)
-
-    def zeta_n(self, s) -> np.ndarray:
-        return self._per_class(lambda d: d.mrl, s)
-
     def hazard_n(self, s) -> np.ndarray:
-        return self.p.lambda_n * self._per_class(lambda d: d.hazard, s)
+        """r^n_i(s_i) = lambda^n_i h_i(lambda^n_i s_i) for each class i, on the last axis."""
+        s, lam = np.asarray(s, dtype=float), self.p.lambda_n
+        return lam * np.stack([np.asarray(d.hazard(lam[i] * s[..., i]))
+                               for i, d in enumerate(self.arr.dists)], axis=-1)
 
-    def _steps(self, xhat):
-        """V(xhat) and V(xhat + e_i/sqrt(n)) - V(xhat) for each class i."""
-        xhat = np.asarray(xhat, dtype=float)
-        base = np.exp(lyap.log_value(self.spec, xhat))
-        eye = np.eye(self.p.m)
-        lifted = np.exp(lyap.log_value(self.spec, xhat[..., None, :] + self.delta * eye))
-        return base, lifted - base[..., None]
+    def _lift(self, ratio, weights, d) -> np.ndarray:
+        """V~(x + d, s) / V(x) at an integer shift d, weights[j] = 1 - zeta^n_j(s_j)."""
+        out = ratio(*d)
+        for j, w in weights.items():
+            out = out + w * (ratio(*(d + self.eye[j])) - ratio(*d))
+        return out
 
-    def _lift(self, xhat, s):
-        """V~ at (xhat, s), with the steps of V and the zeta^n(s) it is built from."""
-        base, steps = self._steps(xhat)
-        zeta = self.zeta_n(s)
-        return base + np.sum((1.0 - zeta) * steps, axis=-1), steps, zeta
+    def _terms(self, x, s):
+        """log V(x), the ratio memo, 1 - zeta^n(s) of each aged class, r^n(s)
+        and the age derivative of V~ over V (d zeta^n/ds = r^n zeta^n - lambda^n)."""
+        log_v, ratio = _neighbours(self.spec, self.p, x)
+        s, lam = np.asarray(s, dtype=float), self.p.lambda_n
+        zeta = {j: self.arr.dists[j].mrl(lam[j] * s[..., j]) for j in self.aged}
+        hazard = self.hazard_n(s)
+        age = sum(-(hazard[..., j] * z - lam[j]) * (ratio(*self.eye[j]) - 1.0)
+                  for j, z in zeta.items())
+        return log_v, ratio, {j: 1.0 - z for j, z in zeta.items()}, hazard, age
 
-    def _age_term(self, steps, zeta, hazard) -> np.ndarray:
-        # d zeta^n/ds = r^n zeta^n - lambda^n
-        return np.sum(-(hazard * zeta - self.p.lambda_n) * steps, axis=-1)
+    def value(self, x, s):
+        """V~(x, s) at a lattice state or each of a stack."""
+        log_v, ratio, weights, _, _ = self._terms(x, s)
+        return np.exp(log_v) * self._lift(ratio, weights, 0 * self.eye[0])
 
-    def value_scaled(self, xhat, s) -> np.ndarray:
-        return self._lift(xhat, s)[0]
-
-    def value(self, x, s) -> float:
-        return float(self.value_scaled(scale_state(np.asarray(x, dtype=float), self.p), s))
-
-    def ds_sum(self, x, s) -> np.ndarray:
+    def ds_sum(self, x, s):
         """sum_i d/ds_i of the age correction, at a state or each of a stack."""
-        _, steps, zeta = self._lift(scale_state(np.asarray(x, dtype=float), self.p), s)
-        return self._age_term(steps, zeta, self.hazard_n(s))
+        log_v, _, _, _, age = self._terms(x, s)
+        return np.exp(log_v) * age
 
     def pair_terms(self, states: np.ndarray, ages: np.ndarray):
-        """``_poisson_terms`` of the extended generator over V~ = V~(x, s): the
-        arrivals are (ds_sum + sum_i r^n_i (V~(x + e_i, s with s_i = 0) - V~)) / V~."""
-        x = states.astype(float)
-        xhat, eye = scale_state(x, self.p), np.eye(self.p.m)
-        val, steps, zeta = self._lift(xhat, ages)
-        hazard = self.hazard_n(ages)
-        up = self.value_scaled(scale_state(x[:, None, :] + eye, self.p),
-                               ages[:, None, :] * (1.0 - eye))
-        down = self.value_scaled(scale_state(x[:, None, :] - eye, self.p), ages[:, None, :])
-        arrivals = (self._age_term(steps, zeta, hazard)
-                    + np.sum(hazard * (up - val[:, None]), axis=1)) / val
-        dn = (down - val[:, None]) / val[:, None]
-        return arrivals, dn, np.log(val), np.abs(xhat).sum(axis=1)
+        """Per-state terms of A^n_z V~ / V~ = arrivals + rates(z) @ dn at a
+        lattice state or each of a stack: arrivals = (ds_sum + sum_i r^n_i
+        (V~(x + e_i, s with s_i = 0) - V~)) / V~, dn_i = V~(x - e_i, s) / V~ - 1,
+        log V~ and ||xhat||_1.  With no aged class V~ / V is 1.0 and the age
+        term 0: the Poisson terms, whatever the ages."""
+        log_v, ratio, weights, hazard, age = self._terms(states, ages)
+        rel = self._lift(ratio, weights, 0 * self.eye[0])          # V~ / V
+        # an arrival restarts its class's clock at age 0, where the mean
+        # residual life is the mean, 1: that class leaves the weights
+        up = np.stack([self._lift(ratio, {j: w for j, w in weights.items() if j != i}, e)
+                       for i, e in enumerate(self.eye)], axis=-1)
+        down = np.stack([self._lift(ratio, weights, -e) for e in self.eye], axis=-1)
+        arrivals = (age + row_sum(hazard * (up - rel[..., None]))) / rel
+        dn = (down - rel[..., None]) / rel[..., None]
+        return arrivals, dn, log_v + np.log(rel), row_sum(np.abs(scale_state(states, self.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -872,16 +881,13 @@ def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, seed: int) -> float
     rng = np.random.default_rng(seed)
     xh = rng.uniform(-C1_RADIUS, C1_RADIUS, size=(C1_STATES, m))
     x = np.maximum(np.rint(unscale_state(xh, p)), 0.0)
-    logv = _log_v(spec, p)
-    base = logv(x)
-    eye = np.eye(m)
-    # V(x + shift) / V(x), evaluated once per distinct shift
-    ratio = functools.cache(lambda *shift: np.exp(logv(x + shift) - base))
+    _, ratio = _neighbours(spec, p, x)
+    eye = np.eye(m, dtype=np.int64)
     worst = 0.0
     for i in range(m):
         for j in range(m):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
+            for si in (1, -1):
+                for sj in (1, -1):
                     d = (ratio(*(sj * eye[j] + si * eye[i])) - ratio(*(sj * eye[j]))
                          - ratio(*(si * eye[i])) + 1.0)
                     worst = max(worst, float(np.max(np.abs(d))))
@@ -953,19 +959,6 @@ def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerC
 _CHUNK_PAIRS = 4096
 
 
-def _poisson_terms(p: PrelimitParams, spec: lyap.LyapunovSpec, states: np.ndarray):
-    """Per-state terms of A^n_z V / V = arrivals + rates(z) @ dn on Poisson input,
-    at a state or each of a stack of states: arrivals, dn_i = V(x - e_i) / V - 1,
-    log V and ||xhat||_1."""
-    logv = _log_v(spec, p)
-    eye = np.eye(p.m, dtype=np.int64)
-    base = logv(states)
-    up = np.exp(logv(states[..., None, :] + eye) - base[..., None]) - 1.0
-    dn = np.exp(logv(states[..., None, :] - eye) - base[..., None]) - 1.0
-    arrivals = row_sum(p.lambda_n * up)
-    return arrivals, dn, base, row_sum(np.abs(scale_state(states.astype(float), p)))
-
-
 def _pair_stage(p: PrelimitParams, states: np.ndarray, terms):
     """(t, log V, ||xhat||_1) over (state, allocation) pairs from per-state
     ``terms`` (arrivals, dn, log V, ||xhat||_1), where
@@ -1006,14 +999,14 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
     work-conserving allocations (``_pair_stage``; past ``Z_CUTOFF`` a state
     counts one pair in the report's samples).
 
-    target "exp_linear": the exp-linear family of
-    ``estimate_prelimit_constants``; Poisson input (``ArrivalSpec.is_poisson``)
-    checks the V-decay with constant eps varrho^n/2m, any other input checks
-    the age-augmented function (``RenewalLyapunov``, one age vector per state
-    drawn after the states) with constant eps varrho^n/3m (every law must
-    bound its hazard and mean residual life).  target "abandon": Poisson
-    input, all gamma^n_i > 0, linear-in-||xhat||_1 decay with the slope from ``verify.fitted_slope``.
-    Both cases feed per-state terms into one pair stage (``_pair_stage``).
+    Every input checks the age-augmented function (``RenewalLyapunov``, one
+    age vector per state drawn after the states), which is V on Poisson input
+    (``ArrivalSpec.is_poisson``).  target "exp_linear": the exp-linear family
+    of ``estimate_prelimit_constants`` with decay constant eps varrho^n/2m on
+    Poisson input, eps varrho^n/3m on any other (every law must bound its
+    hazard and mean residual life).  target "abandon": Poisson input, all
+    gamma^n_i > 0, linear-in-||xhat||_1 decay with the slope from
+    ``verify.fitted_slope``.
     """
     rng = np.random.default_rng(sampler.seed)
     poisson = arr.is_poisson
@@ -1033,12 +1026,8 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
         consts = {"epsilon": spec.epsilon, "theta": spec.theta, "decay": decay}
 
     states = _sample_prelimit_states(p, region, sampler, rng)
-    if poisson:
-        terms = _poisson_terms(p, spec, states)
-    else:
-        ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
-        terms = RenewalLyapunov(p, arr, spec).pair_terms(states, ages)
-    t, log_v, r1 = _pair_stage(p, states, terms)
+    ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
+    t, log_v, r1 = _pair_stage(p, states, RenewalLyapunov(p, arr, spec).pair_terms(states, ages))
 
     if target == "abandon":
         k1 = fitted_slope(t, r1, r1 >= 0.5 * region.radius)
@@ -1065,12 +1054,12 @@ def generator_consistency_errors(params, dspec: DiffusionSpec, spec: lyap.Lyapun
     out = np.zeros((len(points), len(n_list)))
     for jn, n in enumerate(n_list):
         p = prelimit_params(params, int(n))
-        for ip, (xh0, u) in enumerate(zip(points, controls)):
-            x = np.maximum(np.rint(unscale_state(xh0, p)), 0.0).astype(np.int64)
-            z = np.array(_apportion_list(x.tolist(), p.n, u.tolist()), dtype=float)
-            xhat = scale_state(x.astype(float), p)
-            u_real = allocation_to_control(xhat, scale_state(z, p))
-            gen = ctmc_generator_ratio(spec, x, z, p)
-            lim = lyap.generator_ratio(spec, xhat, u if u_real is None else u_real, dspec)
-            out[ip, jn] = abs(float(gen) - float(lim))
+        x = np.maximum(np.rint(unscale_state(points, p)), 0.0).astype(np.int64)
+        z = np.array([_apportion_list(xi, p.n, u) for xi, u
+                      in zip(x.tolist(), controls.tolist())], dtype=float).reshape(x.shape)
+        xhat, zhat = scale_state(x.astype(float), p), scale_state(z, p)
+        u_real = [allocation_to_control(a, b) for a, b in zip(xhat, zhat)]
+        u = np.array([c if r is None else r for c, r in zip(controls, u_real)])
+        gen = ctmc_generator_ratio(spec, x, z, p)
+        out[:, jn] = np.abs(gen - lyap.generator_ratio(spec, xhat, u, dspec))
     return out

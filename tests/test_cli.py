@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -454,3 +455,39 @@ def test_eight_classes_run_every_simulator_and_the_certificates(tmp_path, capsys
             assert rows[0].count(",") == 2 * 8
             assert sum(float(r.rsplit(",", 1)[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-9)
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_eight_renewal_classes_certify_the_age_lifted_bound(tmp_path, capsys):
+    # the renewal probe's prelimit check evaluates V at the lattice
+    # neighbours of each state, not on an (N, m, m, m) grid
+    text = (EXAMPLE.parent / "probe8_renewal.ini").read_text()
+    assert "samples = 50000\n" in text
+    path = tmp_path / "probe8_renewal.ini"
+    path.write_text(text.replace("samples = 50000\n", "samples = 2000\n"))
+    assert cli.main(["verify-drift", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "PASS prelimit_renewal_foster" in out and "FAIL" not in out
+
+def test_fifteen_classes_run_sim_diffusion(tmp_path):
+    # 20^15 histogram cells pass int64: the occupied cells are numbered as
+    # index rows, not as raveled cell numbers
+    m = 15
+    text = PROBE8.read_text()
+    for old, new in [("horizon = 40\n", "horizon = 4\nburn_in = 1\nthin = 0.5\n"),
+                     ("replicas = 8\n", "replicas = 2\n")]:
+        assert old in text
+        text = text.replace(old, new)
+    for key, value in [("lambda", repr(1 / m)), ("mu", "1"), ("gamma", "0.5"),
+                       ("hat_lambda", repr(-1 / m)), ("u", repr(1 / m))]:
+        text = re.sub(rf"^{key} = .*$", f"{key} = " + ", ".join([value] * m), text,
+                      flags=re.M)
+    text = re.sub(r"^order = .*$", "order = " + ", ".join(map(str, range(m))), text, flags=re.M)
+    path = tmp_path / "probe15.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["sim-diffusion", "--config", str(path), "--out", str(out)]) == 0
+    for hist in out.glob("*_hist.csv"):
+        rows = hist.read_text().splitlines()
+        assert rows[0].count(",") == 2 * m
+        assert sum(float(r.rsplit(",", 1)[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-9)
+    assert len(list(out.glob("*_hist.csv"))) == 2

@@ -478,6 +478,21 @@ class TestMeasure:
         assert np.allclose(masses * len(samples), counts[tuple(cells.T)], rtol=1e-12, atol=0.0)
         assert abs(masses.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("m", [15, 30])
+    def test_cells_past_int64_are_the_sorted_index_rows(self, m):
+        # 20^m > 2^63: the cells are still the occupied index rows in C
+        # (lexicographic) order, each with its share of the samples
+        rng = np.random.default_rng(m)
+        samples = np.round(rng.normal(size=(600, m)), 1)
+        samples[300:] = samples[:300][rng.integers(0, 300, size=300)]
+        edges, cells, masses = _from_samples(samples).histogram(20)
+        rows = np.stack([np.minimum(np.searchsorted(e, col, side="right"), 20) - 1
+                         for e, col in zip(edges, samples.T)], axis=1)
+        want, counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(want) < 600
+        assert np.array_equal(cells, want)
+        assert np.allclose(masses * len(samples), counts, rtol=1e-12, atol=0.0)
+
     def test_moment_requires_accumulator(self):
         m = _from_samples(np.zeros((3, 2)))
         with pytest.raises(KeyError):

@@ -15,7 +15,8 @@ import hwsim
 from hwsim import lyapunov as lyap
 from hwsim import queues as qs
 from hwsim import verify as ver
-from hwsim.model import prelimit_params, scale_state
+from hwsim.model import (allocation_to_control, diffusion_spec, prelimit_params, row_sum,
+                         scale_state, unscale_state)
 
 POISSON = qs.ArrivalSpec.poisson(3)
 RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5), qs.Exponential()))
@@ -26,6 +27,12 @@ SAMPLER = ver.SamplerConfig(n_samples=500, seed=3)
 # the certify benchmark's 3-class system with abandonment
 CERTIFY = hwsim.make_system([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 1.2],
                             hat_lambda=[-0.5, -0.3, -0.2])
+
+
+# five classes with abandonment, for arrival laws of both kinds
+FIVE = hwsim.make_system([0.3, 0.2, 0.2, 0.15, 0.15], [1.0] * 5,
+                         gamma=[0.5, 0.8, 1.2, 0.5, 0.8],
+                         hat_lambda=[-0.3, -0.2, -0.2, -0.15, -0.15])
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +184,18 @@ class TestPrelimitCheck:
             for key in ("kappa_estimate", "kappa1_estimate", "attainment_radius"):
                 assert cut.constants.get(key) == full.constants.get(key), (target, key)
 
-    def test_every_renewal_pair_matches_the_scalar_generator(self, certify_n10):
-        p, sampler = certify_n10, ver.SamplerConfig(n_samples=20, seed=7)
-        lifted = qs.RenewalLyapunov(p, RENEWAL, qs.estimate_prelimit_constants(p, RENEWAL))
+    # three classes at n = 10 (aged, aged, exponential), and five at n = 8
+    # with two exponential classes, which are not aged, among three aged ones
+    @pytest.mark.parametrize("system, n, arr, samples", [
+        (CERTIFY, 10, RENEWAL, 20),
+        (FIVE, 8, qs.ArrivalSpec((qs.Exponential(), qs.Erlang(2), qs.Exponential(),
+                                  qs.HyperExp2.from_scv(1.5), qs.Erlang(3))), 8),
+    ], ids=["three", "five"])
+    def test_every_renewal_pair_matches_the_scalar_generator(self, system, n, arr, samples):
+        p, sampler = prelimit_params(system, n), ver.SamplerConfig(n_samples=samples, seed=7)
+        lifted = qs.RenewalLyapunov(p, arr, qs.estimate_prelimit_constants(p, arr))
+        assert lifted.aged == [i for i, d in enumerate(arr.dists)
+                               if not isinstance(d, qs.Exponential)]
         rng = np.random.default_rng(sampler.seed)
         states = qs._sample_prelimit_states(p, REGION, sampler, rng)
         ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
@@ -189,13 +205,13 @@ class TestPrelimitCheck:
             val = lifted.value(x, s)
             hazard = float(np.sum(lifted.hazard_n(s)))
             for z in qs.enumerate_allocations(x, p.n):
-                gen = qs.prelimit_generator_apply(lifted, x, s, z, p, RENEWAL)
+                gen = qs.prelimit_generator_apply(lifted, x, s, z, p, arr)
                 # each term of the generator over V~ is at most a rate, or
                 # the age derivative
                 scale = (hazard + float(np.sum(p.mu_n * z + p.gamma_n * (x - z)))
                          + abs(float(lifted.ds_sum(x, s))) / val)
                 ref.append((gen / val, scale))
-        assert len(t) == len(ref)
+        assert len(t) == len(ref) > 100
         for got, (want, scale) in zip(t, ref):
             assert abs(got - want) <= 1e-10 * scale
 
@@ -204,11 +220,11 @@ class TestPrelimitCheck:
                                         ver.SamplerConfig(n_samples=20, seed=7))
         assert rep.to_dict() == {
             "inequality": "prelimit_renewal_foster", "samples": 112, "violations": 0,
-            "worst_margin": 0.0037479052740441695, "seed": 7, "passed": True,
+            "worst_margin": 0.0037479052740454913, "seed": 7, "passed": True,
             "constants": {"attainment_radius": 1.5811388300841898,
                           "decay": 2.0010918705608607e-05,
                           "epsilon": 0.00018009826835047743,
-                          "kappa_estimate": 0.00012462090103801304,
+                          "kappa_estimate": 0.00012462090103848952,
                           "theta": 0.00036019653670095486},
             "notes": ""}
 
@@ -218,10 +234,9 @@ class TestGenerators:
     def test_ratio_times_value_is_the_poisson_generator(self, certify_n10, family):
         p = certify_n10
         spec = lyap.LyapunovSpec(family, p.mu_n, epsilon=0.2, theta=0.5, eta=0.5)
-        log_v = qs._log_v(spec, p)
 
         def v(x):
-            return float(np.exp(log_v(x)))
+            return float(np.exp(lyap.log_value(spec, scale_state(x, p))))
 
         rng = np.random.default_rng(4)
         for x in rng.integers(0, 25, size=(10, 3)):
@@ -233,6 +248,30 @@ class TestGenerators:
                 # each term of the generator
                 scale = v(x) * float(np.sum(p.lambda_n + p.mu_n * z + p.gamma_n * (x - z)))
                 assert abs(ratio * v(x) - direct) <= 1e-10 * scale
+
+    def test_batched_consistency_errors_equal_a_per_point_loop(self):
+        # the certify system's points and controls as generator-check draws
+        # them; each point alone, as a 1-D state, gives the same bits
+        dspec = diffusion_spec(CERTIFY)
+        spec = lyap.select_parameters(lyap.Family.EXP_LINEAR, CERTIFY)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-3.0, 3.0, size=(20, 3))
+        us = rng.dirichlet(np.ones(3), size=20)
+        n_list = (100, 1000, 10000)
+        got = qs.generator_consistency_errors(CERTIFY, dspec, spec, pts, us, n_list)
+        want = np.zeros_like(got)
+        for jn, n in enumerate(n_list):
+            p = prelimit_params(CERTIFY, n)
+            for ip, (xh0, u) in enumerate(zip(pts, us)):
+                x = np.maximum(np.rint(unscale_state(xh0, p)), 0.0).astype(np.int64)
+                z = np.array(qs._apportion_list(x.tolist(), p.n, u.tolist()), dtype=float)
+                xhat = scale_state(x.astype(float), p)
+                u_real = allocation_to_control(xhat, scale_state(z, p))
+                gen = qs.ctmc_generator_ratio(spec, x, z, p)
+                lim = lyap.generator_ratio(spec, xhat, u if u_real is None else u_real, dspec)
+                want[ip, jn] = abs(float(gen) - float(lim))
+        assert np.array_equal(got, want)
+        assert np.all(got > 0)
 
     def test_renewal_generator_needs_a_bounded_hazard(self, certify_n10):
         class Flat:                        # a lifted function that never fails itself
@@ -281,30 +320,41 @@ class TestArrivalLaws:
     ], ids=["mixed", "hyperexp"])
     def test_lifted_function_is_sandwiched_at_the_eps_bound(self, certify_n10, dists, theta):
         # eps = eps~0, the largest the constructor accepts, keeps
-        # 1/2 V <= V~ <= 3/2 V on sampled scaled states and ages
+        # 1/2 V <= V~ <= 3/2 V on sampled lattice states and ages
         p, arr = certify_n10, qs.ArrivalSpec(dists)
         spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n,
                                  epsilon=qs.eps_tilde0(p, arr, theta), theta=theta)
         lifted = qs.RenewalLyapunov(p, arr, spec)
         rng = np.random.default_rng(7)
         xh = rng.uniform(-20, 20, size=(2000, 3))
+        states = np.maximum(np.rint(unscale_state(xh, p)), 0).astype(np.int64)
         ages = rng.exponential(1.0, size=(2000, 3)) / p.lambda_n
-        ratio = lifted.value_scaled(xh, ages) * np.exp(-lyap.log_value(spec, xh))
+        ratio = lifted.value(states, ages) * np.exp(
+            -lyap.log_value(spec, scale_state(states, p)))
+        assert np.ptp(ratio) > 0.05                # the ages move V~ / V
         assert np.all((0.5 <= ratio) & (ratio <= 1.5))
 
     def test_lifted_function_on_poisson_input_is_v(self, certify_n10):
-        # every zeta^n is 1 and every r^n is lambda^n: V~ = V, and the
-        # extended generator's terms are the Poisson ones
+        # no class is aged: V~ = V, the age term is 0 and the extended
+        # generator's terms are the Poisson ones bit for bit, at any ages
         p = certify_n10
         spec = qs.estimate_prelimit_constants(p, POISSON)
         lifted = qs.RenewalLyapunov(p, POISSON, spec)
+        assert lifted.aged == []
         rng = np.random.default_rng(SAMPLER.seed)
         states = qs._sample_prelimit_states(p, REGION, SAMPLER, rng)
         ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
-        xhat = scale_state(states.astype(float), p)
-        assert np.array_equal(lifted.value_scaled(xhat, ages),
-                              np.exp(lyap.log_value(spec, xhat)))
+        log_v = lyap.log_value(spec, scale_state(states, p))
+        assert np.array_equal(lifted.value(states, ages), np.exp(log_v))
         assert np.all(lifted.ds_sum(states, ages) == 0.0)
-        got, want = lifted.pair_terms(states, ages), qs._poisson_terms(p, spec, states)
+        got = lifted.pair_terms(states, ages)
+        for a, b in zip(got, lifted.pair_terms(states, np.zeros_like(ages))):
+            assert np.array_equal(a, b)
+        # the Poisson terms from every neighbour of every state at once
+        eye = np.eye(3, dtype=np.int64)
+        up, dn = (np.exp(lyap.log_value(spec, scale_state(states[:, None, :] + k * eye, p))
+                         - log_v[:, None]) - 1.0 for k in (1, -1))
+        want = (row_sum(p.lambda_n * up), dn, log_v,
+                row_sum(np.abs(scale_state(states, p))))
         for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+            assert np.array_equal(a, b)
