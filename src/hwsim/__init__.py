@@ -9,7 +9,6 @@ from .model import (
     diffusion_spec,
     drift,
     drift_truncated,
-    make_system,
     prelimit_params,
     project_simplex,
     scale_state,
@@ -20,9 +19,6 @@ from .lyapunov import (
     Family,
     InfeasibleGoal,
     LyapunovSpec,
-    big_psi_star,
-    evaluate,
-    generator_apply,
     generator_ratio,
     gradient,
     hessian,

@@ -6,26 +6,28 @@ any other (``CONFIG_KEYS``) and any value that breaks the rule in brackets.
 Lists take commas or spaces; m is the number of classes (entries of lambda).
 
   [scenario]  id ("scenario") [a plain name, ``NAME``], seed (required: it
-              drives every stream)
+              drives every stream) [>= 0, as is --seed-override]
   [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
               of the [arrivals] laws) [m finite entries each]
-  [prelimit]  n: server counts [>= 1; rates > 0]; sim-queue runs each,
-              verify-drift certifies the prelimit bounds at the first only
+  [prelimit]  n: server counts [>= 1, distinct; rates > 0]; sim-queue runs
+              each, verify-drift certifies the prelimit bounds at the first only
   [arrivals]  dist: one law per class (m exponentials), each exponential,
               erlang:<k>, hyperexp2:<scv> or lognormal:<scv>; the input is
               Poisson when every law is exponential (generator-check needs
               it); kind: poisson or renewal [poisson: every law exponential]
-  [policy.<name>]  at least one [<name> a plain name, as id]; kind:
-              constant or proportional_split (with u [m entries on the
-              simplex]), static_priority (with order [a permutation of
-              0..m-1]), longest_queue_first, random_work_conserving (these
-              two have no diffusion control: sim-diffusion and tails exit 2)
+  [policy.<name>]  at least one [<name> a plain name, as id]; kind and the
+              keys it reads (``POLICY_KEYS``): constant and proportional_split
+              u [m entries on the simplex], static_priority order [a
+              permutation of 0..m-1], longest_queue_first and
+              random_work_conserving none (nor a diffusion control:
+              sim-diffusion and tails exit 2)
   [sim]       horizon, step, burn_in, replicas, thin, x0, blowup, each
               defaulting to its ``diffusion.SimConfig`` field
               [0 < step <= burn_in < horizon < inf, replicas >= 1,
               0 < thin < inf, a thinning step past burn_in, blowup > 0,
               x0 1 or m finite entries]
-  [verify]    samples (100000) [>= 1], truncations (1, 5, inf), eta (1) [> 0, finite]
+  [verify]    samples (100000) [>= 1], truncations (1, 5, inf) [>= 1, distinct],
+              eta (1) [> 0, finite]
   [output]    dir (out)
 
 Subcommands write CSV artifacts plus a JSON detail file into the output
@@ -53,7 +55,7 @@ from . import lyapunov as lyap
 from . import queues as qs
 from . import verify as ver
 from .measures import MOMENTS
-from .model import SystemParams, diffusion_spec, make_system, prelimit_params
+from .model import SystemParams, diffusion_spec, prelimit_params
 
 RESULTS_HEADER = "scenario,operation,seed,timestamp,metric,value,stderr,passed"
 HISTOGRAM_SCHEMA = "histogram CSV: bin_lo_1..m, bin_hi_1..m, weight"
@@ -82,17 +84,20 @@ def _ints(s: str) -> tuple[int, ...]:
 # holds the default of a key the config leaves out.
 SIM_KEYS = {"horizon": float, "step": float, "burn_in": float, "replicas": int,
             "thin": float, "x0": _floats, "blowup": float}
-# Every section and key the commands read; "policy.*" is each [policy.<name>].
+# Every section and key the commands read, but [policy.<name>] (POLICY_KEYS).
 CONFIG_KEYS = {
     "scenario": ("id", "seed"),
     "system": ("lambda", "mu", "gamma", "hat_lambda", "hat_mu", "scv"),
     "prelimit": ("n",),
     "arrivals": ("kind", "dist"),
-    "policy.*": ("kind", "u", "order"),
     "sim": tuple(SIM_KEYS),
     "verify": ("samples", "truncations", "eta"),
     "output": ("dir",),
 }
+# Each policy kind and the keys its [policy.<name>] block reads.
+POLICY_KEYS = {"constant": ("kind", "u"), "proportional_split": ("kind", "u"),
+               "static_priority": ("kind", "order"), "longest_queue_first": ("kind",),
+               "random_work_conserving": ("kind",)}
 # A scenario id or policy name, a part of file names and of CSV fields.
 NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 # The prelimit checks sample the ball of this radius in scaled states, at
@@ -129,6 +134,10 @@ class ExperimentConfig:
     eta: float
     out_dir: str
 
+    def __post_init__(self):
+        if self.seed < 0:                  # numpy's seed sequences take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     @property
     def arrival_kind(self) -> str:
         return "poisson" if self.arrivals.is_poisson else "renewal"
@@ -143,11 +152,11 @@ def _parse_dist(token: str):
     if name == "exponential":
         return qs.Exponential()
     if name == "hyperexp2":
-        return qs.HyperExp2.from_scv(float(arg))
+        return qs.HyperExp2(float(arg))
     if name == "erlang":
         return qs.Erlang(int(arg))
     if name == "lognormal":
-        return qs.LogNormal.from_scv(float(arg))
+        return qs.LogNormal(float(arg))
     raise ConfigError(f"unknown interarrival family {token!r}")
 
 
@@ -155,8 +164,11 @@ def _check_keys(cp: configparser.ConfigParser) -> None:
     if cp.defaults():
         raise ConfigError("unknown config section [DEFAULT]")
     for sect in cp.sections():
-        allowed = CONFIG_KEYS.get("policy.*" if sect.startswith("policy.") else sect)
-        if allowed is None:
+        if sect.startswith("policy."):
+            if (kind := cp[sect].get("kind")) not in POLICY_KEYS:
+                raise ConfigError(f"unknown policy kind {kind!r}")
+            allowed = POLICY_KEYS[kind]
+        elif (allowed := CONFIG_KEYS.get(sect)) is None:
             raise ConfigError(f"unknown config section [{sect}]")
         for key in cp[sect]:
             if key not in allowed:
@@ -181,8 +193,8 @@ def parse_config(text: str) -> ExperimentConfig:
         lam = _floats(sysb["lambda"])
         m = len(lam)
         n_list = _ints(cp["prelimit"]["n"]) if cp.has_section("prelimit") else ()
-        if any(n < 1 for n in n_list):
-            raise ConfigError(f"[prelimit] n must be >= 1, got {list(n_list)}")
+        if any(n < 1 for n in n_list) or len(set(n_list)) < len(n_list):
+            raise ConfigError(f"[prelimit] n must be >= 1 and distinct, got {list(n_list)}")
         arr = dict(cp["arrivals"]) if cp.has_section("arrivals") else {}
         arrivals = (qs.ArrivalSpec(tuple(map(_parse_dist, arr["dist"].split(","))))
                     if "dist" in arr else qs.ArrivalSpec.poisson(m))
@@ -195,7 +207,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("[arrivals] kind = poisson needs exponential laws")
         # the diffusion's covariance comes from the interarrival laws the
         # queue simulator runs; an explicit [system] scv must agree with them
-        system = make_system(
+        system = SystemParams(
             lam, _floats(sysb["mu"]),
             gamma=_floats(sysb["gamma"]) if "gamma" in sysb else None,
             hat_lambda=_floats(sysb["hat_lambda"]) if "hat_lambda" in sysb else None,
@@ -229,10 +241,8 @@ def parse_config(text: str) -> ExperimentConfig:
                                     dif.StaticPriorityControl(order))
             elif kind == "longest_queue_first":
                 queue, diffusion = qs.LongestQueueFirstPolicy(), None
-            elif kind == "random_work_conserving":
+            else:                          # random_work_conserving (_check_keys)
                 queue, diffusion = qs.RandomWorkConservingPolicy(), None
-            else:
-                raise ConfigError(f"unknown policy kind {kind!r}")
             policies.append(PolicyConfig(sect.split(".", 1)[1], kind, queue, diffusion))
         sim = dict(cp["sim"]) if cp.has_section("sim") else {}
         sim_cfg = dif.SimConfig(**{key: SIM_KEYS[key](v) for key, v in sim.items()})
@@ -247,6 +257,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if samples < 1:
             raise ConfigError(f"[verify] samples must be >= 1, got {samples}")
         truncations = _floats(vf.get("truncations", "1, 5, inf"))
+        if not all(c >= 1 for c in truncations) or len(set(truncations)) < len(truncations):
+            raise ConfigError(f"[verify] truncations must be >= 1 and distinct, "
+                              f"got {list(truncations)}")
         eta = float(vf.get("eta", 1.0))
         if not 0 < eta < math.inf:
             raise ConfigError(f"[verify] eta must be > 0 and finite, got {eta}")
@@ -552,7 +565,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text())
         if args.seed_override is not None:
-            cfg.seed = args.seed_override
+            cfg = replace(cfg, seed=args.seed_override)
         if args.out is not None:
             cfg.out_dir = args.out
         return COMMANDS[args.command](cfg, args.overwrite)

@@ -207,17 +207,6 @@ def log_value(spec: LyapunovSpec, x) -> np.ndarray:
     return _log_scale(spec, val)[0]
 
 
-def big_psi_star(x, eps: float, theta: float, mu) -> np.ndarray:
-    """Psi*_{eps,theta}(x) = eps theta Psi(-x) + Psi_eps(x), vectorized over rows;
-    ValueError unless eps and theta are positive."""
-    return log_value(LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=eps, theta=theta), x)
-
-
-def evaluate(spec: LyapunovSpec, x) -> np.ndarray:
-    """Linear-scale value of the family (may overflow far out; see log_value)."""
-    return np.exp(log_value(spec, x))
-
-
 def gradient(spec: LyapunovSpec, x) -> np.ndarray:
     L, gl, _ = log_terms(spec, x)
     return np.exp(L)[..., None] * gl
@@ -245,30 +234,27 @@ def _diag_embed(d: np.ndarray) -> np.ndarray:
 # generator
 # ---------------------------------------------------------------------------
 
-def generator_ratio(spec, x, u, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
-    """(L_u f / f)(x) for the truncated drift, computed entirely in log scale.
+def generator_ratio(spec: LyapunovSpec, x, u, dspec: DiffusionSpec) -> np.ndarray:
+    """(L_u f / f)(x), computed entirely in log scale.
 
-    For f = exp(L) this is  (1/2) sum_i a_ii ((d_i L)^2 + d_ii L) + <b_c, grad L>,
-    which stays finite where the linear-scale value overflows.  ``spec`` may be
-    a single LyapunovSpec or a sequence, in which case the product family
-    (log-sum) is used.
+    For f = exp(L) this is  (1/2) sum_i a_ii ((d_i L)^2 + d_ii L) + <b, grad L>,
+    which stays finite where the linear-scale value overflows.
     """
-    specs = [spec] if isinstance(spec, LyapunovSpec) else list(spec)
     x = np.asarray(x, dtype=float)
-    return ratio_from_terms([log_terms(s, x) for s in specs], x, u, dspec, c)
+    return ratio_from_terms([log_terms(spec, x)], x, u, dspec)
 
 
-def ratio_from_terms(terms, x, u, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
+def ratio_from_terms(terms, x, u, dspec: DiffusionSpec) -> np.ndarray:
     """``generator_ratio`` of the product family from each factor's ``log_terms``
     at x, for callers that already hold them (they need L as well)."""
     gl, second = _second_order(terms, dspec)
-    return second + row_sum(drift_truncated(x, u, dspec, c) * gl)
+    return second + row_sum(drift_truncated(x, u, dspec, math.inf) * gl)
 
 
-def worst_ratio_from_terms(terms, x, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
+def worst_ratio_from_terms(terms, x, dspec: DiffusionSpec) -> np.ndarray:
     """max over u in Delta of ``ratio_from_terms``: only the drift depends on u."""
     gl, second = _second_order(terms, dspec)
-    return second + max_drift_along(x, gl, dspec, c)
+    return second + max_drift_along(x, gl, dspec, math.inf)
 
 
 def _second_order(terms, dspec: DiffusionSpec):
@@ -279,27 +265,12 @@ def _second_order(terms, dspec: DiffusionSpec):
     return gl, 0.5 * row_sum(dspec.a_diag * (gl * gl + hl))
 
 
-def generator_apply(spec, x, u, dspec: DiffusionSpec, c: float = math.inf) -> np.ndarray:
-    """L_u f(x) on linear scale (ratio form times the value)."""
-    specs = [spec] if isinstance(spec, LyapunovSpec) else list(spec)
-    L = sum(log_value(s, x) for s in specs)
-    return generator_ratio(specs, x, u, dspec, c) * np.exp(L)
-
-
-def generator_apply_direct(spec: LyapunovSpec, x, u, dspec: DiffusionSpec,
-                           c: float = math.inf) -> np.ndarray:
-    """L_u f(x) assembled from linear-scale gradient and Hessian.
-
-    Redundant with ``generator_apply``; kept as the second route of the
-    dual-path consistency check.
-    """
+def generator_apply_direct(spec: LyapunovSpec, x, u, dspec: DiffusionSpec) -> np.ndarray:
+    """L_u f(x) assembled from linear-scale gradient and Hessian: the second
+    route of the dual-path consistency check of ``generator_ratio``."""
     x = np.asarray(x, dtype=float)
-    grad = gradient(spec, x)
-    hess = hessian(spec, x)
-    b = drift_truncated(x, u, dspec, c)
-    idx = np.arange(spec.m)
-    tr = row_sum(dspec.a_diag * hess[..., idx, idx])
-    return 0.5 * tr + row_sum(b * grad)
+    trace = row_sum(dspec.a_diag * np.diagonal(hessian(spec, x), axis1=-2, axis2=-1))
+    return 0.5 * trace + row_sum(drift_truncated(x, u, dspec, math.inf) * gradient(spec, x))
 
 
 # ---------------------------------------------------------------------------

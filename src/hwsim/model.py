@@ -112,26 +112,28 @@ class SystemParams:
     lambda_/mu/gamma are per-class arrival, service and abandonment rates of
     the fluid limit; hat_lambda/hat_mu are the sqrt(n)-order corrections used
     to build the n-server systems; scv holds the squared coefficients of
-    variation of the interarrival times (1 for Poisson input).
+    variation of the interarrival times (1 for Poisson input).  The class
+    count m is the length of lambda_; an omitted block is zeros (scv: ones).
 
     Invariant: sum_i lambda_i / mu_i = 1 (critical load).
     """
 
-    m: int
     lambda_: np.ndarray
     mu: np.ndarray
-    gamma: np.ndarray
-    hat_lambda: np.ndarray
-    hat_mu: np.ndarray
-    scv: np.ndarray
+    gamma: np.ndarray | None = None
+    hat_lambda: np.ndarray | None = None
+    hat_mu: np.ndarray | None = None
+    scv: np.ndarray | None = None
 
     def __post_init__(self):
+        m = _as_array(self.lambda_).shape[-1]
         for name in ("lambda_", "mu", "gamma", "hat_lambda", "hat_mu", "scv"):
-            a = _as_array(getattr(self, name), self.m)
+            v = getattr(self, name)
+            a = np.full(m, 1.0 if name == "scv" else 0.0) if v is None else _as_array(v, m)
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name.rstrip('_')} must be finite, got {a.tolist()}")
             object.__setattr__(self, name, a)
-        if self.m < 1:
+        if m < 1:
             raise ValueError("class count m must be >= 1")
         if np.any(self.lambda_ <= 0) or np.any(self.mu <= 0):
             raise ValueError("arrival and service rates must be positive")
@@ -142,6 +144,10 @@ class SystemParams:
         load = float(np.sum(self.lambda_ / self.mu))
         if abs(load - 1.0) > LOAD_TOL:
             raise ValueError(f"sum of lambda_i/mu_i must be 1, got {load}")
+
+    @property
+    def m(self) -> int:
+        return self.lambda_.shape[0]
 
     @property
     def rho(self) -> np.ndarray:
@@ -156,19 +162,6 @@ class SystemParams:
     def lambda_tilde(self) -> np.ndarray:
         """Half the diffusion covariance: lambda_i (1 + scv_i) / 2."""
         return 0.5 * self.lambda_ * (1.0 + self.scv)
-
-
-def make_system(lambda_, mu, gamma=None, hat_lambda=None, hat_mu=None,
-                scv=None) -> SystemParams:
-    """Convenience constructor filling optional blocks with zeros/ones."""
-    lambda_ = _as_array(lambda_)
-    m = lambda_.shape[-1]
-    mu = _as_array(mu, m)
-    gamma = np.zeros(m) if gamma is None else _as_array(gamma, m)
-    hat_lambda = np.zeros(m) if hat_lambda is None else _as_array(hat_lambda, m)
-    hat_mu = np.zeros(m) if hat_mu is None else _as_array(hat_mu, m)
-    scv = np.ones(m) if scv is None else _as_array(scv, m)
-    return SystemParams(m, lambda_, mu, gamma, hat_lambda, hat_mu, scv)
 
 
 def spare_capacity(params: SystemParams) -> float:

@@ -77,25 +77,15 @@ class Exponential:
 
 
 class HyperExp2:
-    """Two-phase hyperexponential with unit mean (SCV > 1, decreasing hazard)."""
+    """Unit-mean hyperexponential of two balanced phases (p / r1 = (1 - p) / r2),
+    from its SCV > 1 (decreasing hazard)."""
 
-    def __init__(self, p: float, r1: float, r2: float):
-        if not (0 < p < 1 and r1 > 0 and r2 > 0):
-            raise ValueError("need 0 < p < 1 and positive rates")
-        mean = p / r1 + (1 - p) / r2
-        if abs(mean - 1.0) > 1e-9:
-            raise ValueError(f"mean must be 1, got {mean}")
-        self.p, self.r1, self.r2 = p, r1, r2
-        m2 = 2 * (p / r1**2 + (1 - p) / r2**2)
-        self.scv = m2 - 1.0
-
-    @classmethod
-    def from_scv(cls, scv: float) -> "HyperExp2":
-        # balanced-means parameterization
-        if scv <= 1.0:
-            raise ValueError("hyperexponential requires SCV > 1")
+    def __init__(self, scv: float):
+        if not 1.0 < scv < math.inf:
+            raise ValueError(f"hyperexponential requires 1 < SCV < inf, got {scv}")
         p = 0.5 * (1.0 + math.sqrt((scv - 1.0) / (scv + 1.0)))
-        return cls(p, 2.0 * p, 2.0 * (1.0 - p))
+        self.p, self.r1, self.r2 = p, 2.0 * p, 2.0 * (1.0 - p)
+        self.scv = 2 * (p / self.r1**2 + (1 - p) / self.r2**2) - 1.0
 
     def sample(self, rng, size=None):
         u = rng.random(size)
@@ -173,19 +163,11 @@ class LogNormal:
     mean residual life is not, so no eps keeps the sandwich of ``eps_tilde0``:
     no certification mode accepts it, and it is simulated only."""
 
-    def __init__(self, sigma: float):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.sigma = sigma
-        self.mu_ln = -0.5 * sigma * sigma
-        self.scv = math.expm1(sigma * sigma)
-
-    @classmethod
-    def from_scv(cls, scv: float) -> "LogNormal":
-        # scv = expm1(sigma^2)
-        if scv <= 0:
-            raise ValueError("lognormal requires SCV > 0")
-        return cls(math.sqrt(math.log1p(scv)))
+    def __init__(self, scv: float):
+        if not 0.0 < scv < math.inf:
+            raise ValueError(f"lognormal requires 0 < SCV < inf, got {scv}")
+        self.sigma = sigma = math.sqrt(math.log1p(scv))
+        self.mu_ln, self.scv = -0.5 * sigma * sigma, math.expm1(sigma * sigma)
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu_ln, self.sigma, size=size)
@@ -404,6 +386,11 @@ class FunctionPolicy(SchedulingPolicy):
 # event-driven simulation
 # ---------------------------------------------------------------------------
 
+def _lattice_state(xhat, p: PrelimitParams) -> np.ndarray:
+    """The lattice state (int64, clipped at 0) nearest each unscaled row of xhat."""
+    return np.maximum(np.rint(unscale_state(xhat, p)), 0.0).astype(np.int64)
+
+
 # Variates per numpy call in the event loop (clock draws, renewal interarrival
 # times, random priority orders), drawn from each replica's own generator.
 _BLOCK = 256
@@ -445,8 +432,7 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
     lam_sum = lam_cum[-1]                      # one total: r < lam_sum keeps bisect < m
     gaps = [] if poisson else [_blocks(functools.partial(d.sample, rng)) for d in arr.dists]
     next_arr = [next(g) / rate for g, rate in zip(gaps, lam)]
-    x0 = unscale_state(np.asarray(cfg.x0, dtype=float) * np.ones(m), p)
-    x = np.maximum(np.rint(x0), 0).astype(np.int64).tolist()
+    x = _lattice_state(np.asarray(cfg.x0, dtype=float) * np.ones(m), p).tolist()
     xhat = [(x[i] - center[i]) * inv_rt - shift for i in range(m)]
     l1, ssum = sum(abs(v) for v in xhat), sum(xhat)
     # time integrals past burn-in; coordinate i is integrated up to settled[i]
@@ -880,8 +866,7 @@ def _estimate_c1(p: PrelimitParams, spec: lyap.LyapunovSpec, seed: int) -> float
     m = p.m
     rng = np.random.default_rng(seed)
     xh = rng.uniform(-C1_RADIUS, C1_RADIUS, size=(C1_STATES, m))
-    x = np.maximum(np.rint(unscale_state(xh, p)), 0.0)
-    _, ratio = _neighbours(spec, p, x)
+    _, ratio = _neighbours(spec, p, _lattice_state(xh, p))
     eye = np.eye(m, dtype=np.int64)
     worst = 0.0
     for i in range(m):
@@ -950,8 +935,7 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> lyap.Lya
 def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerConfig,
                             rng: np.random.Generator) -> np.ndarray:
     xh = sample_states(region, sampler, p.m, joint_values=(0.0, 1.0), rng=rng)
-    x = np.maximum(np.rint(unscale_state(xh, p)), 0.0).astype(np.int64)
-    return np.unique(x, axis=0)
+    return np.unique(_lattice_state(xh, p), axis=0)
 
 
 # (state, allocation) pairs enumerated at once by the prelimit check; its
@@ -1054,7 +1038,7 @@ def generator_consistency_errors(params, dspec: DiffusionSpec, spec: lyap.Lyapun
     out = np.zeros((len(points), len(n_list)))
     for jn, n in enumerate(n_list):
         p = prelimit_params(params, int(n))
-        x = np.maximum(np.rint(unscale_state(points, p)), 0.0).astype(np.int64)
+        x = _lattice_state(points, p)
         z = np.array([_apportion_list(xi, p.n, u) for xi, u
                       in zip(x.tolist(), controls.tolist())], dtype=float).reshape(x.shape)
         xhat, zhat = scale_state(x.astype(float), p), scale_state(z, p)

@@ -392,23 +392,20 @@ def verify_sub_gaussian_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
                         {"epsilon": eps, "theta": th, "decay_coeff": coeff})
 
 
-def verify_abandonment_foster(dspec: DiffusionSpec, eta: float, region: Region,
+def verify_abandonment_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec, region: Region,
                               sampler: SamplerConfig) -> VerificationReport:
     """L_u V^ <= k0 - k1 ||x||_1 V^ on K_0^+ x Delta for the abandonment family.
 
     ``region`` is a cone.  k1 is fitted on the outer half of the sampled
     radius and must be bounded away from zero for the check to pass.
     """
-    beta = dspec.beta
-    if float(beta.min()) <= 0:
+    if float(dspec.beta.min()) <= 0:
         raise PreconditionError("abandonment family needs all abandonment rates positive")
-    th = lyap.sub_gaussian_theta(float(beta.min()), float(beta.max()))
-    spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, dspec.mu, eta=eta, theta=th)
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0))
     q, log_v = _ratio(lyap.log_terms(spec, x), x, dspec)
     k1 = fitted_slope(q, r1, r1 >= 0.5 * region.radius)
     return slope_report("abandonment_foster", q, k1, r1, log_v,
-                        region.radius, sampler.seed, {"eta": eta, "theta": th})
+                        region.radius, sampler.seed, {"eta": spec.eta, "theta": spec.theta})
 
 
 def _sum_ratio(terms_a, terms_b, x, dspec: DiffusionSpec):
@@ -559,7 +556,7 @@ def default_suite(params: SystemParams, sampler: SamplerConfig,
                 dspec, sg, Region.ball(suggested_radius(dspec, sg)), sampler))
             ab = lyap.select_parameters(lyap.Family.ABANDON_EXP, params, eta=eta)
             reports.append(verify_abandonment_foster(
-                dspec, eta, Region.cone(suggested_radius(dspec, ab)), sampler))
+                dspec, ab, Region.cone(suggested_radius(dspec, ab)), sampler))
     finally:
         _cloud.cache_clear()
         _TERMS.clear()

@@ -238,7 +238,9 @@ def test_tails_flags_policies_that_trip_before_burn_in(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["sim-diffusion", "tails"])
 def test_a_queue_only_kind_has_no_diffusion_run(tmp_path, capsys, command):
-    path = _demo_with(tmp_path, ("kind = constant", "kind = longest_queue_first"))
+    # longest_queue_first reads no u, so the u line goes with the old kind
+    path = _demo_with(tmp_path, ("kind = constant\nu = 0.5, 0.5\n",
+                                 "kind = longest_queue_first\n"))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -319,6 +321,14 @@ def test_generator_check_keys_on_the_laws_not_the_declared_kind(tmp_path, capsys
 
 
 BAD_U = "\n[policy.bad]\nkind = constant\nu = {}\n"
+# a block of each kind with a key that kind does not read
+UNREAD = [("\n[policy.bad]\nkind = {}\n{}\n".format(kind, lines), f"it accepts {accepts}")
+          for kind, lines, accepts in [
+              ("constant", "u = 0.5, 0.5\norder = 1, 0", "kind, u"),
+              ("proportional_split", "u = 0.5, 0.5\norder = 1, 0", "kind, u"),
+              ("static_priority", "order = 1, 0\nu = 0.5, 0.5", "kind, order"),
+              ("longest_queue_first", "u = 0.5, 0.5", "kind"),
+              ("random_work_conserving", "order = 1, 0", "kind")]]
 # nan and inf in every number of [system], in [sim] x0 and in [verify] eta:
 # a NaN passes every comparison-based check, an inf some
 NON_FINITE = [(old, new.format(v), named) for v in ("nan", "inf") for old, new, named in [
@@ -359,6 +369,12 @@ NON_FINITE = [(old, new.format(v), named) for v in ("nan", "inf") for old, new, 
     *NON_FINITE,
     ("kind = poisson\n", "kind = poisson\ndist = erlang:2, hyperexp2:1.5\n",
      "kind = poisson needs exponential laws"),
+    ("seed = 3\n", "seed = -1\n", "seed must be >= 0, got -1"),
+    ("n = 20\n", "n = 20, 20\n", "n must be >= 1 and distinct, got [20, 20]"),
+    ("", "\n[verify]\ntruncations = 1, 5, 1\n", "truncations must be >= 1 and distinct"),
+    ("", "\n[verify]\ntruncations = 0.5, 5\n", "truncations must be >= 1 and distinct"),
+    *[("", block, accepts) for block, accepts in UNREAD],
+    ("kind = static_priority\n", "kind = fifo\n", "unknown policy kind 'fifo'"),
     # ids and policy names become file names and CSV fields
     ("id = tiny\n", "id = de,mo\n", "'de,mo' is not a plain name"),
     ("id = tiny\n", "id = ../escaped\n", "'../escaped' is not a plain name"),
@@ -376,6 +392,17 @@ def test_bad_config_value_exits_2(tmp_path, capsys, old, new, named, command):
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_negative_seed_override_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "exp.ini"
+    path.write_text(_config(None, POISSON))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out),
+                     "--seed-override", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_consolidates_the_results(tmp_path, capsys):

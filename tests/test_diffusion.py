@@ -11,7 +11,7 @@ from hwsim import measures
 
 @pytest.fixture(scope="module")
 def stable_system():
-    return hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
+    return hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +465,7 @@ class TestMeasure:
     def test_normalization(self, m):
         # every sample weighs 1/N, and the occupied cells are the non-empty
         # bins of the dense histogramdd grid, in C order, with its masses
-        system = hwsim.make_system([1.0 / m] * m, [1.0] * m, hat_lambda=[-1.0 / m] * m)
+        system = hwsim.SystemParams([1.0 / m] * m, [1.0] * m, hat_lambda=[-1.0 / m] * m)
         cfg = dif.SimConfig(horizon=20.0, step=0.01, replicas=4, seed=2)
         run = dif.simulate(hwsim.diffusion_spec(system), dif.ConstantControl([1.0 / m] * m), cfg)
         samples = run.measure.samples

@@ -15,13 +15,29 @@ from hwsim.verify import ETA_GRID
 
 @pytest.fixture(scope="module")
 def system():
-    return hwsim.make_system([0.5, 0.6], [1.0, 1.2], gamma=[0.3, 0.6],
-                             hat_lambda=[-0.5, -0.6], scv=[1.3, 0.7])
+    return hwsim.SystemParams([0.5, 0.6], [1.0, 1.2], gamma=[0.3, 0.6],
+                              hat_lambda=[-0.5, -0.6], scv=[1.3, 0.7])
 
 
 @pytest.fixture(scope="module")
 def dspec(system):
     return hwsim.diffusion_spec(system)
+
+
+def psi_star(x, eps, theta, mu):
+    """Psi*_{eps,theta}(x) = eps theta Psi(-x) + Psi_eps(x), the log of the
+    exp-linear family."""
+    return lyap.log_value(LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=eps, theta=theta), x)
+
+
+def value(spec, x):
+    """The family's linear-scale value (overflows far out)."""
+    return np.exp(lyap.log_value(spec, x))
+
+
+def apply(spec, x, u, dspec):
+    """L_u f(x) on linear scale: the ratio form times the value."""
+    return lyap.generator_ratio(spec, x, u, dspec) * value(spec, x)
 
 
 def all_family_specs(mu):
@@ -71,10 +87,10 @@ class TestCutoff:
 
 class TestWeightedSums:
     def test_zero_at_origin(self):
-        assert lyap.big_psi_star(np.zeros(2), 0.1, 1.0, [1.0, 1.0]) == 0.0
+        assert psi_star(np.zeros(2), 0.1, 1.0, [1.0, 1.0]) == 0.0
 
     def test_hand_value(self):
-        v = lyap.big_psi_star(np.array([5.0]), 0.1, 1.0, [1.0])
+        v = psi_star(np.array([5.0]), 0.1, 1.0, [1.0])
         assert v == pytest.approx(0.45)
 
     def test_gradient_matches_finite_differences(self):
@@ -87,8 +103,8 @@ class TestWeightedSums:
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (lyap.big_psi_star(x + e, 0.07, 0.6, mu)
-                  - lyap.big_psi_star(x - e, 0.07, 0.6, mu)) / (2 * h)
+            fd = (psi_star(x + e, 0.07, 0.6, mu)
+                  - psi_star(x - e, 0.07, 0.6, mu)) / (2 * h)
             err = np.abs(g[:, i] - fd)
             rel = err / (1e-9 + np.abs(fd))
             # relative away from the cutoff joints, absolute next to them
@@ -96,7 +112,7 @@ class TestWeightedSums:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            lyap.big_psi_star(np.zeros(2), -0.1, 1.0, [1.0, 1.0])
+            psi_star(np.zeros(2), -0.1, 1.0, [1.0, 1.0])
 
 
 class TestNormIdentities:
@@ -109,7 +125,7 @@ class TestNormIdentities:
         mu = np.array([1.0, 1.5])
         x = rng.uniform(-1, 1, size=(20_000, 2))
         x *= rng.uniform(0, 100, size=(20_000, 1)) / np.abs(x).sum(axis=1, keepdims=True)
-        v = lyap.big_psi_star(x, eps, theta, mu)
+        v = psi_star(x, eps, theta, mu)
         r1 = np.abs(x).sum(axis=1)
         lo = eps * min(1, theta) / mu.max() * r1 - 1.0  # m/2 with m=2
         hi = eps * max(1, theta) / mu.min() * r1
@@ -142,21 +158,19 @@ class TestNormIdentities:
 class TestFamilies:
     def test_unit_values_at_origin(self, system):
         mu = system.mu
-        v = lyap.evaluate(LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=0.1, theta=0.4),
-                          np.zeros(2))
+        v = value(LyapunovSpec(Family.EXP_LINEAR, mu, epsilon=0.1, theta=0.4), np.zeros(2))
         assert v == pytest.approx(1.0)
-        v = lyap.evaluate(LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=0.1, theta=0.4),
-                          np.zeros(2))
+        v = value(LyapunovSpec(Family.SUB_GAUSSIAN, mu, epsilon=0.1, theta=0.4), np.zeros(2))
         assert v == pytest.approx(1.0)
 
     def test_empty_subset_is_constant_one(self, system):
         spec = LyapunovSpec(Family.NEG_PART_EXP, system.mu, eta=2.0, class_subset=())
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 2)) * 10
-        assert np.allclose(lyap.evaluate(spec, x), 1.0)
+        assert np.allclose(value(spec, x), 1.0)
         spec2 = LyapunovSpec(Family.NEG_PART_SUB_GAUSSIAN, system.mu, eta=2.0,
                              class_subset=())
-        assert np.allclose(lyap.evaluate(spec2, x), 1.0)
+        assert np.allclose(value(spec2, x), 1.0)
 
     def test_positivity_floor(self, system):
         rng = np.random.default_rng(2)
@@ -196,7 +210,7 @@ class TestDerivativeOracle:
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd_g = (lyap.evaluate(spec, x + e) - lyap.evaluate(spec, x - e)) / (2 * h)
+            fd_g = (value(spec, x + e) - value(spec, x - e)) / (2 * h)
             err = np.abs(g[:, i] - fd_g)
             rel = err / (1e-9 + np.abs(fd_g))
             assert np.all((rel < 1e-5) | (err < 1e-7)), f"{name} grad[{i}]"
@@ -272,7 +286,7 @@ class TestGenerator:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(100, 2)) * 5
         u = rng.dirichlet([1, 1], size=100)
-        assert np.allclose(lyap.generator_apply(spec, x, u, dspec), 0.0)
+        assert np.allclose(apply(spec, x, u, dspec), 0.0)
 
     def test_ratio_matches_direct(self, system, dspec):
         rng = np.random.default_rng(4)
@@ -280,7 +294,7 @@ class TestGenerator:
         u = rng.dirichlet([1, 1], size=500)
         for name, spec in all_family_specs(system.mu).items():
             r1 = lyap.generator_ratio(spec, x, u, dspec)
-            r2 = lyap.generator_apply_direct(spec, x, u, dspec) / lyap.evaluate(spec, x)
+            r2 = lyap.generator_apply_direct(spec, x, u, dspec) / value(spec, x)
             rel = np.abs(r1 - r2) / (1e-12 + np.abs(r2))
             assert np.max(rel) < 1e-8, name
 
@@ -288,7 +302,7 @@ class TestGenerator:
         spec = LyapunovSpec(Family.EXP_LINEAR, system.mu, epsilon=0.05, theta=0.3)
         rng = np.random.default_rng(5)
         x = -np.abs(rng.normal(size=(20, 2))) * 4
-        vals = [lyap.generator_apply(spec, x, rng.dirichlet([1, 1], size=20), dspec)
+        vals = [apply(spec, x, rng.dirichlet([1, 1], size=20), dspec)
                 for _ in range(10)]
         for v in vals[1:]:
             assert np.array_equal(v, vals[0])
@@ -305,11 +319,11 @@ class TestGenerator:
             n = 100_000
             z = rng.standard_normal((n, 2))
             x1 = x0 + hwsim.drift(x0, u0, dspec) * h + math.sqrt(h) * dspec.sigma_diag * z
-            f1 = lyap.evaluate(spec, x1)
-            f0 = float(lyap.evaluate(spec, x0))
+            f1 = value(spec, x1)
+            f0 = float(value(spec, x0))
             est = (f1.mean() - f0) / h
             se = f1.std(ddof=1) / math.sqrt(n) / h
-            target = float(lyap.generator_apply(spec, x0, u0, dspec))
+            target = float(apply(spec, x0, u0, dspec))
             assert abs(est - target) < 3 * se + 5e-3 * abs(target)
 
 
@@ -338,13 +352,14 @@ class TestLogSplit:
         x = self.points()[:250]
         u = rng.dirichlet([1, 1], size=len(x))
         specs = all_family_specs(system.mu)
-        product = [specs["neg_part_sub_gaussian"], specs["exp_linear"]]
-        for c in (1.0, 5.0, math.inf):
-            for name, spec in specs.items():
-                got = lyap.ratio_from_terms([lyap.log_terms(spec, x)], x, u, dspec, c)
-                assert np.array_equal(got, lyap.generator_ratio(spec, x, u, dspec, c)), name
-            got = lyap.ratio_from_terms([lyap.log_terms(s, x) for s in product], x, u, dspec, c)
-            assert np.array_equal(got, lyap.generator_ratio(product, x, u, dspec, c))
+        for name, spec in specs.items():
+            got = lyap.ratio_from_terms([lyap.log_terms(spec, x)], x, u, dspec)
+            assert np.array_equal(got, lyap.generator_ratio(spec, x, u, dspec)), name
+        # a product family's log terms add: its ratio is that of the summed terms
+        product = [lyap.log_terms(specs[k], x) for k in ("neg_part_sub_gaussian", "exp_linear")]
+        summed = tuple(a + b for a, b in zip(*product))
+        assert np.array_equal(lyap.ratio_from_terms(product, x, u, dspec),
+                              lyap.ratio_from_terms([summed], x, u, dspec))
 
 
 class TestControlAsGiven:
@@ -364,13 +379,13 @@ class TestControlAsGiven:
         for c in (1.0, 5.0, math.inf):
             b = self.drift_formula(x, self.U, dspec, c)
             assert np.array_equal(hwsim.drift_truncated(x, self.U, dspec, c), b)
-            for name, spec in all_family_specs(system.mu).items():
-                terms = lyap.log_terms(spec, x)
-                _, gl, hl = terms
-                second = 0.5 * np.sum(dspec.a_diag * (gl * gl + hl), axis=-1)
-                assert np.array_equal(lyap.ratio_from_terms([terms], x, self.U, dspec, c),
-                                      second + np.sum(b * gl, axis=-1)), name
         assert np.array_equal(hwsim.drift(x, self.U, dspec), b)
+        for name, spec in all_family_specs(system.mu).items():
+            terms = lyap.log_terms(spec, x)
+            _, gl, hl = terms
+            second = 0.5 * np.sum(dspec.a_diag * (gl * gl + hl), axis=-1)
+            assert np.array_equal(lyap.ratio_from_terms([terms], x, self.U, dspec),
+                                  second + np.sum(b * gl, axis=-1)), name
 
     @pytest.mark.parametrize("u", [[0.5 + 2e-12, 0.5], [1.0 + 2e-12, -2e-12], [0.7, 0.7]])
     def test_a_control_off_the_simplex_is_refused(self, system, dspec, u):
@@ -382,13 +397,13 @@ class TestControlAsGiven:
 
 class TestSelectParameters:
     def test_single_class_reference_values(self):
-        sp = hwsim.make_system([1.0], [1.0], hat_lambda=[-1.0])
+        sp = hwsim.SystemParams([1.0], [1.0], hat_lambda=[-1.0])
         spec = lyap.select_parameters(Family.EXP_LINEAR, sp)
         assert spec.theta == pytest.approx(1 / 9)
         assert spec.epsilon == pytest.approx(1 / 60)
 
     def test_infeasible_without_spare_capacity(self):
-        sp = hwsim.make_system([1.0], [1.0])
+        sp = hwsim.SystemParams([1.0], [1.0])
         with pytest.raises(lyap.InfeasibleGoal):
             lyap.select_parameters(Family.EXP_LINEAR, sp)
 
@@ -396,24 +411,24 @@ class TestSelectParameters:
         assert lyap.sub_gaussian_theta(2.0, 2.0) == pytest.approx(0.25)
 
     def test_sub_gaussian_needs_abandonment(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[1.0, 0.0])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[1.0, 0.0])
         with pytest.raises(lyap.InfeasibleGoal):
             lyap.select_parameters(Family.SUB_GAUSSIAN, sp)
 
     def test_beta_cap_applies(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[4.0, 0.0],
-                               hat_lambda=[-0.5, -0.5])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[4.0, 0.0],
+                                hat_lambda=[-0.5, -0.5])
         spec = lyap.select_parameters(Family.EXP_LINEAR, sp)
         assert spec.theta <= 1.0 / 3.0 + 1e-12  # 1/(beta_max - 1)
 
     def test_neg_part_subset(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[0.5, 2.0],
-                               hat_lambda=[-0.5, -0.5])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[0.5, 2.0],
+                                hat_lambda=[-0.5, -0.5])
         spec = lyap.select_parameters(Family.NEG_PART_EXP, sp)
         assert spec.class_subset == (0,)
 
     def test_a_family_with_no_rule_is_an_error(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
         with pytest.raises(ValueError, match="no parameter rule") as err:
             lyap.select_parameters(Family.NEG_PART_SUB_GAUSSIAN, sp)
         assert not isinstance(err.value, lyap.InfeasibleGoal)

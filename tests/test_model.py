@@ -12,7 +12,7 @@ from hwsim.model import (SimplexError, WorkConservationError, project_simplex, r
 
 @pytest.fixture
 def two_class():
-    return hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
+    return hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
 
 
 def spec_of(params):
@@ -22,13 +22,23 @@ def spec_of(params):
 class TestSystemParams:
     def test_load_must_be_critical(self):
         with pytest.raises(ValueError, match="must be 1"):
-            hwsim.make_system([0.5, 0.5], [1.0, 1.2])
+            hwsim.SystemParams([0.5, 0.5], [1.0, 1.2])
+
+    def test_class_count_and_omitted_blocks_come_from_lambda(self):
+        sp = hwsim.SystemParams([0.25, 0.25, 0.5], [1.0, 1.0, 1.0])
+        assert sp.m == 3
+        for block, fill in [("gamma", 0.0), ("hat_lambda", 0.0), ("hat_mu", 0.0), ("scv", 1.0)]:
+            assert getattr(sp, block).tolist() == [fill] * 3, block
+        with pytest.raises(AttributeError):
+            sp.m = 2
+        with pytest.raises(ValueError, match="length 3"):
+            hwsim.SystemParams([0.25, 0.25, 0.5], [1.0, 1.0])
 
     def test_beta_is_derived(self, two_class):
         assert np.allclose(two_class.beta, two_class.gamma / two_class.mu)
 
     def test_spare_capacity_zero_perturbations(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0])
         assert hwsim.spare_capacity(sp) == 0.0
 
     def test_spare_capacity_hand_value(self, two_class):
@@ -40,7 +50,7 @@ class TestSystemParams:
         mu = np.array([1.0, 1.5])
         hat_lambda = np.array([0.3, -0.2])
         rho = lam / mu
-        sp = hwsim.make_system(lam, mu, hat_lambda=hat_lambda, hat_mu=hat_lambda / rho)
+        sp = hwsim.SystemParams(lam, mu, hat_lambda=hat_lambda, hat_mu=hat_lambda / rho)
         assert hwsim.spare_capacity(sp) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -191,14 +201,14 @@ class TestScaling:
     def test_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         p = hwsim.prelimit_params(
-            hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5]), 64)
+            hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5]), 64)
         x = rng.integers(0, 200, size=2)
         back = hwsim.unscale_state(hwsim.scale_state(x, p), p)
         assert np.allclose(back, x, atol=1e-9)
 
     def test_sum_identity(self):
-        sp = hwsim.make_system([0.4, 0.9], [1.0, 1.5], hat_lambda=[-0.3, -0.3],
-                               hat_mu=[0.1, 0.0])
+        sp = hwsim.SystemParams([0.4, 0.9], [1.0, 1.5], hat_lambda=[-0.3, -0.3],
+                                hat_mu=[0.1, 0.0])
         p = hwsim.prelimit_params(sp, 81)
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -237,8 +247,8 @@ class TestAllocationToControl:
 
 class TestPrelimitFamily:
     def test_rates_realize_limits(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[0.3, 0.0],
-                               hat_lambda=[-0.5, -0.5])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[0.3, 0.0],
+                                hat_lambda=[-0.5, -0.5])
         varrho = hwsim.spare_capacity(sp)
         for n in (25, 400, 10_000):
             p = hwsim.prelimit_params(sp, n)
@@ -247,7 +257,7 @@ class TestPrelimitFamily:
             assert np.array_equal(p.gamma_n, sp.gamma)
 
     def test_diffusion_spec_invariant(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], scv=[1.4, 0.6])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], scv=[1.4, 0.6])
         ds = hwsim.diffusion_spec(sp)
         assert np.sum(ds.lambda_tilde / ds.mu) == pytest.approx(1.0)
         with pytest.raises(ValueError):

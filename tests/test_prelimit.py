@@ -19,20 +19,20 @@ from hwsim.model import (allocation_to_control, diffusion_spec, prelimit_params,
                          scale_state, unscale_state)
 
 POISSON = qs.ArrivalSpec.poisson(3)
-RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5), qs.Exponential()))
+RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2(1.5), qs.Exponential()))
 REGION = ver.Region.ball(40.0)
 SAMPLER = ver.SamplerConfig(n_samples=500, seed=3)
 
 
 # the certify benchmark's 3-class system with abandonment
-CERTIFY = hwsim.make_system([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 1.2],
-                            hat_lambda=[-0.5, -0.3, -0.2])
+CERTIFY = hwsim.SystemParams([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 1.2],
+                             hat_lambda=[-0.5, -0.3, -0.2])
 
 
 # five classes with abandonment, for arrival laws of both kinds
-FIVE = hwsim.make_system([0.3, 0.2, 0.2, 0.15, 0.15], [1.0] * 5,
-                         gamma=[0.5, 0.8, 1.2, 0.5, 0.8],
-                         hat_lambda=[-0.3, -0.2, -0.2, -0.15, -0.15])
+FIVE = hwsim.SystemParams([0.3, 0.2, 0.2, 0.15, 0.15], [1.0] * 5,
+                          gamma=[0.5, 0.8, 1.2, 0.5, 0.8],
+                          hat_lambda=[-0.3, -0.2, -0.2, -0.15, -0.15])
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +189,7 @@ class TestPrelimitCheck:
     @pytest.mark.parametrize("system, n, arr, samples", [
         (CERTIFY, 10, RENEWAL, 20),
         (FIVE, 8, qs.ArrivalSpec((qs.Exponential(), qs.Erlang(2), qs.Exponential(),
-                                  qs.HyperExp2.from_scv(1.5), qs.Erlang(3))), 8),
+                                  qs.HyperExp2(1.5), qs.Erlang(3))), 8),
     ], ids=["three", "five"])
     def test_every_renewal_pair_matches_the_scalar_generator(self, system, n, arr, samples):
         p, sampler = prelimit_params(system, n), ver.SamplerConfig(n_samples=samples, seed=7)
@@ -288,7 +288,7 @@ class TestGenerators:
 
     def test_age_derivative_matches_a_central_difference(self, certify_n10):
         p = certify_n10
-        arr = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5), qs.Erlang(3)))
+        arr = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2(1.5), qs.Erlang(3)))
         spec = lyap.LyapunovSpec(lyap.Family.EXP_LINEAR, p.mu_n, epsilon=0.1, theta=0.25)
         lifted = qs.RenewalLyapunov(p, arr, spec)
         rng = np.random.default_rng(8)
@@ -315,8 +315,8 @@ class TestArrivalLaws:
 
     @pytest.mark.parametrize("theta", [0.05, 0.25, 1.0])
     @pytest.mark.parametrize("dists", [
-        (qs.Erlang(2), qs.HyperExp2.from_scv(1.5), qs.Exponential()),
-        (qs.HyperExp2.from_scv(4.0),) * 3,
+        (qs.Erlang(2), qs.HyperExp2(1.5), qs.Exponential()),
+        (qs.HyperExp2(4.0),) * 3,
     ], ids=["mixed", "hyperexp"])
     def test_lifted_function_is_sandwiched_at_the_eps_bound(self, certify_n10, dists, theta):
         # eps = eps~0, the largest the constructor accepts, keeps

@@ -23,14 +23,14 @@ IDENTITY_SE = 4.0
 @pytest.fixture(scope="module")
 def demo_n20():
     # varrho = 1, equal service rates: E[(sum_i xhat_i)^-] = varrho_n exactly
-    system = hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
+    system = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
     return prelimit_params(system, 20)
 
 
 @pytest.fixture(scope="module")
 def erlang_a():
     # M/M/n+M at n = 10, one class with abandonment
-    return prelimit_params(hwsim.make_system([1.0], [1.0], gamma=[0.5]), 10)
+    return prelimit_params(hwsim.SystemParams([1.0], [1.0], gamma=[0.5]), 10)
 
 
 def _sim_cfg(seed, horizon=100.0, replicas=16):
@@ -49,7 +49,7 @@ def _policies():
             qs.FunctionPolicy(_serve_second_first, "second_first")]
 
 
-RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2.from_scv(1.5)))
+RENEWAL = qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2(1.5)))
 
 
 def _raw_samples(run, p):
@@ -384,6 +384,27 @@ class TestInterarrivalLaws:
             mrl = sum((k - i) * v for i, v in enumerate(terms)) / (k * sum(terms))
             assert law.hazard(t) == pytest.approx(density / survival, rel=1e-12)
             assert law.mrl(t) == pytest.approx(mrl, rel=1e-12)
+
+    # the laws the configs build (probe8_renewal.ini, the cli tests), each
+    # from its SCV: every parameter and the SCV it reports, bit for bit
+    @pytest.mark.parametrize("law, pins", [
+        (qs.HyperExp2(1.5), {"p": "0x1.727c9716ffb76p-1", "r1": "0x1.727c9716ffb76p+0",
+                             "r2": "0x1.1b06d1d200914p-1", "scv": "0x1.7fffffffffffep+0"}),
+        (qs.HyperExp2(3.0), {"p": "0x1.b504f333f9de6p-1", "r1": "0x1.b504f333f9de6p+0",
+                             "r2": "0x1.2bec333018868p-2", "scv": "0x1.7fffffffffffep+1"}),
+        (qs.LogNormal(1.0), {"sigma": "0x1.aa4499161cd47p-1", "mu_ln": "-0x1.62e42fefa39eep-2",
+                             "scv": "0x1.ffffffffffffep-1"}),
+        (qs.Erlang(2), {"k": "0x1.0000000000000p+1", "scv": "0x1.0000000000000p-1"}),
+    ], ids=["hyperexp2_1.5", "hyperexp2_3", "lognormal_1", "erlang_2"])
+    def test_the_built_laws_keep_their_bits(self, law, pins):
+        assert {name: float.hex(float(getattr(law, name))) for name in pins} == pins
+
+    @pytest.mark.parametrize("law, scv", [(qs.HyperExp2, 1.0), (qs.HyperExp2, math.inf),
+                                          (qs.HyperExp2, math.nan), (qs.LogNormal, 0.0),
+                                          (qs.LogNormal, math.inf), (qs.LogNormal, math.nan)])
+    def test_an_scv_outside_the_family_is_refused(self, law, scv):
+        with pytest.raises(ValueError, match="requires"):
+            law(scv)
 
 
 class TestAllocations:

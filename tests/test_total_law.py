@@ -32,8 +32,8 @@ GAMMAS = (0.0, 0.5)
 
 
 def _system(gamma):
-    return hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[gamma, gamma],
-                             hat_lambda=[-0.5, -0.5])
+    return hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[gamma, gamma],
+                              hat_lambda=[-0.5, -0.5])
 
 
 def diffusion_total_law(varrho, mu, gamma, h=1e-3, width=60.0):

@@ -8,19 +8,19 @@ from hwsim import lyapunov as lyap
 from hwsim import queues as qs
 from hwsim import verify as ver
 from hwsim.lyapunov import Family, LyapunovSpec
-from hwsim.model import prelimit_params, scale_state
+from hwsim.model import max_drift_along, prelimit_params, scale_state
 
 
 @pytest.fixture(scope="module")
 def stable_system():
-    return hwsim.make_system([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
+    return hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], hat_lambda=[-0.5, -0.5])
 
 
 @pytest.fixture(scope="module")
 def abandon_system():
     # negative spare capacity, all classes abandon
-    return hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[1.0, 1.0],
-                             hat_lambda=[0.5, 0.5])
+    return hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[1.0, 1.0],
+                              hat_lambda=[0.5, 0.5])
 
 
 SAMP = ver.SamplerConfig(n_samples=30_000, seed=7)
@@ -164,7 +164,8 @@ class TestFosterBounds:
         k, r = kappa0(SAMP)
         x0 = np.zeros((1, 2))
         u0 = np.full((1, 2), 0.5)
-        floor = float(lyap.generator_apply(spec, x0, u0, ds)[0]
+        # L_u V(0) = (L_u V / V)(0), as V(0) = exp(0) = 1
+        floor = float(lyap.generator_ratio(spec, x0, u0, ds)[0]
                       + spec.epsilon * ds.varrho / 4)
         assert k >= floor
         assert 0 < r < region.radius
@@ -180,20 +181,23 @@ class TestAbandonmentFamily:
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
     def test_linear_decay_for_every_eta(self, abandon_system, eta):
         ds = hwsim.diffusion_spec(abandon_system)
-        rep = ver.verify_abandonment_foster(ds, eta, ver.Region.cone(60.0), SAMP)
+        spec = lyap.select_parameters(Family.ABANDON_EXP, abandon_system, eta=eta)
+        rep = ver.verify_abandonment_foster(ds, spec, ver.Region.cone(60.0), SAMP)
         assert rep.passed
         assert rep.constants["kappa1_estimate"] > 0.05
 
     def test_rejects_zero_abandonment(self, stable_system):
         ds = hwsim.diffusion_spec(stable_system)
+        spec = LyapunovSpec(Family.ABANDON_EXP, ds.mu, eta=1.0, theta=0.5)
         with pytest.raises(ver.PreconditionError):
-            ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(40.0), SAMP)
+            ver.verify_abandonment_foster(ds, spec, ver.Region.cone(40.0), SAMP)
 
     def test_kappa1_stable_under_sample_doubling(self, abandon_system):
         ds = hwsim.diffusion_spec(abandon_system)
-        r1 = ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(60.0),
+        spec = lyap.select_parameters(Family.ABANDON_EXP, abandon_system)
+        r1 = ver.verify_abandonment_foster(ds, spec, ver.Region.cone(60.0),
                                            ver.SamplerConfig(20_000, seed=7))
-        r2 = ver.verify_abandonment_foster(ds, 1.0, ver.Region.cone(60.0),
+        r2 = ver.verify_abandonment_foster(ds, spec, ver.Region.cone(60.0),
                                            ver.SamplerConfig(40_000, seed=7))
         a = r1.constants["kappa1_estimate"]
         b = r2.constants["kappa1_estimate"]
@@ -213,8 +217,8 @@ class TestNegativePartFamilies:
             assert rep.constants["kappa1_estimate"] > 0
 
     def test_empty_subset_degenerates(self):
-        sp = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[2.0, 3.0],
-                               hat_lambda=[-0.5, -0.5])
+        sp = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[2.0, 3.0],
+                                hat_lambda=[-0.5, -0.5])
         ds = hwsim.diffusion_spec(sp)
         vspec = lyap.select_parameters(Family.EXP_LINEAR, sp)
         neg = lyap.select_parameters(Family.NEG_PART_EXP, sp)
@@ -257,8 +261,8 @@ class TestReportPlumbing:
 
 
 # the certify benchmark's 3-class system with abandonment
-CERTIFY = hwsim.make_system([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 1.2],
-                            hat_lambda=[-0.5, -0.3, -0.2])
+CERTIFY = hwsim.SystemParams([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 1.2],
+                             hat_lambda=[-0.5, -0.3, -0.2])
 
 EPS, TH = 0.005555555555555556, 0.022222222222222223
 
@@ -335,8 +339,8 @@ class TestWorstControl:
         mu = rng.uniform(0.5, 2.0, m)
         lam = rng.dirichlet(np.ones(m)) * mu
         gamma = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.1, 3.0, m))
-        return hwsim.diffusion_spec(hwsim.make_system(lam, mu, gamma=gamma,
-                                                      hat_lambda=rng.normal(0.0, 1.0, m)))
+        return hwsim.diffusion_spec(hwsim.SystemParams(lam, mu, gamma=gamma,
+                                                       hat_lambda=rng.normal(0.0, 1.0, m)))
 
     @staticmethod
     def _families(mu):
@@ -362,23 +366,35 @@ class TestWorstControl:
     @pytest.mark.parametrize("c", [1.0, 5.0, math.inf])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_closed_form_is_the_vertex_max_and_beats_dirichlet_controls(self, m, c):
+        # the drift check's path: max_u <grad log V, b_c(x, u)> in closed form
         ds = self._system(m, 10 * m)
         x = self._states(m)
         dirichlet = np.random.default_rng(m).dirichlet(np.ones(m), size=(len(x), 1000))
         vertices = np.broadcast_to(np.eye(m)[:, None, :], (m, len(x), m))
 
-        def at(terms, u):
-            # ratio_from_terms on every (state, control) pair; u has shape (K, N, m)
-            t = [tuple(a[None] for a in f) for f in terms]
-            return lyap.ratio_from_terms(t, x[None], u, ds, c)
+        def at(g, u):
+            # <g, b_c(x, u)> on every (state, control) pair; u has shape (K, N, m)
+            return np.sum(g * hwsim.drift_truncated(x[None], u, ds, c), axis=-1)
 
         for name, specs in self._families(ds.mu).items():
-            terms = [lyap.log_terms(s, x) for s in specs]
-            worst = lyap.worst_ratio_from_terms(terms, x, ds, c)
-            np.testing.assert_allclose(worst, at(terms, vertices).max(axis=0),
+            g = sum(lyap.log_terms(s, x)[1] for s in specs)
+            worst = max_drift_along(x, g, ds, c)
+            np.testing.assert_allclose(worst, at(g, vertices).max(axis=0),
                                        rtol=1e-12, atol=1e-12, err_msg=name)
-            sampled = at(terms, dirichlet.transpose(1, 0, 2)).max(axis=0)
+            sampled = at(g, dirichlet.transpose(1, 0, 2)).max(axis=0)
             assert np.all(worst >= sampled - 1e-12 * (1.0 + np.abs(sampled))), name
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_worst_ratio_is_the_vertex_max_of_the_generator_ratio(self, m):
+        # the Foster checks' path, at c = inf
+        ds = self._system(m, 10 * m)
+        x = self._states(m)
+        for name, specs in self._families(ds.mu).items():
+            terms = [lyap.log_terms(s, x) for s in specs]
+            vertex_max = np.max([lyap.ratio_from_terms(terms, x, np.broadcast_to(e, x.shape), ds)
+                                 for e in np.eye(m)], axis=0)
+            np.testing.assert_allclose(lyap.worst_ratio_from_terms(terms, x, ds), vertex_max,
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_weighted_sum_takes_its_worst_control_from_the_weighted_gradient(self, m):
@@ -411,8 +427,8 @@ class TestWorstControl:
         assert [r.to_dict() for r in ver.default_suite(CERTIFY, sampler)] == ref
 
     def test_no_applicable_check_is_an_error(self):
-        transient = hwsim.make_system([0.5, 0.5], [1.0, 1.0], gamma=[0.0, 1.0],
-                                      hat_lambda=[0.5, 0.5])
+        transient = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[0.0, 1.0],
+                                       hat_lambda=[0.5, 0.5])
         with pytest.raises(ver.PreconditionError, match="no certificate applies"):
             ver.default_suite(transient, SAMP)
 
@@ -455,7 +471,9 @@ class TestSlopeFit:
         samp = ver.SamplerConfig(2000, seed=7)
         vspec = LyapunovSpec(Family.EXP_LINEAR, (1.0, 1.0), epsilon=0.01, theta=0.1)
         reps = [
-            ver.verify_abandonment_foster(hwsim.diffusion_spec(abandon_system), 1.0,
+            ver.verify_abandonment_foster(hwsim.diffusion_spec(abandon_system),
+                                          lyap.select_parameters(Family.ABANDON_EXP,
+                                                                 abandon_system),
                                           ver.Region.cone(40.0), samp),
             ver.verify_neg_part_foster(hwsim.diffusion_spec(stable_system),
                                        lyap.select_parameters(Family.NEG_PART_EXP, stable_system),
