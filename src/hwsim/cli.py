@@ -56,6 +56,7 @@ from . import queues as qs
 from . import verify as ver
 from .measures import MOMENTS
 from .model import SystemParams, diffusion_spec, prelimit_params
+from .workers import run_jobs
 
 RESULTS_HEADER = "scenario,operation,seed,timestamp,metric,value,stderr,passed"
 HISTOGRAM_SCHEMA = "histogram CSV: bin_lo_1..m, bin_hi_1..m, weight"
@@ -346,19 +347,21 @@ def write_samples_csv(path: Path, measure, thin: float) -> None:
 def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
     out = _prepare_out(cfg, f"{cfg.scenario}_verify_report.csv", overwrite)
     sampler = ver.SamplerConfig(n_samples=cfg.samples, seed=cfg.seed)
-    reports = ver.default_suite(cfg.system, sampler, truncations=cfg.truncations,
-                                eta=cfg.eta)
+    # independent groups of checks, each returning its reports; one pool runs
+    # them all, and the reports keep the groups' order
+    jobs = ver.suite_groups(cfg.system, sampler, truncations=cfg.truncations, eta=cfg.eta)
     if cfg.n_list:
         n = cfg.n_list[0]
         p = prelimit_params(cfg.system, n)
         arr = cfg.arrivals
-        pre_sampler = ver.SamplerConfig(min(cfg.samples, PRELIMIT_SAMPLES), cfg.seed)
-        pre_region = ver.Region.ball(PRELIMIT_RADIUS)
+        pre = (p, arr, ver.Region.ball(PRELIMIT_RADIUS),
+               ver.SamplerConfig(min(cfg.samples, PRELIMIT_SAMPLES), cfg.seed))
         if p.varrho_n > 0 and not arr.missing_bound():
-            reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler))
+            jobs.append(lambda: [qs.verify_prelimit_foster(*pre)])
         if arr.is_poisson and float(p.gamma_n.min()) > 0:
-            reports.append(qs.verify_prelimit_foster(p, arr, pre_region, pre_sampler,
-                                                     target="abandon", eta=cfg.eta))
+            jobs.append(lambda: [qs.verify_prelimit_foster(*pre, target="abandon",
+                                                           eta=cfg.eta)])
+    reports = [rep for group in run_jobs(jobs) for rep in group]
     report_path = out / f"{cfg.scenario}_verify_report.csv"
     with report_path.open("w") as fh:
         fh.write(ver.VerificationReport.CSV_HEADER + "\n")

@@ -20,9 +20,10 @@ asks one only when sum(x) > n: below that, Z^n(x) = {x}, and between two
 such states only the death rate of the class that moved changes.  A user map
 (``FunctionPolicy``) follows the same rule, and each of its answers is
 checked to be work-conserving.  The replicas are independent, so they run in
-contiguous slices on the CPUs the process may use, one forked worker per
-further CPU, and are joined in replica order: the results do not depend on
-the worker count.
+contiguous slices, one per CPU the process may use, as jobs of
+``workers.run_jobs`` (this process runs one slice and a forked worker each
+other), and are joined in replica order: the results do not depend on the
+worker count.
 
 The same module evaluates the exact finite-difference generators on Lyapunov
 functions and certifies the prelimit Foster-Lyapunov bounds over sampled
@@ -39,14 +40,12 @@ import bisect
 import functools
 import itertools
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lyapunov as lyap
+from . import workers
 from .measures import EmpiricalMeasure, moment_names
 from .model import (DiffusionSpec, PrelimitParams, allocation_to_control,
                     prelimit_params, project_simplex, row_sum, scale_state, unscale_state)
@@ -519,100 +518,17 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
             "counts": counts, "tripped": stop < T, "terminal": x}
 
 
-def _worker_count(replicas: int) -> int:
-    """Processes to run ``replicas`` independent replicas on: one per CPU
-    this process may use, at most one per replica; 1 where fork is missing
-    or unsafe (another thread is running)."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), replicas))
-
-
-def _outcome(work) -> bytes:
-    """The pickled ("ok", work()), or ("error", exception) if it raised."""
-    try:
-        return pickle.dumps(("ok", work()))
-    except BaseException as exc:
-        try:
-            data = pickle.dumps(("error", exc))
-            pickle.loads(data)                      # the caller must be able to rebuild it
-            return data
-        except Exception:
-            return pickle.dumps(("error", RuntimeError(f"{type(exc).__name__}: {exc}")))
-
-
-def _fork(work) -> tuple[int, int]:
-    """Run work() in a forked child; returns its pid and the read end of the
-    pipe that carries its pickled outcome.  The child leaves by os._exit, so
-    it runs no atexit handler and flushes no stdio buffer."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            data = _outcome(work)
-            with open(w, "wb") as out:
-                out.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _read_to_eof(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def _run_replicas(p, arr, pol, cfg, gens) -> list:
-    """``_run_queue_replica`` of each generator, in order.  The generators
-    are split into contiguous slices, one per worker: this process runs the
-    first and a forked child each other.  A child's pipe is read to EOF
-    before the child is reaped, as its results can pass the pipe buffer;
-    every child is reaped before this returns or raises, and killed first
-    if this process's own slice or a fork raised."""
+    """``_run_queue_replica`` of each generator, in order: the generators are
+    split into contiguous slices, one per worker, and the slices run as
+    ``workers.run_jobs`` jobs."""
     def run(part):
         return [_run_queue_replica(p, arr, pol, cfg, g) for g in part]
 
-    workers = _worker_count(len(gens))
-    cuts = [len(gens) * k // workers for k in range(workers + 1)]
-    parts = [gens[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = []                                   # (pid, read end) per forked slice
-    done = False
-    try:
-        for part in parts[1:]:
-            children.append(_fork(functools.partial(run, part)))
-        reps = run(parts[0])
-        received = [_read_to_eof(fd) for _, fd in children]
-        done = True
-    finally:
-        if not done and children:
-            import signal
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-        for pid, fd in children:
-            os.close(fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for (pid, _), data, status in zip(children, received, statuses):
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0 or not data:                   # exit 0 only after the whole outcome was sent
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise RuntimeError(f"replica worker {pid} ended with no result ({how})")
-        kind, value = pickle.loads(data)
-        if kind == "error":
-            raise value
-        reps.extend(value)
-    return reps
+    k = workers._worker_count(len(gens))
+    cuts = [len(gens) * i // k for i in range(k + 1)]
+    parts = workers.run_jobs([functools.partial(run, gens[a:b]) for a, b in zip(cuts, cuts[1:])])
+    return [rep for part in parts for rep in part]
 
 
 def simulate_renewal(p: PrelimitParams, arr: ArrivalSpec, pol, cfg) -> QueueRun:
@@ -934,8 +850,14 @@ def estimate_prelimit_constants(p: PrelimitParams, arr: ArrivalSpec) -> lyap.Lya
 
 def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerConfig,
                             rng: np.random.Generator) -> np.ndarray:
+    """The distinct lattice states nearest a sampled cloud, in lexicographic
+    order (``np.unique(..., axis=0)``, from one ``lexsort``)."""
     xh = sample_states(region, sampler, p.m, joint_values=(0.0, 1.0), rng=rng)
-    return np.unique(_lattice_state(xh, p), axis=0)
+    lattice = _lattice_state(xh, p)
+    rows = lattice[np.lexsort(lattice.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[first]
 
 
 # (state, allocation) pairs enumerated at once by the prelimit check; its

@@ -2,14 +2,16 @@
 
 Every diffusion check draws its samples from ``_cloud``: a deterministic,
 seed-keyed cloud of states (enriched near the cone boundary, the coordinate
-axes and the curvature joints of the cutoff) and their ||x||_1.  Consecutive
-checks on one region share one read-only cloud: ``_cloud`` keeps the last one
-it drew, and ``default_suite`` drops it when it returns.  The checks that use
-the exp-linear family share its ``log_terms`` on a cloud (``_shared_terms``):
-the drift checks, one per truncation level, on theirs, and the exp-linear,
-negative-part and negative-part sub-Gaussian Foster checks on theirs.  The
-terms are evaluated once per cloud, kept read-only, and dropped with the
-cloud.  The bounds must hold
+axes and the curvature joints of the cutoff) and their ||x||_1.  The suite
+runs as independent groups of checks, one per cloud (``suite_groups``), on
+the CPUs the process may use (``workers.run_jobs``).  Within a group,
+consecutive checks share one read-only cloud: ``_cloud`` keeps the last one
+it drew in each process.  The checks that use the exp-linear family share
+its ``log_terms`` on a cloud (``_shared_terms``): the drift checks, one per
+truncation level, on theirs, and the exp-linear, negative-part and
+negative-part sub-Gaussian Foster checks on theirs.  The terms are evaluated
+once per cloud, kept read-only, and dropped with the cloud.  Both memos are
+per process, and each group drops them when it ends.  The bounds must hold
 for every control u in Delta; only the drift depends on u, and affinely, so
 each check evaluates every state at its worst control in closed form
 (``model.max_drift_along``) and a report depends on the state set only.  The
@@ -35,6 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import lyapunov as lyap
+from . import workers
 from .model import (DiffusionSpec, SystemParams, diffusion_spec, max_drift_along,
                     row_sum, spare_capacity)
 
@@ -192,7 +195,7 @@ _TERMS: dict = {}
 def _shared_terms(spec: lyap.LyapunovSpec, x: np.ndarray):
     """``lyap.log_terms(spec, x)`` on a cloud of ``_cloud``, evaluated once per
     spec and cloud: read-only, and dropped when ``_cloud`` draws a new cloud or
-    ``default_suite`` returns."""
+    a group of ``suite_groups`` ends."""
     key = id(spec), id(x)
     if key not in _TERMS:
         terms = lyap.log_terms(spec, x)
@@ -519,45 +522,65 @@ def suggested_radius(dspec: DiffusionSpec, spec: lyap.LyapunovSpec) -> float:
     return max(RADIUS_FLOOR, 2.5 * r)
 
 
-def default_suite(params: SystemParams, sampler: SamplerConfig,
-                  truncations: tuple[float, ...] = (1.0, 5.0, math.inf),
-                  eta: float = 1.0) -> list[VerificationReport]:
-    """Run every applicable certification for this parameter set.
+def _group(*checks):
+    """A job that runs checks (callables of no arguments, each returning a
+    report) in order on one process, and drops that process's cloud and
+    shared terms when it ends."""
+    def run() -> list[VerificationReport]:
+        try:
+            return [check() for check in checks]
+        finally:
+            _cloud.cache_clear()
+            _TERMS.clear()
+    return run
+
+
+def suite_groups(params: SystemParams, sampler: SamplerConfig,
+                 truncations: tuple[float, ...] = (1.0, 5.0, math.inf),
+                 eta: float = 1.0) -> list:
+    """Every applicable certification for this parameter set, as independent
+    jobs, one per sampled cloud, each returning its reports in suite order.
 
     The drift checks, one per truncation level, sample the ball of radius
-    50.  Each Foster check samples a ball sized by
-    ``suggested_radius`` to its own family's expected attainment radius; the
-    abandonment check samples the cone of that radius.  A system with
-    spare capacity <= 0 and some gamma_i = 0 has no applicable check and
-    raises PreconditionError.
+    50.  Each Foster check samples a ball sized by ``suggested_radius`` to its
+    own family's expected attainment radius, which the exp-linear,
+    negative-part and negative-part sub-Gaussian checks share; the
+    abandonment check samples the cone of its radius.  A system with spare
+    capacity <= 0 and some gamma_i = 0 has no applicable check and raises
+    PreconditionError.
     """
     varrho = spare_capacity(params)
     if varrho <= 0 and not float(params.gamma.min()) > 0:
         raise PreconditionError(f"no certificate applies: spare capacity {varrho:g} <= 0 "
                                 "and not every abandonment rate gamma_i is positive")
     dspec = diffusion_spec(params)
-    reports = []
-    # consecutive checks on one region share its cloud, and the exp-linear
-    # checks its terms; neither outlives the suite
-    try:
-        if varrho > 0:
-            spec = lyap.select_parameters(lyap.Family.EXP_LINEAR, params)
-            for c in truncations:
-                reports.append(verify_exp_linear_drift(dspec, spec, c, Region.ball(50.0), sampler))
-            region = Region.ball(suggested_radius(dspec, spec))
-            reports.append(verify_exp_linear_foster(dspec, spec, region, sampler))
-            neg = lyap.select_parameters(lyap.Family.NEG_PART_EXP, params, eta=eta)
-            reports.append(verify_neg_part_foster(dspec, neg, spec, region, sampler))
-            reports.append(verify_neg_part_sub_gaussian_foster(
-                dspec, spec, neg.class_subset, region, sampler))
-        if float(params.gamma.min()) > 0:
-            sg = lyap.select_parameters(lyap.Family.SUB_GAUSSIAN, params)
-            reports.append(verify_sub_gaussian_foster(
-                dspec, sg, Region.ball(suggested_radius(dspec, sg)), sampler))
-            ab = lyap.select_parameters(lyap.Family.ABANDON_EXP, params, eta=eta)
-            reports.append(verify_abandonment_foster(
-                dspec, ab, Region.cone(suggested_radius(dspec, ab)), sampler))
-    finally:
-        _cloud.cache_clear()
-        _TERMS.clear()
-    return reports
+    part = functools.partial
+    groups = []
+    if varrho > 0:
+        spec = lyap.select_parameters(lyap.Family.EXP_LINEAR, params)
+        ball = Region.ball(50.0)
+        groups.append(_group(*(part(verify_exp_linear_drift, dspec, spec, c, ball, sampler)
+                               for c in truncations)))
+        region = Region.ball(suggested_radius(dspec, spec))
+        neg = lyap.select_parameters(lyap.Family.NEG_PART_EXP, params, eta=eta)
+        groups.append(_group(
+            part(verify_exp_linear_foster, dspec, spec, region, sampler),
+            part(verify_neg_part_foster, dspec, neg, spec, region, sampler),
+            part(verify_neg_part_sub_gaussian_foster, dspec, spec, neg.class_subset, region,
+                 sampler)))
+    if float(params.gamma.min()) > 0:
+        sg = lyap.select_parameters(lyap.Family.SUB_GAUSSIAN, params)
+        groups.append(_group(part(verify_sub_gaussian_foster, dspec, sg,
+                                  Region.ball(suggested_radius(dspec, sg)), sampler)))
+        ab = lyap.select_parameters(lyap.Family.ABANDON_EXP, params, eta=eta)
+        groups.append(_group(part(verify_abandonment_foster, dspec, ab,
+                                  Region.cone(suggested_radius(dspec, ab)), sampler)))
+    return groups
+
+
+def default_suite(params: SystemParams, sampler: SamplerConfig,
+                  truncations: tuple[float, ...] = (1.0, 5.0, math.inf),
+                  eta: float = 1.0) -> list[VerificationReport]:
+    """The reports of ``suite_groups``, its groups run by ``workers.run_jobs``."""
+    groups = workers.run_jobs(suite_groups(params, sampler, truncations, eta))
+    return [rep for group in groups for rep in group]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hwsim
 from hwsim import queues as qs
+from hwsim import workers
 from hwsim.diffusion import SimConfig
 from hwsim.model import prelimit_params, unscale_state
 
@@ -251,8 +252,8 @@ class TestWorkers:
             cfg = SimConfig(horizon=5.0, burn_in=0.5, replicas=replicas, seed=11,
                             x0=(-0.5, -0.5), thin=0.5)
             runs = []
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(qs, "_worker_count", lambda r, k=workers: k)
+            for count in (1, 2, 3):
+                monkeypatch.setattr(workers, "_worker_count", lambda r, k=count: k)
                 with _no_descriptor_left_open():
                     runs.append(qs.simulate_renewal(demo_n20, arr, pol, cfg))
             for run in runs[1:]:
@@ -273,8 +274,8 @@ class TestWorkers:
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(60)                           # a deadlock fails, not hangs
         try:
-            for workers in (1, 2):
-                monkeypatch.setattr(qs, "_worker_count", lambda r, k=workers: k)
+            for count in (1, 2):
+                monkeypatch.setattr(workers, "_worker_count", lambda r, k=count: k)
                 runs.append(qs.simulate_ctmc(demo_n20, pol, cfg))
         finally:
             signal.alarm(0)
@@ -284,7 +285,7 @@ class TestWorkers:
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_a_failed_slice_raises_its_error_and_leaves_no_child(self, demo_n20, where,
                                                                  monkeypatch):
-        monkeypatch.setattr(qs, "_worker_count", lambda r: 3)
+        monkeypatch.setattr(workers, "_worker_count", lambda r: 3)
         cfg = SimConfig(horizon=5.0, replicas=6, seed=12, x0=(-0.5, -0.5))
         with _no_descriptor_left_open(), pytest.raises(ValueError,
                                                        match=f"replica failed in the {where}"):
@@ -293,7 +294,7 @@ class TestWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     def test_a_worker_that_dies_raises_with_its_status(self, demo_n20, monkeypatch):
-        monkeypatch.setattr(qs, "_worker_count", lambda r: 2)
+        monkeypatch.setattr(workers, "_worker_count", lambda r: 2)
         cfg = SimConfig(horizon=5.0, replicas=4, seed=12, x0=(-0.5, -0.5))
         with _no_descriptor_left_open(), pytest.raises(
                 RuntimeError, match=f"no result \\(signal {int(signal.SIGKILL)}\\)"):
@@ -302,7 +303,7 @@ class TestWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     def test_an_error_that_cannot_be_rebuilt_arrives_by_name(self, demo_n20, monkeypatch):
-        monkeypatch.setattr(qs, "_worker_count", lambda r: 2)
+        monkeypatch.setattr(workers, "_worker_count", lambda r: 2)
         cfg = SimConfig(horizon=5.0, replicas=4, seed=12, x0=(-0.5, -0.5))
         with _no_descriptor_left_open(), pytest.raises(RuntimeError,
                                                        match="_TwoArgError: one and two"):
@@ -318,7 +319,7 @@ class TestWorkers:
     def test_every_allocator_map_is_asked_only_at_a_queue(self, demo_n20, index, renewal,
                                                           monkeypatch):
         # the maps do not test sum(x) <= n: the event loop alone skips them there
-        monkeypatch.setattr(qs, "_worker_count", lambda r: 1)
+        monkeypatch.setattr(workers, "_worker_count", lambda r: 1)
         pol = _policies()[index]
         asked = []
         base = pol.allocator
@@ -336,13 +337,13 @@ class TestWorkers:
 
     def test_worker_count(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert qs._worker_count(1) == 1
-        assert 1 <= qs._worker_count(16) <= min(cpus, 16)
+        assert workers._worker_count(1) == 1
+        assert 1 <= workers._worker_count(16) <= min(cpus, 16)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert qs._worker_count(16) == 1          # fork is unsafe with another thread
+            assert workers._worker_count(16) == 1          # fork is unsafe with another thread
         finally:
             release.set()
             other.join(timeout=10)

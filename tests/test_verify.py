@@ -7,6 +7,7 @@ import hwsim
 from hwsim import lyapunov as lyap
 from hwsim import queues as qs
 from hwsim import verify as ver
+from hwsim import workers
 from hwsim.lyapunov import Family, LyapunovSpec
 from hwsim.model import max_drift_along, prelimit_params, scale_state
 
@@ -303,7 +304,9 @@ def test_default_suite_reports_are_pinned():
 def test_default_suite_evaluates_the_exp_linear_terms_once_per_cloud(monkeypatch):
     """The drift checks on the ball of radius 50 share one evaluation, and the
     three exp-linear Foster checks another; the terms are read-only and no
-    memo outlives the suite."""
+    memo outlives its group.  The calls are counted in this process, so the
+    groups run here, one after another."""
+    monkeypatch.setattr(workers, "_worker_count", lambda jobs: 1)
     log_terms, shared = lyap.log_terms, ver._shared_terms
     clouds = []
 
