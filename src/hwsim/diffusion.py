@@ -9,15 +9,17 @@ samples feed histogram and tail queries.
 the rows of one state array.  The replicas of control i are spawned from
 seed + i, so each control's run equals a run of that control alone bit for
 bit.  The step loop does only the state update, with the drift written
-into preallocated buffers in the order of the drift expression.  The states
-of each block of steps are kept.  The blow-up guard is checked every few
-steps on the states just stepped: at the first step that trips a replica
-the state is reset to that step and the steps after it are taken again with
-the replica frozen, on the noise already drawn, so the paths equal a
-per-step guard bit for bit.  The moment integrals are folded from the block
-in time order, one step's terms after the other, so they equal per-step
-addition bit for bit.  Once every replica has tripped the guard the loop
-stops.
+into preallocated buffers in the order of the drift expression, and makes
+no array: every view it reads or writes is made once per run.  The class
+sum is added column by column, and the abandonment term is left out when
+no class abandons, where it is an exact +0.0.  The states of each block of
+steps are kept.  The blow-up guard is checked every few steps on the states
+just stepped: at the first step that trips a replica the state is reset to
+that step and the steps after it are taken again with the replica frozen,
+on the noise already drawn, so the paths equal a per-step guard bit for
+bit.  The moment integrals are folded from the block in time order, one
+step's terms after the other, so they equal per-step addition bit for bit.
+Once every replica has tripped the guard the loop stops.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import EmpiricalMeasure, TailFit, fit_tail, moment_names
-from .model import DiffusionSpec, project_simplex, row_sum
+from .model import PAIRWISE_CLASSES, DiffusionSpec, project_simplex, row_sum
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +83,13 @@ class StateTableControl:
                              "dimension plus the control axis")
         if any(not np.all(np.diff(e) > 0) for e in self.edges):
             raise ValueError("edges must be strictly increasing")
-        self._flat = project_simplex(table.reshape(-1, table.shape[-1]))
-        self.table = self._flat.reshape(table.shape)
+        self.table = project_simplex(table)
         # the cell of x_d is the number of interior edges below it, which
         # puts points outside the grid (and NaN) in the outer cells
         self._inner = [e[1:-1] for e in self.edges]
-        self._strides = [math.prod(cells[d + 1:]) for d in range(len(cells))]
 
     def controls(self, x: np.ndarray) -> np.ndarray:
-        cell = self._inner[-1].searchsorted(x[..., -1])
-        for d in range(len(self._inner) - 1):
-            cell += self._inner[d].searchsorted(x[..., d]) * self._strides[d]
-        return self._flat.take(cell, axis=0)
+        return self.table[tuple([e.searchsorted(x[..., d]) for d, e in enumerate(self._inner)])]
 
     def describe(self) -> str:
         return f"state_table[{'x'.join(str(len(e) - 1) for e in self.edges)}]"
@@ -258,6 +255,26 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     order so that they equal per-step addition bit for bit.  The samples of
     a block are its thinning steps past burn-in in step order, each step's
     live replicas in replica order.
+
+    Three rules keep the cost of a step down to its ufunc calls:
+
+    - A step makes no array.  The views of each block row (its state, its
+      noise, the state's columns and its rows of each varying control) are
+      made once per run, and the state between blocks is kept in one buffer
+      with views of its own.
+    - For m < PAIRWISE_CLASSES the class sum is added straight into pos,
+      +0.0 first and then each column: ``row_sum``'s order, so its bits.
+      From m = 8 on ``row_sum`` (numpy's pairwise sum) still gives it.
+    - When every gamma_i is +0.0 the term pos gamma u is left out, with the
+      same bits.  pos is +0.0 or positive (np.maximum(-0.0, +0.0) is +0.0)
+      and u >= +0.0 (``project_simplex`` clips -0.0 to +0.0), so for a
+      finite pos the term is exactly +0.0, and b - (+0.0) = b for every b,
+      -0.0 and NaN included.  Every step whose result is kept starts from a
+      finite state: x0 is finite, and a step from a finite state gives no
+      NaN, only an infinity that trips any finite guard.  Only with
+      cfg.blowup = inf can a path that has overflowed differ (NaN with the
+      term, +-inf without it).  A gamma_i of -0.0 keeps the term, which
+      would be -0.0 and turn a drift of -0.0 into +0.0.
     """
     m = dspec.m
     h = cfg.step
@@ -269,19 +286,19 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     gens = [np.random.default_rng(s) for g in range(G)
             for s in np.random.SeedSequence(cfg.seed + g).spawn(R)]
     x0 = np.asarray(cfg.x0, dtype=float) * np.ones(m)
-    X = np.tile(x0, (N, 1))
     alive = np.ones(N, dtype=bool)
-    all_alive = True
 
     base = -(dspec.varrho / m) * dspec.mu
     sqh_sigma = math.sqrt(h) * dspec.sigma_diag
     u = np.empty((N, m))                   # the controls, one row per replica
-    varying = []
+    varying = []                           # the rows of the other controls
+    controls = []                          # (control, its rows of u)
     for grp, pol in zip(groups, policies):
         if isinstance(pol, ConstantControl):
             u[grp] = pol.u
         else:
-            varying.append((grp, pol))
+            varying.append(grp)
+            controls.append((pol, u[grp]))
     integrals = {k: np.zeros(N) for k in moment_names(m)}
     live_time = np.zeros(N)
     sample_rows = [[] for _ in groups]     # per control, one array per block
@@ -295,8 +312,26 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
     # values, at about half the cost of a broadcast or Python-float operand
     mu, gamma, base, hs = (np.tile(v, (N, 1)) for v in (dspec.mu, dspec.gamma, base,
                                                         np.full(m, h)))
-    pos_row, tmp, b = np.empty(N), np.empty((N, m)), np.empty((N, m))
-    pos = pos_row[:, None]
+    pos_row, zero_row = np.empty(N), np.zeros(N)
+    pos, tmp, b = pos_row[:, None], np.empty((N, m)), np.empty((N, m))
+    column_sum = m < PAIRWISE_CLASSES
+    # pos gamma u is +0.0 when every gamma_i is +0.0 (see the docstring)
+    abandonment = bool(np.any(dspec.gamma) or np.any(np.signbit(dspec.gamma)))
+
+    def views(state):
+        """The state, its first column, its other columns and its rows of
+        each varying control."""
+        cols = [state[:, i] for i in range(m)]
+        return state, cols[0], cols[1:], [state[grp] for grp in varying]
+
+    row_views = [views(xs[j]) for j in range(block)]
+    noise_rows = [noise[:, j] for j in range(block)]
+    carry = views(np.tile(x0, (N, 1)))     # the state between blocks
+    state = carry                          # the views of the current state
+    frozen = None                          # (N, 1) mask of tripped replicas
+    # the step's ufuncs as locals: looking them up on np costs ~7% of a step
+    # at 48 replicas and m = 2
+    add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
     # |x| and ||x||_1 of the rows the guard checks
     n_guard = min(_GUARD, block)
     guard_abs, guard_l1 = np.empty((n_guard, N, m)), np.empty((n_guard, N))
@@ -311,25 +346,33 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
         while done < ksz:
             end = min(done + _GUARD, ksz)
             for j in range(done, end):
-                for grp, pol in varying:
-                    u[grp] = pol.controls(X[grp])
+                X, col0, cols, x_varying = state
+                for (pol, u_rows), x_rows in zip(controls, x_varying):
+                    u_rows[...] = pol.controls(x_rows)
                 # xs[j] = X + (base - mu (X - pos u) - pos gamma u) h + noise[j],
                 # in that order; replicas that have tripped keep X
-                row_sum(X, out=pos_row)
-                np.maximum(pos, 0.0, out=pos)
-                np.multiply(pos, u, out=tmp)
-                np.subtract(X, tmp, out=tmp)
-                np.multiply(mu, tmp, out=tmp)
-                np.subtract(base, tmp, out=b)
-                np.multiply(pos, gamma, out=tmp)
-                np.multiply(tmp, u, out=tmp)
-                np.subtract(b, tmp, out=b)
-                np.multiply(b, hs, out=b)
-                np.add(X, b, out=xs[j])
-                np.add(xs[j], noise[:, j], out=xs[j])
-                if not all_alive:
-                    np.copyto(xs[j], X, where=~alive[:, None])
-                X = xs[j]
+                if column_sum:
+                    add(col0, zero_row, out=pos_row)
+                    for col in cols:
+                        add(pos_row, col, out=pos_row)
+                else:
+                    row_sum(X, out=pos_row)
+                maximum(pos_row, zero_row, out=pos_row)
+                multiply(pos, u, out=tmp)
+                subtract(X, tmp, out=tmp)
+                multiply(mu, tmp, out=tmp)
+                subtract(base, tmp, out=b)
+                if abandonment:
+                    multiply(pos, gamma, out=tmp)
+                    multiply(tmp, u, out=tmp)
+                    subtract(b, tmp, out=b)
+                multiply(b, hs, out=b)
+                state = row_views[j]
+                Y = state[0]
+                add(X, b, out=Y)
+                add(Y, noise_rows[j], out=Y)
+                if frozen is not None:
+                    np.copyto(Y, X, where=frozen)
             # the guard on the rows just stepped: at the first row jt that trips
             # a replica, the replica is dead from jt on, and the rows after jt
             # are stepped again from xs[jt]
@@ -340,13 +383,14 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
                 jt = done + int(over.any(axis=1).argmax())
                 alive = alive & ~over[jt - done]
                 alive_rows[jt:ksz] = alive
-                all_alive = False
-                X = xs[jt]
+                frozen = ~alive[:, None]
+                state = row_views[jt]
                 end = jt + 1
             done = end
             if not alive.any():
                 break
-        X = X.copy()                       # xs is overwritten by the next block
+        np.copyto(carry[0], state[0])      # xs is overwritten by the next block
+        state = carry
         first = max(burn_step - k, 0)      # first post-burn-in row
         if first < done:
             live_time = _accumulate(integrals, live_time, xs[first:done],
@@ -367,7 +411,7 @@ def _lockstep_runs(dspec: DiffusionSpec, policies, cfg: SimConfig):
         yield DiffusionRun(
             measure=measure,
             tripped=~alive[grp],
-            terminal=X[grp],
+            terminal=carry[0][grp],
         )
 
 

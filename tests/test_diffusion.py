@@ -216,6 +216,16 @@ _TABLE = dif.StateTableControl(
     np.random.default_rng(5).dirichlet(np.ones(2), size=(4, 4)))
 _SOFTMAX = dif.FunctionControl(lambda x: np.exp(x) / np.exp(x).sum(axis=1, keepdims=True),
                                "softmax")
+_TABLE3 = dif.StateTableControl(
+    [np.linspace(-2.0, 2.0, 4)] * 3,
+    np.random.default_rng(6).dirichlet(np.ones(3), size=(3, 3, 3)))
+# m = 3 with no abandonment and spare capacity -1: transient
+_TRANSIENT3_NO_ABANDON = hwsim.DiffusionSpec(-1.0, [1.0, 2.0, 0.5], [0.0, 0.0, 0.0],
+                                             [1.0, 2.0, 0.5])
+# m = 8: the class sum is numpy's pairwise sum, with and without abandonment
+_MU8 = np.linspace(0.5, 2.0, 8)
+_EIGHT = hwsim.DiffusionSpec(0.5, _MU8, np.zeros(8), _MU8 / 4.0)
+_EIGHT_ABANDON = hwsim.DiffusionSpec(0.5, _MU8, np.linspace(0.1, 0.8, 8), _MU8 / 4.0)
 
 
 _CASES = {
@@ -236,6 +246,14 @@ _CASES = {
     "all_trip": (_TRANSIENT, dif.ConstantControl([1.0, 0.0]),
                  dict(horizon=60.0, step=0.02, burn_in=5.0, replicas=5, thin=0.7,
                       blowup=8.0)),
+    # m = 3, no abandonment, a state table: some replicas trip (4 of 6 at
+    # seed 0, 1 at seed 7)
+    "table_m3_trip": (_TRANSIENT3_NO_ABANDON, _TABLE3,
+                      dict(horizon=12.0, step=0.02, burn_in=1.0, replicas=6, thin=0.5,
+                           blowup=12.0)),
+    "eight": (_EIGHT, _SOFTMAX, dict(horizon=3.0, step=0.01, replicas=3, thin=0.1)),
+    "eight_abandon": (_EIGHT_ABANDON, dif.StaticPriorityControl((7, 0, 6, 1, 5, 2, 4, 3)),
+                      dict(horizon=3.0, step=0.01, replicas=3, thin=0.1)),
 }
 
 
@@ -246,6 +264,7 @@ class TestReferenceLoop:
         ("constant", 0), ("constant", 7), ("table", 0), ("table", 7),
         ("priority_m3", 0), ("function_m3", 0), ("function_m3", 7),
         ("some_trip", 0), ("some_trip", 7), ("all_trip", 0), ("all_trip", 7),
+        ("table_m3_trip", 0), ("table_m3_trip", 7), ("eight", 0), ("eight_abandon", 0),
     ])
     def test_outputs_equal_reference(self, dspec, name, seed):
         ds, pol, kw = _CASES[name]
@@ -257,7 +276,7 @@ class TestReferenceLoop:
         assert have.keys() == want.keys()
         for field, value in want.items():
             assert np.array_equal(have[field], value, equal_nan=True), field
-        if name == "some_trip":
+        if name in ("some_trip", "table_m3_trip"):
             assert 0 < got.tripped.sum() < cfg.replicas
         if name == "all_trip":
             assert got.tripped.all()
@@ -266,9 +285,6 @@ class TestReferenceLoop:
 
 
 _TRIP_CLASS0 = hwsim.DiffusionSpec(-1.0, [1.0, 1.0], [0.0, 1.0], [1.0, 1.0])
-_TABLE3 = dif.StateTableControl(
-    [np.linspace(-2.0, 2.0, 4)] * 3,
-    np.random.default_rng(6).dirichlet(np.ones(3), size=(3, 3, 3)))
 
 _LOCKSTEP = {
     # m = 2, 777 steps: not a multiple of the 64-step block of four policies
@@ -279,6 +295,9 @@ _LOCKSTEP = {
     "mixed_m3": (_THREE, [_SOFTMAX, dif.StaticPriorityControl((2, 0, 1)), _TABLE3,
                           dif.ConstantControl([0.2, 0.3, 0.5])],
                  dict(horizon=3.0, step=0.005, replicas=2, thin=0.1)),
+    "mixed_m8": (_EIGHT_ABANDON, [_SOFTMAX, dif.StaticPriorityControl((3, 1, 4, 0, 5, 2, 6, 7)),
+                                  dif.ConstantControl(np.full(8, 0.125))],
+                 dict(horizon=3.0, step=0.01, replicas=2, thin=0.1)),
     # class 0 does not abandon: under u = e_0 every replica trips, while
     # u = e_1 and the table keep theirs to the horizon
     "one_group_trips": (_TRIP_CLASS0, [dif.StaticPriorityControl((1, 0)),
