@@ -305,15 +305,23 @@ def drift_truncated(x, u, spec: DiffusionSpec, c: float) -> np.ndarray:
     return -(spec.varrho / spec.m) * spec.mu - spec.mu * (x - pos * u) - pos * spec.gamma * u * keep
 
 
-def max_drift_along(x, g, spec: DiffusionSpec, c: float) -> np.ndarray:
+def drift_along_parts(x, g, spec: DiffusionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(<g, b(x, 0)>, <e,x>^+) row by row: the parts of ``max_drift_along``
+    that no truncation level changes."""
+    x = _as_array(x, spec.m)
+    base = row_sum(g * (-(spec.varrho / spec.m) * spec.mu - spec.mu * x))
+    return base, np.maximum(row_sum(x), 0.0)
+
+
+def max_drift_along(x, g, spec: DiffusionSpec, c: float, parts=None) -> np.ndarray:
     """max over u in Delta of <g, b_c(x, u)>, row by row: b_c(x, u) = b_c(x, 0)
     + <e,x>^+ (mu - gamma 1{x <= c}) * u is affine in u, so the maximum sits at
-    the vertex e_k with the largest (mu_k - gamma_k 1{x_k <= c}) g_k."""
+    the vertex e_k with the largest (mu_k - gamma_k 1{x_k <= c}) g_k.  parts,
+    ``drift_along_parts(x, g, spec)``, is evaluated here if not given."""
     if not c >= 1.0:
         raise ValueError(f"truncation level must satisfy c >= 1, got {c}")
     x = _as_array(x, spec.m)
-    pos = np.maximum(row_sum(x), 0.0)
-    base = row_sum(g * (-(spec.varrho / spec.m) * spec.mu - spec.mu * x))
+    base, pos = drift_along_parts(x, g, spec) if parts is None else parts
     return base + pos * row_max(g * (spec.mu - spec.gamma * (x <= c)))
 
 

@@ -19,7 +19,13 @@ generator.  Every scheduling policy is a map of the state, and the loop
 asks one only when sum(x) > n: below that, Z^n(x) = {x}, and between two
 such states only the death rate of the class that moved changes.  A user map
 (``FunctionPolicy``) follows the same rule, and each of its answers is
-checked to be work-conserving.  The replicas are independent, so they run in
+checked to be work-conserving.  The loop keeps its per-event work small with
+rules that change no output bit (``_run_queue_replica`` gives each one's
+reason): it takes each block's exponential and uniform variates as two plain
+lists, keeps |xhat_i| so that an event calls ``abs`` once, and drops the
+abandonment term of the death rates when every gamma_i is 0, where
+mu_i z_i + 0.0 (x_i - z_i) is mu_i z_i; ``ProportionalSplitPolicy`` sums its
+positive shares once.  The replicas are independent, so they run in
 contiguous slices, one per CPU the process may use, as jobs of
 ``workers.run_jobs`` (this process runs one slice and a forked worker each
 other), and are joined in replica order: the results do not depend on the
@@ -250,18 +256,27 @@ def _water_fill(x, Q: int, u) -> list:
     return q
 
 
-def _apportion_list(x, n: int, u) -> list:
-    """The allocation z = x - q, q the integer queue splitting (sum x - n)^+
-    proportionally to u with q_i <= x_i (exact water-filling, then largest-
-    remainder rounding); the level needs no sort when no class saturates."""
-    m = len(x)
-    Q = sum(x) - n
-    if Q <= 0:
-        return list(x)
+def _positive_sum(u) -> float:
+    """The sum of the positive u_i, in index order."""
     w = 0
     for ui in u:
         if ui > 0:
             w += ui
+    return w
+
+
+def _apportion_list(x, n: int, u, w=None) -> list:
+    """The allocation z = x - q, q the integer queue splitting (sum x - n)^+
+    proportionally to u with q_i <= x_i (exact water-filling, then largest-
+    remainder rounding, which takes the rest from z); the level needs no sort
+    when no class saturates.  w is ``_positive_sum(u)``, summed here if not
+    given."""
+    m = len(x)
+    Q = sum(x) - n
+    if Q <= 0:
+        return list(x)
+    if w is None:
+        w = _positive_sum(u)
     level = Q / w if w > 0 else math.inf
     q = []
     for xi, ui in zip(x, u):
@@ -280,16 +295,18 @@ def _apportion_list(x, n: int, u) -> list:
             short -= add
             if short <= 1e-9:
                 break
-    qi = [min(int(q[i]), x[i]) for i in range(m)]
-    rem = Q - sum(qi)
+    # z_i = x_i - min(floor(q_i), x_i); the rounding then serves one fewer of
+    # the class with z_i > 0 and the largest remainder q_i - (x_i - z_i)
+    z = [xi - min(int(qi), xi) for xi, qi in zip(x, q)]
+    rem = sum(z) - n
     while rem > 0:
         best, best_frac = -1, -1.0
         for i in range(m):
-            if qi[i] < x[i] and q[i] - qi[i] > best_frac:
-                best, best_frac = i, q[i] - qi[i]
-        qi[best] += 1
+            if z[i] > 0 and q[i] - (x[i] - z[i]) > best_frac:
+                best, best_frac = i, q[i] - (x[i] - z[i])
+        z[best] -= 1
         rem -= 1
-    return [x[i] - qi[i] for i in range(m)]
+    return z
 
 
 class SchedulingPolicy:
@@ -354,9 +371,10 @@ class ProportionalSplitPolicy(SchedulingPolicy):
 
     def __init__(self, u):
         self.u = list(map(float, project_simplex(u)))
+        self.w = _positive_sum(self.u)
 
     def allocate_list(self, x, n):
-        return _apportion_list(x, n, self.u)
+        return _apportion_list(x, n, self.u, self.w)
 
     def describe(self):
         return f"proportional_split[{','.join(f'{v:g}' for v in self.u)}]"
@@ -404,9 +422,10 @@ class QueueRun:
 
 
 def _blocks(draw):
-    """Endless rows of draw(_BLOCK): one numpy call per _BLOCK variates."""
-    while True:
-        yield from draw(_BLOCK).tolist()
+    """Endless rows of draw(_BLOCK): one numpy call per _BLOCK variates, each
+    block drawn when the last one runs out."""
+    return itertools.chain.from_iterable(
+        map(np.ndarray.tolist, map(draw, itertools.repeat(_BLOCK))))
 
 
 def _run_queue_replica(p, arr, pol, cfg, rng):
@@ -420,6 +439,19 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
     mu_i x_i is the same double as mu_i z_i + gamma_i (x_i - z_i) at z = x.
     A running total of x tells when there is no queue; the policy is then
     not asked, as z = x.
+
+    Each rule below keeps the per-event work small and every output bit:
+    - a clock block is two calls, _BLOCK standard exponentials and then
+      _BLOCK uniforms, made when the last block runs out, and the loop
+      takes its (e, u) pairs from the two lists in order: the generator
+      gives the same variates at the same points between the renewal and
+      random-order blocks (``_blocks``, which also draws a block only when
+      the last one is used up);
+    - |xhat_i| is kept in a list, so an event calls ``abs`` once, on the new
+      value: the old one is the double ``abs`` gave when it was stored;
+    - when every gamma_i is 0 the death rates at a queue are mu_i z_i:
+      mu_i z_i >= +0.0, gamma_i (x_i - z_i) is a zero as x_i - z_i >= 0,
+      and adding a zero to a double that is at least +0.0 returns it.
     """
     m, n = p.m, p.n
     lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
@@ -427,21 +459,27 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
     T, T0, thin, blowup = cfg.horizon, cfg.burn_in, cfg.thin, cfg.blowup
     allocate = pol.allocator(m, n, rng)
     poisson = arr.is_poisson
+    abandon = any(gam)
     lam_cum = list(itertools.accumulate(lam))
     lam_sum = lam_cum[-1]                      # one total: r < lam_sum keeps bisect < m
+    bisect_right = bisect.bisect_right
     gaps = [] if poisson else [_blocks(functools.partial(d.sample, rng)) for d in arr.dists]
     next_arr = [next(g) / rate for g, rate in zip(gaps, lam)]
     x = _lattice_state(np.asarray(cfg.x0, dtype=float) * np.ones(m), p).tolist()
     xhat = [(x[i] - center[i]) * inv_rt - shift for i in range(m)]
-    l1, ssum = sum(abs(v) for v in xhat), sum(xhat)
+    xabs = [abs(v) for v in xhat]
+    l1, ssum = sum(xabs), sum(xhat)
     # time integrals past burn-in; coordinate i is integrated up to settled[i]
     int_l1 = int_neg = int_sum = 0.0
     int_coord, settled = [0.0] * m, [T0] * m
     counts = [[0] * m for _ in range(3)]       # arrivals, services, abandonments
+    arrived, served, abandoned = counts
     samples = []
     t, next_thin, stop = 0.0, T0, T            # stop < T: the blow-up guard tripped
 
-    clock = _blocks(lambda k: np.stack((rng.standard_exponential(k), rng.random(k)), axis=1))
+    clock = itertools.chain.from_iterable(
+        zip(rng.standard_exponential(_BLOCK).tolist(), rng.random(_BLOCK).tolist())
+        for _ in itertools.repeat(None))
     x_sum = sum(x)
     free = False                               # death holds mu * x of the last state
     for e, u in clock:
@@ -450,7 +488,10 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
         else:
             free = x_sum <= n
             z = x if free else allocate(x)
-            death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
+            if abandon:
+                death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
+            else:
+                death = [mu[k] * z[k] for k in range(m)]
         death_sum = sum(death)
         if poisson:
             total = lam_sum + death_sum
@@ -479,13 +520,13 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
         # resolve the event
         if arrival:
             if poisson:
-                i = bisect.bisect_right(lam_cum, r)
+                i = bisect_right(lam_cum, r)
             else:
                 i = next_arr.index(t_arr)
                 next_arr[i] = t_event + next(gaps[i]) / lam[i]
             x[i] += 1
             x_sum += 1
-            counts[0][i] += 1
+            arrived[i] += 1
         else:
             r = r - lam_sum if poisson else u * death_sum
             for i in range(m):
@@ -496,7 +537,10 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
                 i = max(k for k in range(m) if death[k] > 0.0)
                 r = 0.0
             # within a class: service completion first, then abandonment
-            counts[1 if r < mu[i] * z[i] else 2][i] += 1
+            if r < mu[i] * z[i]:
+                served[i] += 1
+            else:
+                abandoned[i] += 1
             x[i] -= 1
             x_sum -= 1
         t = t_event
@@ -506,7 +550,9 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
             settled[i] = t
         xhat[i] = new = (x[i] - center[i]) * inv_rt - shift
         ssum += new - old
-        l1 += abs(new) - abs(old)
+        a = abs(new)
+        l1 += a - xabs[i]
+        xabs[i] = a
         if l1 > blowup:
             stop = t
             break

@@ -7,10 +7,12 @@ runs as independent groups of checks, one per cloud (``suite_groups``), on
 the CPUs the process may use (``workers.run_jobs``).  Within a group,
 consecutive checks share one read-only cloud: ``_cloud`` keeps the last one
 it drew in each process.  The checks that use the exp-linear family share
-its ``log_terms`` on a cloud (``_shared_terms``): the drift checks, one per
+its ``log_terms`` on a cloud (``_shared``): the drift checks, one per
 truncation level, on theirs, and the exp-linear, negative-part and
-negative-part sub-Gaussian Foster checks on theirs.  The terms are evaluated
-once per cloud, kept read-only, and dropped with the cloud.  Both memos are
+negative-part sub-Gaussian Foster checks on theirs.  The drift checks also
+share the part of their worst-control drift that no truncation level
+changes (``model.drift_along_parts``).  The terms are evaluated once per
+cloud, kept read-only, and dropped with the cloud.  Both memos are
 per process, and each group drops them when it ends.  The bounds must hold
 for every control u in Delta; only the drift depends on u, and affinely, so
 each check evaluates every state at its worst control in closed form
@@ -38,8 +40,8 @@ import numpy as np
 
 from . import lyapunov as lyap
 from . import workers
-from .model import (DiffusionSpec, SystemParams, diffusion_spec, max_drift_along,
-                    row_sum, spare_capacity)
+from .model import (DiffusionSpec, SystemParams, diffusion_spec, drift_along_parts,
+                    max_drift_along, row_sum, spare_capacity)
 
 BASE_SLACK = 1e-9
 # A constant estimate counts as "attained inside" when every positive margin
@@ -177,7 +179,7 @@ def _cloud(region: Region, sampler: SamplerConfig, m: int,
 
     The last cloud is kept for the next check on the same arguments, so the
     arrays are read-only.  Drawing a new cloud drops the terms shared on the
-    last one (``_shared_terms``).
+    last one (``_shared``).
     """
     _TERMS.clear()
     x = sample_states(region, sampler, m, joint_values=joint_values)
@@ -187,22 +189,22 @@ def _cloud(region: Region, sampler: SamplerConfig, m: int,
     return cloud
 
 
-# (id(spec), id(x)) -> (spec, x, lyap.log_terms(spec, x)) on the cloud _cloud
-# holds; the entry keeps spec and x alive, so their ids stay unique
+# (fn, ids of args) -> (args, fn(*args)) on the cloud _cloud holds; the entry
+# keeps its arguments alive, so their ids stay unique
 _TERMS: dict = {}
 
 
-def _shared_terms(spec: lyap.LyapunovSpec, x: np.ndarray):
-    """``lyap.log_terms(spec, x)`` on a cloud of ``_cloud``, evaluated once per
-    spec and cloud: read-only, and dropped when ``_cloud`` draws a new cloud or
-    a group of ``suite_groups`` ends."""
-    key = id(spec), id(x)
+def _shared(fn, *args):
+    """fn(*args), a tuple of arrays on a cloud of ``_cloud``, evaluated once per
+    function and arguments: read-only, and dropped when ``_cloud`` draws a new
+    cloud or a group of ``suite_groups`` ends."""
+    key = fn, *map(id, args)
     if key not in _TERMS:
-        terms = lyap.log_terms(spec, x)
-        for a in terms:
+        value = fn(*args)
+        for a in value:
             a.flags.writeable = False
-        _TERMS[key] = spec, x, terms
-    return _TERMS[key][2]
+        _TERMS[key] = args, value
+    return _TERMS[key][1]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +327,8 @@ def verify_exp_linear_drift(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
         raise PreconditionError(f"truncation level must be >= 1, got {c}")
 
     x, r1 = _cloud(region, sampler, m, (0.0, 1.0, -1.0 / eps))
-    log_v, gl, _ = _shared_terms(spec, x)
-    lhs = max_drift_along(x, gl, dspec, c)
+    log_v, gl, _ = _shared(lyap.log_terms, spec, x)
+    lhs = max_drift_along(x, gl, dspec, c, _shared(drift_along_parts, x, gl, dspec))
 
     s = row_sum(x)
     neg_part = row_sum(np.maximum(-x, 0.0))
@@ -370,7 +372,7 @@ def verify_exp_linear_foster(dspec: DiffusionSpec, spec: lyap.LyapunovSpec,
         raise PreconditionError("exp-linear Foster bound needs positive spare capacity")
     eps, th = spec.epsilon, spec.theta
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_v = _ratio(_shared_terms(spec, x), x, dspec)
+    q, log_v = _ratio(_shared(lyap.log_terms, spec, x), x, dspec)
     neg_part = row_sum(np.maximum(-x, 0.0))
     decay = eps * (dspec.varrho / (2.0 * dspec.m) + NEG_WEIGHT * th * neg_part)
     return decay_report("exp_linear_foster", q + decay, log_v, r1,
@@ -440,7 +442,8 @@ def verify_neg_part_foster(dspec: DiffusionSpec, neg_spec: lyap.LyapunovSpec,
             f"class_subset must be the gamma_i <= mu_i classes {expected}")
     eps = v_spec.epsilon
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / eps))
-    q, log_sum = _sum_ratio(lyap.log_terms(neg_spec, x), _shared_terms(v_spec, x), x, dspec)
+    q, log_sum = _sum_ratio(lyap.log_terms(neg_spec, x), _shared(lyap.log_terms, v_spec, x),
+                            x, dspec)
     minus = row_sum(x) <= 0.0
     k1 = fitted_slope(q, r1, minus & (r1 >= 0.5 * region.radius))
     floor = eps * dspec.varrho / (8.0 * dspec.m)
@@ -467,7 +470,7 @@ def verify_neg_part_sub_gaussian_foster(dspec: DiffusionSpec, v_spec: lyap.Lyapu
         raise PreconditionError("negative-part bound needs positive spare capacity")
     x, r1 = _cloud(region, sampler, dspec.m, (0.0, 1.0, -1.0 / v_spec.epsilon))
     far = r1 >= 0.5 * region.radius
-    v_terms = _shared_terms(v_spec, x)
+    v_terms = _shared(lyap.log_terms, v_spec, x)
     for eta in ETA_GRID:
         ns = lyap.LyapunovSpec(lyap.Family.NEG_PART_SUB_GAUSSIAN, dspec.mu, eta=eta,
                                class_subset=class_subset)

@@ -44,6 +44,14 @@ def _serve_second_first(x, n):
     return [min(int(x[0]), n - z1), z1]
 
 
+def _serve_last_first(x, n):
+    z, free = [0] * len(x), n
+    for i in reversed(range(len(x))):
+        z[i] = min(int(x[i]), free)
+        free -= z[i]
+    return z
+
+
 def _policies():
     return [qs.StaticPriorityPolicy((0, 1)), qs.LongestQueueFirstPolicy(),
             qs.RandomWorkConservingPolicy(), qs.ProportionalSplitPolicy((0.3, 0.7)),
@@ -59,6 +67,39 @@ def _raw_samples(run, p):
     assert not run.tripped.any()
     x = np.rint(unscale_state(run.measure.samples, p)).astype(np.int64)
     return x.reshape(len(run.tripped), -1, p.m)
+
+
+def _three_class():
+    # three classes at n = 30; class 1 does not abandon, class 2's input is Poisson
+    system = hwsim.SystemParams([0.3, 0.5, 0.36], [1.0, 2.0, 0.8], gamma=[0.4, 0.0, 0.7],
+                                hat_lambda=[-0.2, -0.3, -0.1])
+    arr = qs.ArrivalSpec((qs.Erlang(3), qs.HyperExp2(2.0), qs.Exponential()))
+    pols = [qs.StaticPriorityPolicy((1, 2, 0)), qs.LongestQueueFirstPolicy(),
+            qs.RandomWorkConservingPolicy(), qs.ProportionalSplitPolicy((0.2, 0.3, 0.5)),
+            qs.FunctionPolicy(_serve_last_first, "last_first")]
+    return prelimit_params(system, 30), arr, pols, (0.5, 0.0, 0.5)
+
+
+def _demo(gamma):
+    # the demo system at n = 20, started with a queue
+    system = hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=gamma, hat_lambda=[-0.5, -0.5])
+    return prelimit_params(system, 20), RENEWAL, _policies(), (0.5, 0.5)
+
+
+# system name -> (prelimit parameters, renewal input, the four built-in
+# policies and one FunctionPolicy, x0)
+_SYSTEMS = {"demo": lambda: _demo([0.0, 0.0]), "demo_gamma": lambda: _demo([0.5, 0.8]),
+            "three_class": _three_class}
+
+
+def _digest(run):
+    """SHA-256 of a run's integrals, samples, event counts and terminal states."""
+    h = hashlib.sha256()
+    for key in sorted(run.measure.replica_integrals):
+        h.update(run.measure.replica_integrals[key].tobytes())
+    for arr in (run.measure.samples, run.event_counts, run.terminal):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 def _assert_same_run(a, b):
@@ -193,17 +234,173 @@ class TestReplay:
                         thin=0.5)
         run = (qs.simulate_renewal(demo_n20, RENEWAL, pol, cfg) if renewal
                else qs.simulate_ctmc(demo_n20, pol, cfg))
-        h = hashlib.sha256()
-        for key in sorted(run.measure.replica_integrals):
-            h.update(run.measure.replica_integrals[key].tobytes())
-        for arr in (run.measure.samples, run.event_counts, run.terminal):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        assert h.hexdigest() == self.PINNED[pol.describe(), renewal]
+        assert _digest(run) == self.PINNED[pol.describe(), renewal]
+
+    # The same digest where the death rates keep their abandonment term: the
+    # demo at gamma = (0.5, 0.8), and three classes, one of them with
+    # gamma_i = 0 and one with exponential interarrival times.
+    PINNED_ABANDON = {
+        ("demo_gamma", "static_priority[0,1]", False):
+            "a9297b09435854631839ec998fb0bca57ef60e9d516f492701cd5d377fa5ca7a",
+        ("demo_gamma", "static_priority[0,1]", True):
+            "fc8909c095c3f41fded56ac00ef4f33144a4c32d33779b4701352e1a0cf279f8",
+        ("demo_gamma", "longest_queue_first", False):
+            "9839c4964f0bbf76d38e722c6e6005a5e7e1bc6d7f9f153be98e0185256441f9",
+        ("demo_gamma", "longest_queue_first", True):
+            "ae9b2ee9f31de79540f02e650e64bacb7bf730bc0c8197cc4fbca1e1f6fac0fb",
+        ("demo_gamma", "random_work_conserving", False):
+            "c78b7a8b8035c98993f48d32a9d6b767c5d10d15fb92e68a03c78d1b32041c8a",
+        ("demo_gamma", "random_work_conserving", True):
+            "9e94c05ca402ef63973463a1762fa36df6158ea45c5cf235289e4b13acec2930",
+        ("demo_gamma", "proportional_split[0.3,0.7]", False):
+            "16fd75762af9aabc01538928be600b0f468e6a04c121120b5272b5dcf37dbab2",
+        ("demo_gamma", "proportional_split[0.3,0.7]", True):
+            "84f62f031bf057dc7e875065179fbd3a168b74841e552b637ff3041c8714672a",
+        ("three_class", "static_priority[1,2,0]", False):
+            "4c21314d088e9fb46ac59fbe77d00e70c31c98bceda65a8b438acff058c53346",
+        ("three_class", "static_priority[1,2,0]", True):
+            "627aa464e4b19e09d79af02216ced94d9e54e3af526518b548f5d504635da176",
+        ("three_class", "longest_queue_first", False):
+            "889e00cc5041c877742c392a67899a055e6db3eacd5ffa0a05f206fe18b5d43f",
+        ("three_class", "longest_queue_first", True):
+            "3c9d879807f0ceaaf50905847fba5272ffb51b87f2048efbd18df50e0de08b63",
+        ("three_class", "random_work_conserving", False):
+            "32a3bbc334f4bdd5b0cd53ed76513299d7d2097015f67f41e6fee6fc038f9bf5",
+        ("three_class", "random_work_conserving", True):
+            "7d84d5b510f253769c082f5b0ee7afcdc1a1bb5c558f6dcab05fa01e1505d0bf",
+        ("three_class", "proportional_split[0.2,0.3,0.5]", False):
+            "cebc760e646a452b245ea4dae3fcf39be93485e6172ec536cc68a5f0046e5f5e",
+        ("three_class", "proportional_split[0.2,0.3,0.5]", True):
+            "9851ff13a94b5ea5cc4aadd5931faa8db76962ca65255ee29d0e163a26a868f3",
+    }
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("system", ["demo_gamma", "three_class"])
+    @pytest.mark.parametrize("renewal", [False, True])
+    def test_pinned_output_with_abandonment(self, system, index, renewal):
+        p, arr, pols, x0 = _SYSTEMS[system]()
+        pol = pols[index]
+        cfg = SimConfig(horizon=20.0, burn_in=2.0, replicas=3, seed=7, x0=x0, thin=0.5)
+        run = (qs.simulate_renewal(p, arr, pol, cfg) if renewal
+               else qs.simulate_ctmc(p, pol, cfg))
+        assert not run.tripped.any()
+        assert run.event_counts[:, 2].sum() > 0           # some customer abandoned
+        assert _digest(run) == self.PINNED_ABANDON[system, pol.describe(), renewal]
 
     @pytest.mark.parametrize("order", [(0, 0), (0, 2), (1,), (1, 2)])
     def test_static_priority_needs_a_permutation(self, order):
         with pytest.raises(ValueError, match="permutation"):
             qs.StaticPriorityPolicy(order)
+
+
+class _Stream:
+    """Rows of draw(qs._BLOCK) handed out one at a time, a block per call."""
+
+    def __init__(self, draw):
+        self.draw, self.left = draw, []
+
+    def next(self):
+        if not self.left:
+            self.left = list(self.draw(qs._BLOCK))[::-1]
+        return self.left.pop()
+
+
+def _reference_replica(p, arr, pol, cfg, rng):
+    """The event loop written plainly, the oracle of ``_run_queue_replica``.
+
+    At every event the death rates come from the policy's allocation (z = x
+    with no queue), the scaled state, its |.| and its sum are rebuilt from x,
+    and each integral adds its value over every segment.  It draws from rng
+    in the loop's order: the policy's map, each class's first block of
+    interarrival times (renewal input), then one (exponential, uniform) pair
+    per event in blocks of ``qs._BLOCK``, the exponentials of a block first."""
+    m, n = p.m, p.n
+    lam, mu, gam = p.lambda_n.tolist(), p.mu_n.tolist(), p.gamma_n.tolist()
+    center, inv_rt, shift = p.fluid_center.tolist(), 1.0 / math.sqrt(n), p.varrho_n / m
+    T, T0 = cfg.horizon, cfg.burn_in
+    allocate = pol.allocator(m, n, rng)
+    poisson = arr.is_poisson
+    gaps = [] if poisson else [_Stream(lambda k, d=d: d.sample(rng, k).tolist())
+                               for d in arr.dists]
+    next_arr = [g.next() / rate for g, rate in zip(gaps, lam)]
+    clock = _Stream(lambda k: zip(rng.standard_exponential(k).tolist(), rng.random(k).tolist()))
+    lam_cum = list(itertools.accumulate(lam))
+    x = qs._lattice_state(np.asarray(cfg.x0, dtype=float) * np.ones(m), p).tolist()
+
+    def scaled():
+        return [(x[k] - center[k]) * inv_rt - shift for k in range(m)]
+
+    ints = dict.fromkeys(["l1", "neg_sum", "sum", *(f"coord{k}" for k in range(m))], 0.0)
+    counts = [[0] * m for _ in range(3)]
+    samples = []
+    t, next_thin = 0.0, T0
+    while True:
+        e, u = clock.next()
+        z = x if sum(x) <= n else allocate(x)
+        death = [mu[k] * z[k] + gam[k] * (x[k] - z[k]) for k in range(m)]
+        if poisson:
+            total = lam_cum[-1] + sum(death)
+            t_event, r = t + e / total, u * total
+            arrival = r < lam_cum[-1]
+        else:
+            t_arr = min(next_arr)
+            t_event = t + e / sum(death) if sum(death) > 0.0 else math.inf
+            arrival = t_arr <= t_event
+            t_event = t_arr if arrival else t_event
+        seg_end = min(t_event, T)
+        if seg_end > T0:
+            w, xhat = seg_end - max(t, T0), scaled()
+            ints["l1"] += w * sum(abs(v) for v in xhat)
+            ints["sum"] += w * sum(xhat)
+            ints["neg_sum"] += w * max(-sum(xhat), 0.0)
+            for k in range(m):
+                ints[f"coord{k}"] += w * xhat[k]
+            while next_thin <= seg_end:
+                samples.append(xhat)
+                next_thin += cfg.thin
+        if t_event >= T:
+            break
+        if arrival:
+            if poisson:
+                i = next(k for k in range(m) if r < lam_cum[k])
+            else:
+                i = next_arr.index(t_arr)
+                next_arr[i] = t_event + gaps[i].next() / lam[i]
+            counts[0][i] += 1
+            x[i] += 1
+        else:
+            r = r - lam_cum[-1] if poisson else u * sum(death)
+            for i in range(m):
+                if r < death[i]:
+                    break
+                r -= death[i]
+            else:  # rounding carried r past the last rate
+                i, r = max(k for k in range(m) if death[k] > 0.0), 0.0
+            counts[1 if r < mu[i] * z[i] else 2][i] += 1
+            x[i] -= 1
+        t = t_event
+    return {"integrals": ints, "samples": samples, "counts": counts, "terminal": x}
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    @pytest.mark.parametrize("renewal", [False, True])
+    def test_the_loop_matches_the_plain_loop(self, system, index, renewal):
+        # the same draws give the same events, states and samples; the
+        # integrals, summed in another order, agree to rounding
+        p, arr, pols, x0 = _SYSTEMS[system]()
+        arr = arr if renewal else qs.ArrivalSpec.poisson(p.m)
+        cfg = SimConfig(horizon=20.0, burn_in=2.0, replicas=2, seed=21, x0=x0, thin=0.25)
+        for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.replicas):
+            got = qs._run_queue_replica(p, arr, pols[index], cfg, np.random.default_rng(seed))
+            want = _reference_replica(p, arr, pols[index], cfg, np.random.default_rng(seed))
+            assert not got["tripped"] and got["live"] == cfg.horizon - cfg.burn_in
+            assert got["counts"] == want["counts"]
+            assert got["terminal"] == want["terminal"]
+            assert got["samples"] == want["samples"]
+            for key, val in want["integrals"].items():
+                assert got["integrals"][key] == pytest.approx(val, rel=1e-12, abs=0.0), key
 
 
 class _TwoArgError(Exception):

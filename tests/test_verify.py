@@ -302,29 +302,38 @@ def test_default_suite_reports_are_pinned():
 
 
 def test_default_suite_evaluates_the_exp_linear_terms_once_per_cloud(monkeypatch):
-    """The drift checks on the ball of radius 50 share one evaluation, and the
-    three exp-linear Foster checks another; the terms are read-only and no
-    memo outlives its group.  The calls are counted in this process, so the
-    groups run here, one after another."""
+    """The drift checks on the ball of radius 50 share one evaluation of the
+    terms and one of the drift's truncation-free part, and the three
+    exp-linear Foster checks one of the terms; what they share is read-only,
+    every memo entry is on the cloud in use, and no memo outlives its group.
+    The calls are counted in this process, so the groups run here, one after
+    another."""
     monkeypatch.setattr(workers, "_worker_count", lambda jobs: 1)
-    log_terms, shared = lyap.log_terms, ver._shared_terms
-    clouds = []
+    log_terms, parts, shared = lyap.log_terms, ver.drift_along_parts, ver._shared
+    clouds, drift_clouds = [], []
 
     def counting(spec, x):
         if spec.family == Family.EXP_LINEAR:
             clouds.append(x.shape)
         return log_terms(spec, x)
 
-    def checked(spec, x):
-        terms = shared(spec, x)
-        assert not any(a.flags.writeable for a in terms)
-        assert len(ver._TERMS) == 1
-        return terms
+    def counting_parts(x, g, dspec):
+        drift_clouds.append(x.shape)
+        return parts(x, g, dspec)
+
+    def checked(fn, *args):
+        value = shared(fn, *args)
+        assert not any(a.flags.writeable for a in value)
+        x = args[0] if fn is counting_parts else args[1]
+        assert all(any(a is x for a in kept) for kept, _ in ver._TERMS.values())
+        return value
 
     monkeypatch.setattr(lyap, "log_terms", counting)
-    monkeypatch.setattr(ver, "_shared_terms", checked)
+    monkeypatch.setattr(ver, "drift_along_parts", counting_parts)
+    monkeypatch.setattr(ver, "_shared", checked)
     reps = ver.default_suite(CERTIFY, ver.SamplerConfig(n_samples=3000, seed=3))
     assert clouds == [(3000, 3), (3000, 3)]
+    assert drift_clouds == [(3000, 3)]
     assert [r.inequality for r in reps] == [name for name, _, _ in SUITE_PINS]
     assert ver._TERMS == {}
 
