@@ -10,7 +10,8 @@ Lists take commas or spaces; m is the number of classes (entries of lambda).
   [system]    lambda, mu; gamma, hat_lambda, hat_mu (zeros); scv (the SCVs
               of the [arrivals] laws) [m finite entries each]
   [prelimit]  n: server counts [>= 1, distinct; rates > 0]; sim-queue runs
-              each, verify-drift certifies the prelimit bounds at the first only
+              each, verify-drift certifies the prelimit bounds at the first
+              only (``queues.prelimit_groups``)
   [arrivals]  dist: one law per class (m exponentials), each exponential,
               erlang:<k>, hyperexp2:<scv> or lognormal:<scv>; the input is
               Poisson when every law is exponential (generator-check needs
@@ -101,9 +102,6 @@ POLICY_KEYS = {"constant": ("kind", "u"), "proportional_split": ("kind", "u"),
                "random_work_conserving": ("kind",)}
 # A scenario id or policy name, a part of file names and of CSV fields.
 NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
-# The prelimit checks sample the ball of this radius in scaled states, at
-# most this many states.
-PRELIMIT_RADIUS, PRELIMIT_SAMPLES = 40.0, 10_000
 # generator-check's (state, control) pairs, and its decade-spanning n grid,
 # which keeps the slope fit out of the small-error noise
 CONSISTENCY_POINTS, CONSISTENCY_N = 20, (100, 1000, 10000)
@@ -349,18 +347,9 @@ def cmd_verify_drift(cfg: ExperimentConfig, overwrite: bool) -> int:
     sampler = ver.SamplerConfig(n_samples=cfg.samples, seed=cfg.seed)
     # independent groups of checks, each returning its reports; one pool runs
     # them all, and the reports keep the groups' order
-    jobs = ver.suite_groups(cfg.system, sampler, truncations=cfg.truncations, eta=cfg.eta)
-    if cfg.n_list:
-        n = cfg.n_list[0]
-        p = prelimit_params(cfg.system, n)
-        arr = cfg.arrivals
-        pre = (p, arr, ver.Region.ball(PRELIMIT_RADIUS),
-               ver.SamplerConfig(min(cfg.samples, PRELIMIT_SAMPLES), cfg.seed))
-        if p.varrho_n > 0 and not arr.missing_bound():
-            jobs.append(lambda: [qs.verify_prelimit_foster(*pre)])
-        if arr.is_poisson and float(p.gamma_n.min()) > 0:
-            jobs.append(lambda: [qs.verify_prelimit_foster(*pre, target="abandon",
-                                                           eta=cfg.eta)])
+    jobs = (ver.suite_groups(cfg.system, sampler, truncations=cfg.truncations, eta=cfg.eta)
+            + qs.prelimit_groups(cfg.system, cfg.n_list, cfg.arrivals, cfg.samples,
+                                 cfg.seed, cfg.eta))
     reports = [rep for group in run_jobs(jobs) for rep in group]
     report_path = out / f"{cfg.scenario}_verify_report.csv"
     with report_path.open("w") as fh:

@@ -3,23 +3,9 @@
 Every replica draws its noise from its own RNG substream, spawned from the
 seed, so runs are bit-reproducible and replicas can be merged in any order.
 Time averages are accumulated exactly (step-weighted) after burn-in; thinned
-samples feed histogram and tail queries.
-
-``simulate_policies`` steps the replicas of several controls in lockstep, as
-the rows of one state array.  The replicas of control i are spawned from
-seed + i, so each control's run equals a run of that control alone bit for
-bit.  The step loop does only the state update, with the drift written
-into preallocated buffers in the order of the drift expression, and makes
-no array: every view it reads or writes is made once per run.  The class
-sum is added column by column, and the abandonment term is left out when
-no class abandons, where it is an exact +0.0.  The states of each block of
-steps are kept.  The blow-up guard is checked every few steps on the states
-just stepped: at the first step that trips a replica the state is reset to
-that step and the steps after it are taken again with the replica frozen,
-on the noise already drawn, so the paths equal a per-step guard bit for
-bit.  The moment integrals are folded from the block in time order, one
-step's terms after the other, so they equal per-step addition bit for bit.
-Once every replica has tripped the guard the loop stops.
+samples feed histogram and tail queries.  ``simulate_policies`` steps the
+replicas of several controls in lockstep (``_lockstep_runs``), and each
+control's run equals a run of that control alone bit for bit.
 """
 
 from __future__ import annotations

@@ -1,43 +1,18 @@
 """Exact event-driven simulation of the n-server systems and prelimit checks.
 
 The arrival input (``ArrivalSpec``) is one unit-mean interarrival law per
-class.  The prelimit certification needs each law to bound its hazard and
-|1 - mean residual life| (``sup_hazard``, ``sup_abs_one_minus_mrl``):
-exponential, two-phase hyperexponential and Erlang laws do, in closed form
-with numpy alone.  The lognormal bounds no mean residual life
-(``sup_abs_one_minus_mrl`` is None), so it is only simulated.  Poisson
-input is derived, not declared: it is the case where every law is
-exponential (``is_poisson``), and it decides only what differs in the
-process: the event loop's clock, and the prelimit check's report name and
-decay (the abandonment check is a Poisson-input result).
+class, each with the numpy-only sampler and closed-form bounds that the
+prelimit certificate reads.  Poisson input is derived, not declared: it is
+the case where every law is exponential (``is_poisson``), and it decides
+only what differs in the process: the event loop's clock, and which
+prelimit checks apply and how they report (``prelimit_groups``).
 
-One event loop serves both cases: a CTMC with competing exponential clocks,
-or each class's next arrival scheduled from its law while the service and
-abandonment clocks stay exponential (re-drawn after every event, exact by
-memorylessness).  It draws its variates in blocks from each replica's
-generator.  Every scheduling policy is a map of the state, and the loop
-asks one only when sum(x) > n: below that, Z^n(x) = {x}, and between two
-such states only the death rate of the class that moved changes.  A user map
-(``FunctionPolicy``) follows the same rule, and each of its answers is
-checked to be work-conserving.  The loop keeps its per-event work small with
-rules that change no output bit (``_run_queue_replica`` gives each one's
-reason): it takes each block's exponential and uniform variates as two plain
-lists, keeps |xhat_i| so that an event calls ``abs`` once, and drops the
-abandonment term of the death rates when every gamma_i is 0, where
-mu_i z_i + 0.0 (x_i - z_i) is mu_i z_i; ``ProportionalSplitPolicy`` sums its
-positive shares once.  The replicas are independent, so they run in
-contiguous slices, one per CPU the process may use, as jobs of
-``workers.run_jobs`` (this process runs one slice and a forked worker each
-other), and are joined in replica order: the results do not depend on the
-worker count.
-
-The same module evaluates the exact finite-difference generators on Lyapunov
-functions and certifies the prelimit Foster-Lyapunov bounds over sampled
-states and all work-conserving allocations, or past ``Z_CUTOFF`` only the
-greedy one that maximizes the generator, in numpy passes over all states
-chunked by pair count.  Both inputs take one path on lattice states, the
-age-augmented ``RenewalLyapunov``, which is V on Poisson input.  Its reports,
-and the fit of the abandonment check's decay slope, come from ``verify``.
+One event loop (``_run_queue_replica``) serves both inputs under every
+scheduling policy, a map of the state (``SchedulingPolicy``); the replicas
+run on the CPUs the process may use (``_run_replicas``).  The same module
+evaluates the exact finite-difference generators on Lyapunov functions and
+certifies the prelimit Foster-Lyapunov bounds (``verify_prelimit_foster``)
+with the reports of ``verify``.
 """
 
 from __future__ import annotations
@@ -53,7 +28,7 @@ import numpy as np
 from . import lyapunov as lyap
 from . import workers
 from .measures import EmpiricalMeasure, moment_names
-from .model import (DiffusionSpec, PrelimitParams, allocation_to_control,
+from .model import (DiffusionSpec, PrelimitParams, SystemParams, allocation_to_control,
                     prelimit_params, project_simplex, row_sum, scale_state, unscale_state)
 from .verify import (PreconditionError, Region, SamplerConfig, VerificationReport,
                      decay_report, fitted_slope, sample_states, slope_report)
@@ -567,7 +542,8 @@ def _run_queue_replica(p, arr, pol, cfg, rng):
 def _run_replicas(p, arr, pol, cfg, gens) -> list:
     """``_run_queue_replica`` of each generator, in order: the generators are
     split into contiguous slices, one per worker, and the slices run as
-    ``workers.run_jobs`` jobs."""
+    ``workers.run_jobs`` jobs, so the results do not depend on the worker
+    count."""
     def run(part):
         return [_run_queue_replica(p, arr, pol, cfg, g) for g in part]
 
@@ -986,6 +962,35 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
         return slope_report(name, t, k1, r1, log_v, region.radius, sampler.seed, consts)
     return decay_report(name, t + consts["decay"], log_v, r1, region.radius, sampler.seed,
                         consts)
+
+
+# The prelimit checks sample at most this many states, from the ball of
+# radius max(PRELIMIT_RADIUS, 2 ||xhat(0)||_1) in scaled states.
+PRELIMIT_RADIUS, PRELIMIT_SAMPLES = 40.0, 10_000
+
+
+def prelimit_groups(system: SystemParams, n_list, arrivals: ArrivalSpec, samples: int,
+                    seed: int, eta: float) -> list:
+    """The applicable prelimit checks at the first n of n_list only, as
+    ``workers.run_jobs`` jobs that each return a list of one report, like
+    ``verify.suite_groups``.
+
+    The sampled ball reaches twice the empty system's ||xhat(0)||_1 (about
+    sqrt(n)), so the outer shell that must show decay, past
+    ``verify.ATTAIN_FRACTION`` of the radius, lies beyond it.
+    """
+    if not n_list:
+        return []
+    p = prelimit_params(system, n_list[0])
+    empty = float(np.abs(scale_state(np.zeros(p.m), p)).sum())
+    args = (p, arrivals, Region.ball(max(PRELIMIT_RADIUS, 2.0 * empty)),
+            SamplerConfig(min(samples, PRELIMIT_SAMPLES), seed))
+    jobs = []
+    if p.varrho_n > 0 and not arrivals.missing_bound():
+        jobs.append(lambda: [verify_prelimit_foster(*args)])
+    if arrivals.is_poisson and float(p.gamma_n.min()) > 0:
+        jobs.append(lambda: [verify_prelimit_foster(*args, target="abandon", eta=eta)])
+    return jobs
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,13 @@
 """Sampled certification of drift inequalities and Foster-Lyapunov bounds.
 
-Every diffusion check draws its samples from ``_cloud``: a deterministic,
-seed-keyed cloud of states (enriched near the cone boundary, the coordinate
-axes and the curvature joints of the cutoff) and their ||x||_1.  The suite
-runs as independent groups of checks, one per cloud (``suite_groups``), on
-the CPUs the process may use (``workers.run_jobs``).  Within a group,
-consecutive checks share one read-only cloud: ``_cloud`` keeps the last one
-it drew in each process.  The checks that use the exp-linear family share
-its ``log_terms`` on a cloud (``_shared``): the drift checks, one per
-truncation level, on theirs, and the exp-linear, negative-part and
-negative-part sub-Gaussian Foster checks on theirs.  The drift checks also
-share the part of their worst-control drift that no truncation level
-changes (``model.drift_along_parts``).  The terms are evaluated once per
-cloud, kept read-only, and dropped with the cloud.  Both memos are
-per process, and each group drops them when it ends.  The bounds must hold
-for every control u in Delta; only the drift depends on u, and affinely, so
-each check evaluates every state at its worst control in closed form
-(``model.max_drift_along``) and a report depends on the state set only.  The
-Foster bounds all read ``max_u L_u V / V + decay(x) <= 0`` outside a compact
-set and end in one report: ``decay_report`` for a fixed decay term,
-``slope_report`` for a linear decay whose slope kappa1 ``fitted_slope`` takes
-from the far samples.  The n-server prelimit checks in ``queues`` share the
-last two.  Each report counts violations and gives the worst margin and
-estimates of the existential constants the bounds leave implicit.
+Every diffusion check draws its states from ``_cloud`` (``sample_states``).
+The suite runs as independent groups of checks, one per cloud
+(``suite_groups``), whose checks share the cloud and the terms of the
+exp-linear family on it (``_shared``).  The bounds must hold for every
+control u in Delta, and each check evaluates every state at its worst
+control in closed form (``model.max_drift_along``), so a report depends on
+the state set only.  The Foster checks here and the n-server prelimit
+checks in ``queues`` end in ``decay_report`` or ``slope_report``.
 
 All margins are normalized by the Lyapunov value at the sample point, which
 keeps the arithmetic in log scale; the violation test is equivalent to the
@@ -33,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,15 +41,10 @@ class PreconditionError(ValueError):
 # regions and samplers
 # ---------------------------------------------------------------------------
 
-class RegionKind(str, Enum):
-    BALL = "ball"                     # ||x||_1 <= R
-    CONE = "cone"                     # K_0^+ = {<e,x> >= 0} intersected with ||x||_1 <= R
-
-
 @dataclass(frozen=True)
 class Region:
-    kind: RegionKind
-    radius: float
+    radius: float                     # ||x||_1 <= radius
+    conic: bool = False               # intersected with K_0^+ = {<e,x> >= 0}
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -73,16 +52,16 @@ class Region:
 
     @classmethod
     def ball(cls, radius: float) -> "Region":
-        return cls(RegionKind.BALL, radius)
+        return cls(radius)
 
     @classmethod
     def cone(cls, radius: float) -> "Region":
-        return cls(RegionKind.CONE, radius)
+        return cls(radius, conic=True)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         inside = row_sum(np.abs(x)) <= self.radius
-        if self.kind == RegionKind.CONE:
+        if self.conic:
             inside &= row_sum(x) >= 0.0
         return inside
 
@@ -112,7 +91,8 @@ def _l1_ball(rng: np.random.Generator, n: int, m: int, radius: float) -> np.ndar
 def sample_states(region: Region, cfg: SamplerConfig, m: int,
                   joint_values: tuple[float, ...] = (0.0, 1.0),
                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Deterministic state cloud covering the region with adversarial enrichment."""
+    """Deterministic state cloud covering the region, enriched near the cone
+    boundary, the coordinate axes and the curvature joints of the cutoff."""
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     n = cfg.n_samples
     R = region.radius
@@ -145,22 +125,19 @@ def sample_states(region: Region, cfg: SamplerConfig, m: int,
         sl -= row_sum(sl)[:, None] / m
         # pin a random coordinate of another slice near a cutoff joint
         jl = base[nb:nb + nj]
-        if nj > 0:
-            cols = rng.integers(0, m, size=nj)
-            vals = rng.choice(np.asarray(joint_values, dtype=float), size=nj)
-            jl[np.arange(nj), cols] = vals + 0.05 * rng.standard_normal(nj)
+        cols = rng.integers(0, m, size=nj)
+        vals = rng.choice(np.asarray(joint_values, dtype=float), size=nj)
+        jl[np.arange(nj), cols] = vals + 0.05 * rng.standard_normal(nj)
         # axis rays
         al = base[nb + nj:nb + nj + na]
-        if na > 0:
-            al[:] = 0.0
-            cols = rng.integers(0, m, size=na)
-            al[np.arange(na), cols] = (rng.random(na) * 2 - 1) * R
+        al[:] = 0.0
+        cols = rng.integers(0, m, size=na)
+        al[np.arange(na), cols] = (rng.random(na) * 2 - 1) * R
         # one-orthant points (cover K_1^{+/-})
         ol = base[nb + nj + na:nb + nj + na + no]
-        if no > 0:
-            sgn = np.where(rng.random(no) < 0.5, 1.0, -1.0)
-            ol[:] = np.abs(ol) * sgn[:, None]
-        if region.kind == RegionKind.CONE:
+        sgn = np.where(rng.random(no) < 0.5, 1.0, -1.0)
+        ol[:] = np.abs(ol) * sgn[:, None]
+        if region.conic:
             # reflecting doubles the yield for the cone
             base[row_sum(base) < 0] *= -1.0
         keep = region.contains(base)
@@ -213,6 +190,9 @@ def _shared(fn, *args):
 
 @dataclass
 class VerificationReport:
+    """One check's violation count, worst margin and estimates of the
+    existential constants its bound leaves implicit."""
+
     inequality: str
     n_samples: int
     violations: int
@@ -230,16 +210,9 @@ class VerificationReport:
                 f"{self.worst_margin:.12g},{self.seed},{int(self.passed)},{consts}")
 
     def to_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "samples": self.n_samples,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "passed": self.passed,
-            "constants": dict(sorted(self.constants.items())),
-            "notes": self.notes,
-        }
+        d = asdict(self)
+        d["samples"] = d.pop("n_samples")
+        return d
 
 
 def decay_report(name: str, t: np.ndarray, log_v: np.ndarray, r1: np.ndarray,

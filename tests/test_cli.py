@@ -148,16 +148,33 @@ NEGATIVE_SPARE = ("hat_lambda = -0.5, -0.5", "hat_lambda = 0.5, 0.5")
 
 
 def test_failed_verification_exits_1(tmp_path, capsys):
-    # the demo's prelimit certificate fails at n = 1600: the empty state's
-    # scaled norm sqrt(n) = 40 reaches the edge of the default radius-40 ball
-    path = _demo_with(tmp_path, ("\nn = 100, 400\n", "\nn = 1600\n"),
-                      ("\nsamples = 50000\n", "\nsamples = 3000\n"))
+    # the eta grid of the negative-part sub-Gaussian check stops at 0.125,
+    # where this renewal system still has far samples with no decay; every
+    # other check passes
+    path = _demo_with(tmp_path, ("lambda = 0.5, 0.5", "lambda = 2.3368, 0.2"),
+                      ("mu = 1.0, 1.0", "mu = 2.921, 1"), ("gamma = 0.0, 0.0", "gamma = 0, 0.5"),
+                      ("hat_lambda = -0.5, -0.5", "hat_lambda = -0.0630936, -0.0054"),
+                      ("scv = 1.0, 1.0\n", ""),
+                      ("kind = poisson", "kind = renewal\ndist = erlang:2, hyperexp2:3"),
+                      ("\nn = 100, 400\n", "\nn = 100\n"),
+                      ("\nsamples = 50000\n", "\nsamples = 5000\n"))
     code = cli.main(["verify-drift", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("FAIL prelimit_exp_linear_foster violations=")
+    assert any(line.startswith("FAIL neg_part_sub_gaussian_foster[eta=0.125] violations=")
                for line in lines)
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_prelimit_certificate_holds_past_the_default_radius(tmp_path, capsys):
+    # at n = 1600 the empty system sits at ||xhat||_1 = sqrt(n) = 40: the
+    # sampled ball reaches twice that, so its outer shell shows the decay
+    path = _demo_with(tmp_path, ("\nn = 100, 400\n", "\nn = 1600\n"),
+                      ("\nsamples = 50000\n", "\nsamples = 10000\n"))
+    assert cli.main(["verify-drift", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "demo_verify_report.csv").read_text().splitlines()[1:]]
+    assert [r[2] for r in rows if r[0] == "prelimit_exp_linear_foster"] == ["0"]
 
 
 def test_verification_with_no_applicable_check_exits_2(tmp_path, capsys):

@@ -229,6 +229,52 @@ class TestPrelimitCheck:
             "notes": ""}
 
 
+def _group_names(system, n_list, arr):
+    """The report names of the prelimit jobs at 20 samples, in job order."""
+    jobs = qs.prelimit_groups(system, n_list, arr, 20, 7, 1.0)
+    return [rep.inequality for job in jobs for rep in job()]
+
+
+class TestPrelimitGroups:
+    def test_an_empty_n_list_gives_no_job(self):
+        assert qs.prelimit_groups(CERTIFY, (), POISSON, 20, 7, 1.0) == []
+
+    @pytest.mark.parametrize("system, arr, names", [
+        (CERTIFY, POISSON, ["prelimit_exp_linear_foster", "prelimit_abandon_foster"]),
+        # the abandonment check is a Poisson-input result
+        (CERTIFY, RENEWAL, ["prelimit_renewal_foster"]),
+        # a lognormal law bounds no mean residual life
+        (CERTIFY, qs.ArrivalSpec((qs.LogNormal(1.0), qs.Erlang(2), qs.Exponential())), []),
+        # varrho^n < 0: only the abandonment check applies
+        (hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[1.0, 1.0], hat_lambda=[0.5, 0.5]),
+         qs.ArrivalSpec.poisson(2), ["prelimit_abandon_foster"]),
+        # a class that does not abandon: only the exp-linear check applies
+        (hwsim.SystemParams([0.5, 0.5], [1.0, 1.0], gamma=[0.0, 0.5],
+                            hat_lambda=[-0.5, -0.5]),
+         qs.ArrivalSpec.poisson(2), ["prelimit_exp_linear_foster"]),
+    ], ids=["poisson", "renewal", "lognormal", "no-spare-capacity", "gamma-zero"])
+    def test_each_job_runs_only_where_its_check_applies(self, system, arr, names):
+        assert _group_names(system, (10,), arr) == names
+
+    def test_jobs_call_the_module_check_at_the_first_n(self, monkeypatch):
+        # past n = 400 the radius is twice the empty system's ||xhat(0)||_1,
+        # here sqrt(n) = 40; the samples are capped at PRELIMIT_SAMPLES
+        calls = []
+        monkeypatch.setattr(qs, "verify_prelimit_foster",
+                            lambda *args, **kw: calls.append((args, kw)))
+        for job in qs.prelimit_groups(CERTIFY, (1600, 10), POISSON, 50_000, 7, 0.5):
+            job()
+        assert [(a[0].n, a[1], a[2], a[3], kw) for a, kw in calls] == [
+            (1600, POISSON, ver.Region.ball(80.0), ver.SamplerConfig(10_000, 7), {}),
+            (1600, POISSON, ver.Region.ball(80.0), ver.SamplerConfig(10_000, 7),
+             {"target": "abandon", "eta": 0.5})]
+        calls.clear()
+        for job in qs.prelimit_groups(CERTIFY, (400,), POISSON, 500, 7, 1.0):
+            job()
+        assert {(a[2], a[3]) for a, _ in calls} == {(ver.Region.ball(40.0),
+                                                     ver.SamplerConfig(500, 7))}
+
+
 class TestGenerators:
     @pytest.mark.parametrize("family", [lyap.Family.EXP_LINEAR, lyap.Family.ABANDON_EXP])
     def test_ratio_times_value_is_the_poisson_generator(self, certify_n10, family):
