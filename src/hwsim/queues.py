@@ -12,7 +12,8 @@ scheduling policy, a map of the state (``SchedulingPolicy``); the replicas
 run on the CPUs the process may use (``_run_replicas``).  The same module
 evaluates the exact finite-difference generators on Lyapunov functions and
 certifies the prelimit Foster-Lyapunov bounds (``verify_prelimit_foster``)
-with the reports of ``verify``.
+with the reports of ``verify``, each sampled state at the greedy allocation
+that maximizes its drift (``_greedy_allocations``).
 """
 
 from __future__ import annotations
@@ -740,7 +741,8 @@ class RenewalLyapunov:
 def count_allocations(x: np.ndarray, n: int) -> np.ndarray:
     """|Z^n(x)| for a state x, or for each row of a stack of states, by
     inclusion-exclusion over the box constraints z_i <= x_i in exact integers
-    (Python integers once a term could pass int64)."""
+    (Python integers once a term could pass int64).  The prelimit reports
+    count their samples with it."""
     x = np.asarray(x, dtype=np.int64)
     m = x.shape[-1]
     r = m - 1
@@ -780,13 +782,23 @@ def _allocation_block(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def enumerate_allocations(x: np.ndarray, n: int) -> np.ndarray:
-    """All of Z^n(x), in lexicographic order."""
+    """All of Z^n(x), in lexicographic order: the brute-force reference that
+    the tests hold ``_greedy_allocations`` to.  No command calls it."""
     return _allocation_block(np.asarray(x, dtype=np.int64)[None, :], n)
 
 
-# A state with more work-conserving allocations than this pairs with the
-# greedy one alone.
-Z_CUTOFF = 10_000
+def _greedy_allocations(states: np.ndarray, n: int, coef: np.ndarray) -> np.ndarray:
+    """The z in Z^n(x) of each row x of ``states`` that maximizes <coef, z>
+    (the matching row of ``coef``): the greedy allocation that serves classes
+    in decreasing coef, ties in index order.  Z^n(x) is the base polytope of
+    the polymatroid min(n, x(S)), where greedy attains the max of any linear
+    function (Edmonds 1970)."""
+    order = np.argsort(-coef, axis=1, kind="stable")
+    queue = np.take_along_axis(states, order, axis=1)
+    left = np.minimum(n, states.sum(axis=1, keepdims=True)) - (np.cumsum(queue, axis=1) - queue)
+    z = np.empty_like(states)
+    np.put_along_axis(z, order, np.clip(left, 0, queue), axis=1)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -882,50 +894,27 @@ def _sample_prelimit_states(p: PrelimitParams, region: Region, sampler: SamplerC
     return rows[first]
 
 
-# (state, allocation) pairs enumerated at once by the prelimit check; its
-# memory peaks in a chunk's allocation block
-_CHUNK_PAIRS = 4096
-
-
 def _pair_stage(p: PrelimitParams, states: np.ndarray, terms):
-    """(t, log V, ||xhat||_1) over (state, allocation) pairs from per-state
-    ``terms`` (arrivals, dn, log V, ||xhat||_1), where
-    t = arrivals + (mu^n z + gamma^n (x - z)) @ dn: every allocation of a
-    state with at most ``Z_CUTOFF``, else the greedy one that serves classes
-    in decreasing (mu^n_i - gamma^n_i) dn_i, ties in index order, which
-    maximizes t (Edmonds 1970: Z^n(x) is the base polytope of the polymatroid
-    min(n, x(S))).  It keeps one matmul per state: summing over all pairs at
-    once rounds differently."""
+    """(t, log V, ||xhat||_1) of each state at its worst allocation, from
+    per-state ``terms`` (arrivals, dn, log V, ||xhat||_1).
+    t = arrivals + (mu^n z + gamma^n (x - z)) @ dn is affine in z, with
+    coefficients (mu^n_i - gamma^n_i) dn_i, so ``_greedy_allocations``
+    maximizes it over Z^n(x).  Each row's product is its own (1, m) @ (m, 1)
+    matmul: one (N, m) @ (m,) product rounds some rows differently."""
     arrivals, dn, log_v, r1 = terms
-    counts = count_allocations(states, p.n)
-    exhaustive = counts <= Z_CUTOFF
-    sizes = np.where(exhaustive, counts, 0).astype(np.int64)
-    # a chunk is the states whose first pair starts in the same
-    # _CHUNK_PAIRS-wide window of the exhaustive pairs
-    window = (np.cumsum(sizes) - sizes) // _CHUNK_PAIRS
-    bounds = [0, *(np.flatnonzero(np.diff(window)) + 1), len(states)]
-    gens = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        z = _allocation_block(states[a:b][exhaustive[a:b]], p.n)
-        x = np.repeat(states[a:b], sizes[a:b], axis=0)
-        # one piece per state, empty for a state past the cutoff
-        pieces = np.split(p.mu_n * z + p.gamma_n * (x - z), np.cumsum(sizes[a:b])[:-1])
-        for s, rates in zip(range(a, b), pieces):
-            if not exhaustive[s]:
-                order = np.argsort((p.gamma_n - p.mu_n) * dn[s], kind="stable")
-                greedy = np.array([_greedy_list(states[s].tolist(), p.n, order.tolist())])
-                rates = p.mu_n * greedy + p.gamma_n * (states[s] - greedy)
-            gens.append(float(arrivals[s]) + rates @ dn[s])
-    pairs = np.array([len(g) for g in gens])
-    return np.concatenate(gens), np.repeat(log_v, pairs), np.repeat(r1, pairs)
+    z = _greedy_allocations(states, p.n, (p.mu_n - p.gamma_n) * dn)
+    rates = p.mu_n * z + p.gamma_n * (states - z)
+    return arrivals + np.matmul(rates[:, None, :], dn[:, :, None])[:, 0, 0], log_v, r1
 
 
 def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
                            sampler: SamplerConfig, target: str = "exp_linear",
                            eta: float = 1.0) -> VerificationReport:
-    """Certify the prelimit Foster-Lyapunov bound over sampled states and
-    work-conserving allocations (``_pair_stage``; past ``Z_CUTOFF`` a state
-    counts one pair in the report's samples).
+    """Certify the prelimit Foster-Lyapunov bound over sampled states, each at
+    its worst work-conserving allocation (``_pair_stage``), so the bound holds
+    under every work-conserving policy.  The report's samples counts the
+    (state, allocation) pairs this covers (``count_allocations``), and its
+    violations count states.
 
     Every input checks the age-augmented function (``RenewalLyapunov``, one
     age vector per state drawn after the states), which is V on Poisson input
@@ -959,9 +948,12 @@ def verify_prelimit_foster(p: PrelimitParams, arr: ArrivalSpec, region: Region,
 
     if target == "abandon":
         k1 = fitted_slope(t, r1, r1 >= 0.5 * region.radius)
-        return slope_report(name, t, k1, r1, log_v, region.radius, sampler.seed, consts)
-    return decay_report(name, t + consts["decay"], log_v, r1, region.radius, sampler.seed,
-                        consts)
+        rep = slope_report(name, t, k1, r1, log_v, region.radius, sampler.seed, consts)
+    else:
+        rep = decay_report(name, t + consts["decay"], log_v, r1, region.radius, sampler.seed,
+                           consts)
+    rep.n_samples = int(np.sum(count_allocations(states, p.n), dtype=object))
+    return rep
 
 
 # The prelimit checks sample at most this many states, from the ball of

@@ -472,8 +472,8 @@ PROBE8 = EXAMPLE.parent / "probe8.ini"
 
 
 def test_eight_classes_run_every_simulator_and_the_certificates(tmp_path, capsys):
-    # nothing grows like m! or bins^m: past Z_CUTOFF each prelimit state gets
-    # its greedy allocation, and a histogram keeps only its occupied cells
+    # nothing grows like m! or bins^m: each prelimit state is checked at its
+    # greedy allocation alone, and a histogram keeps only its occupied cells
     text = PROBE8.read_text()
     for old, new in [("horizon = 40\n", "horizon = 4\nburn_in = 1\nthin = 0.5\n"),
                      ("replicas = 8\n", "replicas = 2\n"),

@@ -1,7 +1,7 @@
 """Oracles for the prelimit Foster check: the allocation enumerator and the
-greedy maximizer against brute force, every (state, allocation) pair
-recomputed from the exact generator, pinned reports, and the exact generators
-against each other."""
+greedy maximizer against brute force, each state's worst allocation against
+every (state, allocation) pair recomputed from the exact generator, pinned
+reports, and the exact generators against each other."""
 
 import itertools
 import math
@@ -33,6 +33,10 @@ CERTIFY = hwsim.SystemParams([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], gamma=[0.5, 0.8, 
 FIVE = hwsim.SystemParams([0.3, 0.2, 0.2, 0.15, 0.15], [1.0] * 5,
                           gamma=[0.5, 0.8, 1.2, 0.5, 0.8],
                           hat_lambda=[-0.3, -0.2, -0.2, -0.15, -0.15])
+
+
+# configs/probe8.ini: eight equal classes with abandonment
+PROBE8 = hwsim.SystemParams([0.125] * 8, [1.0] * 8, gamma=[0.5] * 8, hat_lambda=[-0.125] * 8)
 
 
 @pytest.fixture(scope="module")
@@ -76,25 +80,40 @@ class TestEnumeration:
             len(_brute_force(x, n)) for x in states.tolist()]
 
     @given(st.integers(1, 4).flatmap(
-        lambda m: st.tuples(st.lists(st.integers(0, 5), min_size=m, max_size=m),
-                            st.lists(st.integers(-9, 9), min_size=m + 1, max_size=m + 1))),
-        st.integers(0, 12))
+        lambda m: st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=m, max_size=m),
+                                     st.lists(st.integers(-3, 3), min_size=m + 1,
+                                              max_size=m + 1)),
+                           min_size=1, max_size=6)), st.integers(0, 12))
     @settings(max_examples=100, deadline=None)
-    def test_vertices_hold_the_max_of_an_affine_function(self, x_coef, n):
-        # the greedy allocation past Z_CUTOFF, with ties among the
-        # coefficients, attains the brute-force maximum
-        x, coef = x_coef
-        z = qs._greedy_list(x, n, np.argsort(-np.array(coef[:-1]), kind="stable").tolist())
-        brute = _brute_force(x, n)
-        assert tuple(z) in brute
+    def test_vertices_hold_the_max_of_an_affine_function(self, rows, n):
+        # the greedy allocation of each state of a stack, with coefficients
+        # drawn from seven values so that many tie, lies in Z^n(x) and
+        # attains the brute-force maximum
+        states = np.array([x for x, _ in rows])
+        coef = np.array([c for _, c in rows], dtype=float)
+        got = qs._greedy_allocations(states, n, coef[:, :-1])
+        assert got.shape == states.shape
+        for x, c, z in zip(states.tolist(), coef.tolist(), got.tolist()):
+            brute = _brute_force(x, n)
+            assert tuple(z) in brute
 
-        def f(z):
-            return coef[-1] + sum(c * v for c, v in zip(coef, z))
-        assert f(z) == max(map(f, brute))
+            def f(z):
+                return c[-1] + sum(a * v for a, v in zip(c, z))
+            assert f(z) == max(map(f, brute))
 
     def test_counts_past_int64_are_exact(self):
         # no box binds when every x_i >= n: |Z| = C(n + m - 1, m - 1)
         assert qs.count_allocations(np.full(8, 20_000), 10_000) == math.comb(10_007, 7)
+
+
+def _check_spec(p, target):
+    """The Lyapunov spec and decay constant of a Poisson-input check."""
+    if target == "abandon":
+        beta = p.beta_n
+        theta = min(1.0, max(1.0 - float(beta.min()), 0.5) / float(beta.max()))
+        return lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, p.mu_n, eta=1.0, theta=theta), 0.0
+    spec = qs.estimate_prelimit_constants(p, POISSON)
+    return spec, spec.epsilon * p.varrho_n / (2.0 * p.m)
 
 
 def _independent_report(p, spec, target, states, decay):
@@ -118,14 +137,8 @@ class TestPrelimitCheck:
     @pytest.mark.parametrize("target", ["exp_linear", "abandon"])
     def test_every_pair_matches_the_exact_generator(self, certify_n10, reports, target):
         p, rep = certify_n10, reports[target]
-        if target == "abandon":
-            beta = p.beta_n
-            theta = min(1.0, max(1.0 - float(beta.min()), 0.5) / float(beta.max()))
-            spec = lyap.LyapunovSpec(lyap.Family.ABANDON_EXP, p.mu_n, eta=1.0, theta=theta)
-            decay = 0.0
-        else:
-            spec = qs.estimate_prelimit_constants(p, POISSON)
-            decay = spec.epsilon * p.varrho_n / (2.0 * p.m)
+        spec, decay = _check_spec(p, target)
+        if target == "exp_linear":
             assert rep.constants["decay"] == decay
         assert rep.constants["theta"] == spec.theta
         states = qs._sample_prelimit_states(p, REGION, SAMPLER,
@@ -138,8 +151,9 @@ class TestPrelimitCheck:
         assert rep.constants["kappa_estimate"] == pytest.approx(
             ref.constants["kappa_estimate"], rel=1e-12)
 
-    # reports recorded from a per-state evaluation of the check; batching
-    # the pairs must keep every field bit for bit
+    # reports recorded from a per-state evaluation of every allocation; only
+    # the abandonment worst_margin differs at the greedy allocation, by the
+    # rounding of one row of a k-row matmul against the same row alone
     def test_exp_linear_report_is_pinned(self, reports):
         assert reports["exp_linear"].to_dict() == {
             "inequality": "prelimit_exp_linear_foster", "samples": 2662, "violations": 0,
@@ -154,35 +168,45 @@ class TestPrelimitCheck:
     def test_abandon_report_is_pinned(self, reports):
         assert reports["abandon"].to_dict() == {
             "inequality": "prelimit_abandon_foster", "samples": 2662, "violations": 0,
-            "worst_margin": 1.8292509922490066, "seed": 3, "passed": True,
+            "worst_margin": 1.829250992249003, "seed": 3, "passed": True,
             "constants": {"attainment_radius": 3.1622776601683795, "eta": 1.0,
                           "kappa1_estimate": 0.37973707573220095,
                           "kappa_estimate": 1.4560805028053958,
                           "theta": 0.4166666666666667},
             "notes": ""}
 
-    @pytest.mark.parametrize("chunk", [1, 97])
-    def test_chunk_size_leaves_the_report_unchanged(self, certify_n10, reports, monkeypatch,
-                                                    chunk):
-        monkeypatch.setattr(qs, "_CHUNK_PAIRS", chunk)
-        rep = qs.verify_prelimit_foster(certify_n10, POISSON, REGION, SAMPLER,
-                                        target="abandon")
-        assert rep.to_dict() == reports["abandon"].to_dict()
-
-    def test_priority_vertices_keep_the_exhaustive_maxima(self, monkeypatch):
-        # Z_CUTOFF = 300 sends 4 of the 7 sampled states, with up to 1078
-        # allocations, to their greedy allocation: every statistic that is a
-        # maximum over each state's allocations stays the same
+    def test_priority_vertices_keep_the_exhaustive_maxima(self):
+        # at n = 100 the 7 sampled states have up to 1078 allocations each:
+        # every statistic of the per-state greedy allocation matches the
+        # report over every (state, allocation) pair
         p, sampler = prelimit_params(CERTIFY, 100), ver.SamplerConfig(n_samples=8, seed=5)
+        states = qs._sample_prelimit_states(p, REGION, sampler,
+                                            np.random.default_rng(sampler.seed))
+        assert qs.count_allocations(states, p.n).max() > 1000
         for target in ("exp_linear", "abandon"):
-            full = qs.verify_prelimit_foster(p, POISSON, REGION, sampler, target=target)
-            with monkeypatch.context() as mp:
-                mp.setattr(qs, "Z_CUTOFF", 300)
-                cut = qs.verify_prelimit_foster(p, POISSON, REGION, sampler, target=target)
-            assert cut.n_samples < full.n_samples
-            assert cut.worst_margin == full.worst_margin
-            for key in ("kappa_estimate", "kappa1_estimate", "attainment_radius"):
-                assert cut.constants.get(key) == full.constants.get(key), (target, key)
+            rep = qs.verify_prelimit_foster(p, POISSON, REGION, sampler, target=target)
+            spec, decay = _check_spec(p, target)
+            ref = _independent_report(p, spec, target, states, decay)
+            assert rep.n_samples == ref.n_samples
+            assert rep.violations == ref.violations
+            assert rep.worst_margin == pytest.approx(ref.worst_margin, rel=1e-12)
+            assert rep.constants["kappa_estimate"] == pytest.approx(
+                ref.constants["kappa_estimate"], rel=1e-12)
+
+    def test_samples_count_every_allocation_of_the_sampled_states(self):
+        # on the 8-class probe at n = 100 some states have more than 10,000
+        # allocations; the report still counts every pair its worst
+        # allocations cover
+        p = prelimit_params(PROBE8, 100)
+        sampler = ver.SamplerConfig(n_samples=20, seed=7)
+        states = qs._sample_prelimit_states(p, REGION, sampler,
+                                            np.random.default_rng(sampler.seed))
+        counts = qs.count_allocations(states, p.n)
+        assert counts.max() > 10_000
+        for target in ("exp_linear", "abandon"):
+            rep = qs.verify_prelimit_foster(p, qs.ArrivalSpec.poisson(8), REGION, sampler,
+                                            target=target)
+            assert rep.n_samples == int(counts.sum())
 
     # three classes at n = 10 (aged, aged, exponential), and five at n = 8
     # with two exponential classes, which are not aged, among three aged ones
@@ -200,20 +224,22 @@ class TestPrelimitCheck:
         states = qs._sample_prelimit_states(p, REGION, sampler, rng)
         ages = rng.exponential(1.0, size=states.shape) / p.lambda_n
         t, _, _ = qs._pair_stage(p, states, lifted.pair_terms(states, ages))
-        ref = []
-        for x, s in zip(states, ages):
+        assert len(t) == len(states)
+        pairs = 0
+        for got, x, s in zip(t, states, ages):
             val = lifted.value(x, s)
             hazard = float(np.sum(lifted.hazard_n(s)))
+            want, scale = [], []
             for z in qs.enumerate_allocations(x, p.n):
-                gen = qs.prelimit_generator_apply(lifted, x, s, z, p, arr)
+                want.append(qs.prelimit_generator_apply(lifted, x, s, z, p, arr) / val)
                 # each term of the generator over V~ is at most a rate, or
                 # the age derivative
-                scale = (hazard + float(np.sum(p.mu_n * z + p.gamma_n * (x - z)))
-                         + abs(float(lifted.ds_sum(x, s))) / val)
-                ref.append((gen / val, scale))
-        assert len(t) == len(ref) > 100
-        for got, (want, scale) in zip(t, ref):
-            assert abs(got - want) <= 1e-10 * scale
+                scale.append(hazard + float(np.sum(p.mu_n * z + p.gamma_n * (x - z)))
+                             + abs(float(lifted.ds_sum(x, s))) / val)
+            pairs += len(want)
+            # each state's t is its worst allocation's
+            assert abs(got - max(want)) <= 1e-10 * max(scale)
+        assert pairs > 100
 
     def test_renewal_report_is_pinned(self, certify_n10):
         rep = qs.verify_prelimit_foster(certify_n10, RENEWAL, REGION,
