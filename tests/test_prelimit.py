@@ -254,6 +254,42 @@ class TestPrelimitCheck:
                           "theta": 0.00036019653670095486},
             "notes": ""}
 
+    # the jobs verify-drift runs on configs/probe8.ini and probe8_renewal.ini
+    # (n = 100, seed 7), at 200 samples; summing each state's rates * dn by
+    # row_sum instead of its own matmul moves the abandonment worst_margin
+    # and the renewal kappa_estimate
+    @pytest.mark.parametrize("arr, want", [
+        (qs.ArrivalSpec.poisson(8), [
+            {"inequality": "prelimit_exp_linear_foster", "samples": 2616282472,
+             "violations": 0, "worst_margin": 0.00025171044277560637, "seed": 7,
+             "passed": True,
+             "constants": {"attainment_radius": 1.5999999999999999,
+                           "decay": 7.586223210213116e-07,
+                           "epsilon": 1.2137957136340988e-05,
+                           "kappa_estimate": 8.041194633191838e-06,
+                           "theta": 2.4275914272681977e-05},
+             "notes": ""},
+            {"inequality": "prelimit_abandon_foster", "samples": 2616282472,
+             "violations": 0, "worst_margin": 2.111068999254922, "seed": 7, "passed": True,
+             "constants": {"attainment_radius": 3.9999999999999996, "eta": 1.0,
+                           "kappa1_estimate": 0.4173243755438052,
+                           "kappa_estimate": 3.2277358628172257, "theta": 1.0},
+             "notes": ""}]),
+        (qs.ArrivalSpec((qs.Erlang(2), qs.HyperExp2(1.5)) * 4), [
+            {"inequality": "prelimit_renewal_foster", "samples": 2616282472,
+             "violations": 0, "worst_margin": 0.0001672238991811857, "seed": 7,
+             "passed": True,
+             "constants": {"attainment_radius": 1.5999999999999999,
+                           "decay": 3.356565532628433e-07,
+                           "epsilon": 8.05575727830824e-06,
+                           "kappa_estimate": 5.169022904599365e-06,
+                           "theta": 1.611151455661648e-05},
+             "notes": ""}]),
+    ], ids=["poisson", "renewal"])
+    def test_probe8_reports_are_pinned(self, arr, want):
+        jobs = qs.prelimit_groups(PROBE8, [100], arr, 200, 7, 1.0)
+        assert [rep.to_dict() for job in jobs for rep in job()] == want
+
 
 def _group_names(system, n_list, arr):
     """The report names of the prelimit jobs at 20 samples, in job order."""
